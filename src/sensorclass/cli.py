@@ -7,7 +7,7 @@ Subcommands compose into a file-based pipeline that mirrors the library:
 
 Every artifact embeds the resolved run configuration and tool version as
 `# key=value` header lines, and identical inputs plus the same --seed
-produce byte-identical outputs regardless of --threads.
+produce byte-identical outputs. --threads is accepted and has no effect.
 
 Exit codes: 0 success, 2 configuration error (including bad flags),
 3 data error, 4 all requested metrics came back undefined.
@@ -35,6 +35,7 @@ from .forest import ForestConfig, LabeledDataset, load_model, predict_matrix, sa
 from .synth import PRESET_NAMES, generate_corpus, load_corpus_spec, preset_spec
 from .trace import SensorType, write_trace_csv
 from .uncertainty import (
+    DEFAULT_THRESHOLD,
     attach_metrics,
     entropy_cdf,
     flag_above_threshold,
@@ -54,7 +55,6 @@ EXIT_UNDEFINED = 4
 DEFAULT_SEED = 0
 DEFAULT_WINDOW_MINS = 45.0
 DEFAULT_TREES = 50
-DEFAULT_THRESHOLD = 0.425
 
 
 def _shared_flags(parser: argparse.ArgumentParser) -> None:
@@ -75,7 +75,7 @@ def _shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scheme", choices=[RICH8, BASELINE2, "both"], default=RICH8,
                         help="feature scheme (default rich8)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for tree building (results identical)")
+                        help="accepted for compatibility; has no effect")
 
 
 def _seed(args) -> int:
@@ -199,7 +199,7 @@ def _dataset_from_matrix(path) -> tuple[LabeledDataset, dict]:
 def cmd_train(args) -> int:
     dataset, _ = _dataset_from_matrix(args.features)
     config = _forest_config(args)
-    forest = train_forest(dataset, config, threads=args.threads)
+    forest = train_forest(dataset, config)
     run = _run_meta(args, scheme=dataset.schema)
     save_model(forest, args.out, run)
     print(f"trained {config.n_trees} trees on {len(dataset)} instances -> {args.out}")
@@ -293,7 +293,7 @@ def cmd_eval(args) -> int:
                 evaluate.add_column(table, evaluate.LOO_COLUMN, evaluate.loo_column(loo))
             else:
                 loo = evaluate.loo_cv(dataset, config, scheme, base)
-                table = evaluate.AccuracyTable(columns=[], rows={n: {} for n in evaluate.AccuracyTable.row_names()})
+                table = evaluate.new_table()
                 evaluate.add_column(table, evaluate.LOO_COLUMN, evaluate.loo_column(loo))
             _write_result_artifacts(out_dir, scheme, loo, base, meta)
             header, rows = evaluate.table_csv_rows(table)
@@ -389,6 +389,8 @@ def _answer_stream(args):
 
 
 def cmd_relabel(args) -> int:
+    if args.budget < 0:
+        raise ConfigError(f"--budget must be >= 0, got {args.budget}")
     preds, _pmeta = read_preds_rebase(args.predictions, args.entropy_base)
     manifest_meta, header, rows = reporting.read_csv(args.manifest)
     if header != reporting.MANIFEST_HEADER:
@@ -444,7 +446,7 @@ def cmd_relabel(args) -> int:
     dataset = LabeledDataset(
         tuple(ids[i] for i in keep), feats[keep], np.array(codes), schema
     )
-    retrained = train_forest(dataset, forest.config, threads=args.threads)
+    retrained = train_forest(dataset, forest.config)
     save_model(retrained, args.out_model, run)
     print(
         f"reviewed {reviewed}, corrected {corrected}; "

@@ -15,7 +15,7 @@ from a test set is undefined for that run, not zero.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ from .forest import (
     predict_matrix,
     train_forest,
     train_tree,
-    tree_posterior,
 )
 from .trace import SensorTrace, SensorType
 from .uncertainty import Prediction, make_prediction
@@ -169,11 +168,13 @@ def _aggregate_column(results: Sequence[PerClassAccuracy]) -> dict[str, Accuracy
     return cells
 
 
-def _new_table() -> AccuracyTable:
+def new_table() -> AccuracyTable:
+    """An accuracy table with every row and no columns yet."""
     return AccuracyTable(columns=[], rows={name: {} for name in AccuracyTable.row_names()})
 
 
-def _add_column(table: AccuracyTable, name: str, cells: dict[str, AccuracyCell]) -> None:
+def add_column(table: AccuracyTable, name: str, cells: dict[str, AccuracyCell]) -> None:
+    """Append a column (a protocol's aggregate or a prebuilt one such as LOO)."""
     table.columns.append(name)
     for row_name in AccuracyTable.row_names():
         table.rows[row_name][name] = cells[row_name]
@@ -235,24 +236,21 @@ def percentage_protocol(
     every cell is the mean over the repeats where it was defined.
     """
     _check_scheme(dataset, feature_scheme)
-    table = _new_table()
+    table = new_table()
     for fi, fraction in enumerate(fractions):
         r = repeats_for_fraction(fraction)
         results = []
         for rep in range(r):
             rng = seeding.generator(config.seed, _TAG_PERCENTAGE, fi, rep, 0)
             train_idx, test_idx = stratified_split(dataset, fraction, rng)
-            fold_config = ForestConfig(
-                n_trees=config.n_trees,
-                m_try=config.m_try,
-                seed=seeding.derive_seed(config.seed, _TAG_PERCENTAGE, fi, rep, 1),
-                averaging_mode=config.averaging_mode,
+            fold_config = replace(
+                config, seed=seeding.derive_seed(config.seed, _TAG_PERCENTAGE, fi, rep, 1)
             )
             fold = _evaluate_fold(
                 dataset.subset(train_idx), dataset.subset(test_idx), fold_config, entropy_base
             )
             results.append(fold.accuracy)
-        _add_column(table, fraction_column_name(fraction), _aggregate_column(results))
+        add_column(table, fraction_column_name(fraction), _aggregate_column(results))
     return table
 
 
@@ -272,12 +270,7 @@ def loo_cv(
     predicted_codes = np.empty(n, dtype=np.int64)
     for i in range(n):
         rest = np.concatenate([np.arange(i), np.arange(i + 1, n)])
-        round_config = ForestConfig(
-            n_trees=config.n_trees,
-            m_try=config.m_try,
-            seed=seeding.derive_seed(config.seed, _TAG_LOO, i),
-            averaging_mode=config.averaging_mode,
-        )
+        round_config = replace(config, seed=seeding.derive_seed(config.seed, _TAG_LOO, i))
         fold = _evaluate_fold(
             dataset.subset(rest), dataset.subset([i]), round_config, entropy_base
         )
@@ -297,11 +290,6 @@ def loo_column(result: ProtocolResult) -> dict[str, AccuracyCell]:
     }
     cells["overall"] = AccuracyCell(result.accuracy.overall, 1)
     return cells
-
-
-def add_column(table: AccuracyTable, name: str, cells: dict[str, AccuracyCell]) -> None:
-    """Append a prebuilt column (such as the LOO column) to a table."""
-    _add_column(table, name, cells)
 
 
 def inter_corpus(
@@ -324,36 +312,30 @@ def inter_corpus(
         raise SchemaMismatch(
             f"corpora disagree on schema: {train_dataset.schema!r} vs {test_dataset.schema!r}"
         )
-    table = _new_table()
+    table = new_table()
     full_result: ProtocolResult | None = None
     for fi, fraction in enumerate(fractions):
         if fraction == 1.0:
-            fold_config = ForestConfig(
-                n_trees=config.n_trees,
-                m_try=config.m_try,
-                seed=seeding.derive_seed(config.seed, _TAG_INTER, fi, 0, 1),
-                averaging_mode=config.averaging_mode,
+            fold_config = replace(
+                config, seed=seeding.derive_seed(config.seed, _TAG_INTER, fi, 0, 1)
             )
             fold = _evaluate_fold(train_dataset, test_dataset, fold_config, entropy_base)
             full_result = fold
-            _add_column(table, FULL_COLUMN, _aggregate_column([fold.accuracy]))
+            add_column(table, FULL_COLUMN, _aggregate_column([fold.accuracy]))
             continue
         r = repeats_for_fraction(fraction)
         results = []
         for rep in range(r):
             rng = seeding.generator(config.seed, _TAG_INTER, fi, rep, 0)
             train_idx, _ = stratified_split(train_dataset, fraction, rng)
-            fold_config = ForestConfig(
-                n_trees=config.n_trees,
-                m_try=config.m_try,
-                seed=seeding.derive_seed(config.seed, _TAG_INTER, fi, rep, 1),
-                averaging_mode=config.averaging_mode,
+            fold_config = replace(
+                config, seed=seeding.derive_seed(config.seed, _TAG_INTER, fi, rep, 1)
             )
             fold = _evaluate_fold(
                 train_dataset.subset(train_idx), test_dataset, fold_config, entropy_base
             )
             results.append(fold.accuracy)
-        _add_column(table, fraction_column_name(fraction), _aggregate_column(results))
+        add_column(table, fraction_column_name(fraction), _aggregate_column(results))
     return table, full_result
 
 
@@ -402,12 +384,7 @@ def window_sweep(
             log.warning("window sweep: second corpus empty at %d minutes, point skipped", minutes)
             continue
         dataset_b = build_dataset(usable_b, window_len, scheme)
-        fold_config = ForestConfig(
-            n_trees=config.n_trees,
-            m_try=config.m_try,
-            seed=seeding.derive_seed(config.seed, _TAG_SWEEP, wi, 1),
-            averaging_mode=config.averaging_mode,
-        )
+        fold_config = replace(config, seed=seeding.derive_seed(config.seed, _TAG_SWEEP, wi, 1))
         forest = train_forest(dataset, fold_config)
         rng = seeding.generator(config.seed, _TAG_SWEEP, wi, 0)
         order = rng.permutation(len(dataset_b))
@@ -431,8 +408,10 @@ def _single_tree_loo(dataset: LabeledDataset) -> float:
     for i in range(n):
         rest = np.concatenate([np.arange(i), np.arange(i + 1, n)])
         tree = train_tree(dataset.subset(rest), config, 0, identity_bootstrap=True)
-        probs = tree_posterior(tree, dataset.features[i])
-        if int(np.argmax(probs)) == int(dataset.labels[i]):
+        forest = RandomForest((tree,), config, tuple(SensorType), dataset.schema)
+        # standard mode over one tree is that tree's leaf posterior, exactly
+        probs = predict_matrix(forest, dataset.features[i : i + 1], dataset.schema, "standard")
+        if int(np.argmax(probs[0])) == int(dataset.labels[i]):
             correct += 1
     return correct / n
 

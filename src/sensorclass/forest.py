@@ -18,16 +18,18 @@ Forest posteriors combine tree posteriors in one of two modes:
   trees {0.5, 0.5, 0, ...} and {1, 0, 0, ...} give raw entries
   0.75 = (0.5+1)/2 and 0.5 = 0.5/1, normalized to {0.6, 0.4, 0, ...}.
 
+Trees are held as parallel preorder arrays (see DecisionTree), and
+predict_matrix is the one path that routes feature rows through them.
+
 Determinism: every tree's RNG derives from (config.seed, tree index), so
-the forest is a pure function of (dataset, config) no matter how many
-threads build it or in what order.
+the forest is a pure function of (dataset, config) no matter in what order
+its trees are built.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -44,6 +46,9 @@ AVERAGING_MODES = ("paper", "standard")
 
 # derivation tag separating tree RNG streams from other consumers of a seed
 _TREE_TAG = 101
+
+_NO_POSTERIOR = np.zeros(CLASS_COUNT)  # value row of a split node
+_ONE_HOT = np.eye(CLASS_COUNT)  # row c is the one-hot vector of class c
 
 
 @dataclass(frozen=True)
@@ -124,27 +129,27 @@ class LabeledDataset:
         )
 
 
-@dataclass(frozen=True)
-class Split:
-    """A binary test: go left when value[feature] <= threshold."""
-
-    feature: int
-    threshold: float
-
-
-@dataclass(frozen=True, eq=False)
-class TreeNode:
-    """Internal node (split set, two children) or leaf (posterior set)."""
-
-    split: Split | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    posterior: np.ndarray | None = field(default=None, repr=False)
-
-
 @dataclass(frozen=True, eq=False)
 class DecisionTree:
-    root: TreeNode
+    """One tree as parallel arrays indexed by node, nodes in preorder.
+
+    Split node i sends a row x to node i + 1, its left child, when
+    x[feature[i]] <= threshold[i], and to node right[i] otherwise. A leaf
+    has feature -1 and right -1, and value[i] is its class posterior; the
+    value rows of split nodes are zero. This is the array layout of Louppe,
+    Understanding Random Forests (arXiv:1407.7502), ch. 5.
+    """
+
+    feature: np.ndarray  # (nodes,) int
+    threshold: np.ndarray  # (nodes,) float
+    right: np.ndarray  # (nodes,) int
+    value: np.ndarray  # (nodes, CLASS_COUNT) float
+
+    def __post_init__(self):
+        object.__setattr__(self, "feature", np.asarray(self.feature, dtype=np.intp))
+        object.__setattr__(self, "threshold", np.asarray(self.threshold, dtype=float))
+        object.__setattr__(self, "right", np.asarray(self.right, dtype=np.intp))
+        object.__setattr__(self, "value", np.asarray(self.value, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,11 +177,14 @@ def _entropy_rows(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return -plogp.sum(axis=1)
 
 
+
+
 def best_split(
     features: np.ndarray, labels: np.ndarray, candidates: Sequence[int]
-) -> Split | None:
+) -> tuple[int, float] | None:
     """Highest-information-gain split over the candidate features.
 
+    Returns (feature, threshold): go left when value[feature] <= threshold.
     Thresholds are midpoints of consecutive distinct sorted values, so a
     split never produces an empty side. Returns None when no candidate has
     two distinct values or when the best achievable gain is not positive.
@@ -185,8 +193,7 @@ def best_split(
     n = len(labels)
     counts = np.bincount(labels, minlength=CLASS_COUNT).astype(float)
     parent = _entropy_rows(counts[None, :], np.array([float(n)]))[0]
-    onehot = np.zeros((n, CLASS_COUNT))
-    best: Split | None = None
+    best: tuple[int, float] | None = None
     best_gain = 0.0
     for f in sorted(set(int(c) for c in candidates)):
         col = features[:, f]
@@ -195,20 +202,19 @@ def best_split(
         cuts = np.nonzero(sv[:-1] < sv[1:])[0]
         if cuts.size == 0:
             continue
-        onehot[:] = 0.0
-        onehot[np.arange(n), labels[order]] = 1.0
-        cum = np.cumsum(onehot, axis=0)
+        cum = np.cumsum(_ONE_HOT[labels[order]], axis=0)
         left = cum[cuts]
-        right = counts[None, :] - left
         n_left = (cuts + 1).astype(float)
         n_right = n - n_left
-        child = n_left * _entropy_rows(left, n_left) + n_right * _entropy_rows(right, n_right)
+        # both sides' entropies in one call: rows [0, k) are left, [k, 2k) right
+        h = _entropy_rows(np.vstack([left, counts - left]), np.concatenate([n_left, n_right]))
+        child = n_left * h[: len(cuts)] + n_right * h[len(cuts) :]
         gains = parent - child / n
         i = int(np.argmax(gains))  # first max: smallest threshold wins ties
         if gains[i] > best_gain:
             best_gain = float(gains[i])
             cut = cuts[i]
-            best = Split(f, float((sv[cut] + sv[cut + 1]) / 2.0))
+            best = (f, float((sv[cut] + sv[cut + 1]) / 2.0))
     return best
 
 
@@ -231,106 +237,88 @@ def train_tree(
     n = len(dataset)
     d = dataset.feature_count
     m_try = config.resolve_m_try(d)
-    if identity_bootstrap:
-        chosen = np.arange(n)
-    else:
-        chosen = rng.integers(0, n, size=n)
+    chosen = np.arange(n) if identity_bootstrap else rng.integers(0, n, size=n)
     x = dataset.features[chosen]
     y = dataset.labels[chosen]
     all_features = np.arange(d)
+    nodes: list[list] = []  # [feature, threshold, right, value] per node, preorder
 
-    def grow(sel: np.ndarray) -> TreeNode:
+    def grow(sel: np.ndarray) -> None:
         counts = np.bincount(y[sel], minlength=CLASS_COUNT).astype(float)
-        node_n = len(sel)
-        if counts.max() == node_n:  # pure
-            return TreeNode(posterior=counts / node_n)
-        if m_try == d:
-            cand = all_features
-        else:
-            cand = np.sort(rng.choice(d, size=m_try, replace=False))
-        split = best_split(x[sel], y[sel], cand)
+        split = None
+        if counts.max() < len(sel):  # impure
+            cand = all_features if m_try == d else rng.choice(d, size=m_try, replace=False)
+            split = best_split(x[sel], y[sel], cand)
         if split is None:
-            return TreeNode(posterior=counts / node_n)
-        go_left = x[sel, split.feature] <= split.threshold
-        return TreeNode(split=split, left=grow(sel[go_left]), right=grow(sel[~go_left]))
+            nodes.append([-1, 0.0, -1, counts / len(sel)])
+            return
+        f, t = split
+        node = [f, t, -1, _NO_POSTERIOR]
+        nodes.append(node)
+        go_left = x[sel, f] <= t
+        grow(sel[go_left])
+        node[2] = len(nodes)
+        grow(sel[~go_left])
 
-    return DecisionTree(grow(np.arange(n)))
+    grow(np.arange(n))
+    return DecisionTree(*zip(*nodes))
 
 
-def train_forest(
-    dataset: LabeledDataset, config: ForestConfig, threads: int = 1
-) -> RandomForest:
-    """Train config.n_trees trees. The result is independent of threads."""
+def train_forest(dataset: LabeledDataset, config: ForestConfig) -> RandomForest:
+    """Train config.n_trees trees, tree k from train_tree(..., k)."""
     resolved = replace(config, m_try=config.resolve_m_try(dataset.feature_count))
-    indices = range(resolved.n_trees)
-    if threads <= 1:
-        trees = tuple(train_tree(dataset, resolved, i) for i in indices)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = tuple(pool.map(lambda i: train_tree(dataset, resolved, i), indices))
+    trees = tuple(train_tree(dataset, resolved, i) for i in range(resolved.n_trees))
     return RandomForest(trees, resolved, tuple(SensorType), dataset.schema)
 
 
-def tree_posterior(tree: DecisionTree, values: np.ndarray) -> np.ndarray:
-    """Route a feature vector to its leaf and return the class distribution."""
-    node = tree.root
-    while node.split is not None:
-        node = node.left if values[node.split.feature] <= node.split.threshold else node.right
-    return node.posterior
-
-
-def _combine(tree_probs: np.ndarray, mode: str) -> np.ndarray:
-    """Average a (n_trees, C) stack of posteriors into one distribution."""
-    if mode == "standard":
-        return tree_probs.mean(axis=0)
-    if mode == "paper":
-        nonzero = np.count_nonzero(tree_probs, axis=0)
-        raw = np.where(nonzero > 0, tree_probs.sum(axis=0) / np.maximum(nonzero, 1), 0.0)
-        return raw / raw.sum()
-    raise InvalidConfig(f"unknown averaging mode {mode!r}")
-
-
-def _check_schema(forest: RandomForest, schema: str) -> None:
-    if schema != forest.feature_schema:
-        raise SchemaMismatch(
-            f"model expects schema {forest.feature_schema!r}, got {schema!r}"
-        )
-
-
-def forest_posterior(
-    forest: RandomForest, fv: FeatureVector, mode: str | None = None
+def predict_matrix(
+    forest: RandomForest, features: np.ndarray, schema: str, mode: str | None = None
 ) -> np.ndarray:
-    """Combined class distribution for one feature vector."""
-    _check_schema(forest, fv.schema)
+    """Posteriors for a whole (n, D) matrix at once; rows sum to 1.
+
+    Every row goes down every tree together, one depth level per step, so
+    the Python loop runs once per level, not once per row and node. The
+    trees' leaf posteriors are then combined in the given averaging mode.
+    """
+    if schema != forest.feature_schema:
+        raise SchemaMismatch(f"model expects schema {forest.feature_schema!r}, got {schema!r}")
     mode = mode or forest.config.averaging_mode
-    stack = np.stack([tree_posterior(t, fv.values) for t in forest.trees])
-    return _combine(stack, mode)
+    if mode not in AVERAGING_MODES:
+        raise InvalidConfig(f"averaging mode must be one of {AVERAGING_MODES}, got {mode!r}")
+    x = np.asarray(features, dtype=float)
+    d = schema_length(schema)
+    if x.ndim != 2 or x.shape[1] != d:
+        raise DataError(f"schema {schema!r} expects (n, {d}) features, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise DataError("feature matrix contains non-finite entries")
+    # every tree's arrays end to end, tree t from roots[t] on (leaves' right is never read)
+    trees = forest.trees
+    roots = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    right = np.concatenate([t.right + r for t, r in zip(trees, roots)])
+    rows = np.tile(np.arange(len(x)), len(trees))
+    node = np.repeat(roots, len(x))
+    f = feature[node]
+    while (inner := f >= 0).any():
+        go_left = x[rows, f] <= threshold[node]
+        node = np.where(inner, np.where(go_left, node + 1, right[node]), node)
+        f = feature[node]
+    value = np.concatenate([t.value for t in trees])
+    stack = value[node].reshape(len(trees), len(x), CLASS_COUNT)
+    if mode == "standard":
+        return stack.sum(axis=0) / len(trees)  # what stack.mean(axis=0) computes
+    nonzero = np.count_nonzero(stack, axis=0)
+    raw = np.where(nonzero > 0, stack.sum(axis=0) / np.maximum(nonzero, 1), 0.0)
+    return raw / raw.sum(axis=1, keepdims=True)
 
 
 def classify(
     forest: RandomForest, fv: FeatureVector, mode: str | None = None
 ) -> tuple[SensorType, np.ndarray]:
     """(predicted type, posterior). Probability ties go to the lowest code."""
-    probs = forest_posterior(forest, fv, mode)
+    probs = predict_matrix(forest, fv.values[None, :], fv.schema, mode)[0]
     return SensorType(int(np.argmax(probs))), probs
-
-
-def predict_matrix(
-    forest: RandomForest, features: np.ndarray, schema: str, mode: str | None = None
-) -> np.ndarray:
-    """Posteriors for a whole (n, D) matrix at once; rows sum to 1."""
-    _check_schema(forest, schema)
-    mode = mode or forest.config.averaging_mode
-    stack = np.empty((len(forest.trees), len(features), CLASS_COUNT))
-    for ti, tree in enumerate(forest.trees):
-        for ri, row in enumerate(features):
-            stack[ti, ri] = tree_posterior(tree, row)
-    if mode == "standard":
-        return stack.mean(axis=0)
-    out = np.empty((len(features), CLASS_COUNT))
-    for ri in range(len(features)):
-        out[ri] = _combine(stack[:, ri, :], mode)
-    return out
 
 
 # --- model file -------------------------------------------------------------
@@ -343,42 +331,41 @@ def predict_matrix(
 
 
 def _tree_to_nodes(tree: DecisionTree) -> list:
-    nodes: list = []
+    return [
+        ["s", f, t] if f >= 0 else ["l", v]
+        for f, t, v in zip(tree.feature.tolist(), tree.threshold.tolist(), tree.value.tolist())
+    ]
 
-    def walk(node: TreeNode) -> None:
-        if node.split is not None:
-            nodes.append(["s", node.split.feature, node.split.threshold])
-            walk(node.left)
-            walk(node.right)
+
+def _nodes_to_tree(entries: list, feature_count: int) -> DecisionTree:
+    nodes: list[list] = []  # as in train_tree
+    open_splits: list[list] = []  # split nodes still waiting for their right child
+    for tag, *fields in entries:
+        if nodes and nodes[-1][0] < 0:  # a leaf just closed a left subtree
+            if not open_splits:
+                raise DataError("tree node list continues after its last leaf")
+            open_splits.pop()[2] = len(nodes)
+        if tag == "s":
+            f, t = fields
+            if not (isinstance(f, int) and 0 <= f < feature_count and np.isfinite(t)):
+                raise DataError(f"split on feature {f!r} at {t!r}: need a feature in "
+                                f"0..{feature_count - 1} and a finite threshold")
+            nodes.append([f, float(t), -1, _NO_POSTERIOR])
+            open_splits.append(nodes[-1])
+        elif tag == "l":
+            (post,) = fields
+            post = np.asarray(post, dtype=float)
+            if post.shape != (CLASS_COUNT,) or not (
+                np.isfinite(post).all() and (post >= 0).all()
+                and abs(post.sum() - 1.0) <= 1e-9
+            ):
+                raise DataError(f"leaf {post.tolist()} is not a {CLASS_COUNT}-class distribution")
+            nodes.append([-1, 0.0, -1, post])
         else:
-            nodes.append(["l", [float(p) for p in node.posterior]])
-
-    walk(tree.root)
-    return nodes
-
-
-def _nodes_to_tree(nodes: list) -> DecisionTree:
-    pos = 0
-
-    def build() -> TreeNode:
-        nonlocal pos
-        entry = nodes[pos]
-        pos += 1
-        if entry[0] == "s":
-            left = build()
-            right = build()
-            return TreeNode(split=Split(int(entry[1]), float(entry[2])), left=left, right=right)
-        if entry[0] == "l":
-            post = np.asarray(entry[1], dtype=float)
-            if len(post) != CLASS_COUNT:
-                raise DataError(f"leaf posterior must have {CLASS_COUNT} entries")
-            return TreeNode(posterior=post)
-        raise DataError(f"unknown node tag {entry[0]!r} in model file")
-
-    root = build()
-    if pos != len(nodes):
-        raise DataError("trailing nodes in model tree list")
-    return DecisionTree(root)
+            raise DataError(f"unknown node tag {tag!r} in model file")
+    if not nodes or open_splits:
+        raise DataError("tree node list is empty or ends before every split has two subtrees")
+    return DecisionTree(*zip(*nodes))
 
 
 def model_document(forest: RandomForest, run_meta: dict | None = None) -> dict:
@@ -408,24 +395,34 @@ def save_model(forest: RandomForest, path: str | Path, run_meta: dict | None = N
 
 
 def load_model(path: str | Path) -> tuple[RandomForest, dict]:
-    """Read a model file back; returns (forest, run metadata dict)."""
+    """Read a model file back; returns (forest, run metadata dict).
+
+    A malformed document of any kind raises DataError.
+    """
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"model file {path}: not valid JSON ({exc})") from None
-    if doc.get("format") != MODEL_FORMAT:
-        raise DataError(f"model file {path}: unsupported format {doc.get('format')!r}")
-    cfg = doc["config"]
-    config = ForestConfig(
-        n_trees=int(cfg["n_trees"]),
-        m_try=int(cfg["m_try"]),
-        seed=int(cfg["seed"]),
-        averaging_mode=str(cfg["averaging_mode"]),
-    )
-    labels = tuple(SensorType.from_label(s) for s in doc["class_labels"])
-    trees = tuple(_nodes_to_tree(nodes) for nodes in doc["trees"])
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+        raise DataError(f"model file {path}: not a {MODEL_FORMAT} document")
+    try:
+        cfg = doc["config"]
+        config = ForestConfig(
+            n_trees=int(cfg["n_trees"]),
+            m_try=int(cfg["m_try"]),
+            seed=int(cfg["seed"]),
+            averaging_mode=str(cfg["averaging_mode"]),
+        )
+        labels = tuple(SensorType.from_label(s) for s in doc["class_labels"])
+        schema = str(doc["feature_schema"])
+        feature_count = schema_length(schema)
+        trees = tuple(_nodes_to_tree(nodes, feature_count) for nodes in doc["trees"])
+        run = dict(doc.get("run", {}))
+    except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
+        raise DataError(f"model file {path}: malformed ({type(exc).__name__}: {exc})") from None
+    except DataError as exc:
+        raise DataError(f"model file {path}: {exc}") from None
     if len(trees) != config.n_trees:
         raise DataError(f"model file {path}: tree count does not match config")
-    forest = RandomForest(trees, config, labels, str(doc["feature_schema"]))
-    return forest, dict(doc.get("run", {}))
+    return RandomForest(trees, config, labels, schema), run

@@ -26,6 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
+from .features import schema_length
 from .trace import CLASS_LABELS, SensorType, read_trace_csv
 from .uncertainty import FlagReport, Prediction
 
@@ -149,17 +150,20 @@ def read_feature_matrix(
     if "schema" not in meta:
         raise DataError(f"{path}: feature matrix is missing its schema metadata line")
     schema = meta["schema"]
-    if header[:2] != ["trace_id", "label"]:
-        raise DataError(f"{path}: expected trace_id,label,f0.. header, got {header}")
+    d = schema_length(schema)
+    if header[:2] != ["trace_id", "label"] or len(header) != 2 + d:
+        raise DataError(f"{path}: expected trace_id,label,f0..f{d - 1} header, got {header}")
     ids, labels, feats = [], [], []
     for row in rows:
+        if len(row) != 2 + d:
+            raise DataError(f"{path}: row {row[0]!r} has {len(row)} cells, expected {2 + d}")
         ids.append(row[0])
         labels.append(SensorType.from_label(row[1]) if row[1] else None)
         try:
             feats.append([float(x) for x in row[2:]])
         except ValueError:
             raise DataError(f"{path}: non-numeric feature in row for {row[0]!r}") from None
-    return ids, labels, np.asarray(feats, dtype=float), schema, meta
+    return ids, labels, np.asarray(feats, dtype=float).reshape(len(rows), d), schema, meta
 
 
 # --- predictions ---------------------------------------------------------------

@@ -117,6 +117,8 @@ def flag_above_threshold(
     predictions: Sequence[Prediction], threshold: float
 ) -> FlagReport:
     """Flag instances with entropy strictly greater than the threshold."""
+    if math.isnan(threshold):
+        raise InvalidConfig("flag threshold must be a number, got nan")
     flagged = frozenset(p.trace_id for p in predictions if p.entropy > threshold)
     return FlagReport(float(threshold), flagged, len(predictions))
 

@@ -90,21 +90,33 @@ def oracle_best_split(x: np.ndarray, y: np.ndarray):
     return best
 
 
-def assert_tree_matches_oracle(node, x: np.ndarray, y: np.ndarray) -> None:
-    """Walk a trained tree alongside the oracle's recursive choice of splits."""
-    counts = np.bincount(y, minlength=CLASS_COUNT)
-    expected = None if counts.max() == len(y) else oracle_best_split(x, y)
-    if expected is None:
-        assert node.split is None, f"expected a leaf, found split {node.split}"
-        assert (node.posterior == counts / len(y)).all()
-        return
-    feature, threshold = expected
-    assert node.split is not None, f"expected split {expected}, found a leaf"
-    assert node.split.feature == feature
-    assert node.split.threshold == threshold
-    mask = x[:, feature] <= threshold
-    assert_tree_matches_oracle(node.left, x[mask], y[mask])
-    assert_tree_matches_oracle(node.right, x[~mask], y[~mask])
+def assert_tree_matches_oracle(tree, x: np.ndarray, y: np.ndarray) -> None:
+    """Walk a trained tree's preorder arrays alongside the oracle's recursive
+    choice of splits; every node must be visited once, in preorder."""
+    visited = []
+
+    def walk(node: int, x: np.ndarray, y: np.ndarray) -> None:
+        visited.append(node)
+        counts = np.bincount(y, minlength=CLASS_COUNT)
+        expected = None if counts.max() == len(y) else oracle_best_split(x, y)
+        if expected is None:
+            assert tree.feature[node] == -1, (
+                f"expected a leaf, found split ({tree.feature[node]}, {tree.threshold[node]})"
+            )
+            assert tree.right[node] == -1
+            assert (tree.value[node] == counts / len(y)).all()
+            return
+        feature, threshold = expected
+        assert tree.feature[node] != -1, f"expected split {expected}, found a leaf"
+        assert tree.feature[node] == feature
+        assert tree.threshold[node] == threshold
+        assert (tree.value[node] == 0).all()
+        mask = x[:, feature] <= threshold
+        walk(node + 1, x[mask], y[mask])
+        walk(tree.right[node], x[~mask], y[~mask])
+
+    walk(0, x, y)
+    assert visited == list(range(len(tree.feature)))
 
 
 def oracle_fully_separates(x: np.ndarray, y: np.ndarray) -> bool:
@@ -127,15 +139,16 @@ def oracle_fully_separates(x: np.ndarray, y: np.ndarray) -> bool:
 
 
 def resubstitution_accuracy(tree, x: np.ndarray, y: np.ndarray) -> float:
+    """Accuracy of a tree on rows routed one at a time, node by node."""
     hits = 0
     for row, truth in zip(x, y):
-        node = tree.root
-        while node.split is not None:
-            if row[node.split.feature] <= node.split.threshold:
-                node = node.left
+        node = 0
+        while tree.feature[node] != -1:
+            if row[tree.feature[node]] <= tree.threshold[node]:
+                node = node + 1
             else:
-                node = node.right
-        hits += int(np.argmax(node.posterior)) == truth
+                node = tree.right[node]
+        hits += int(np.argmax(tree.value[node])) == truth
     return hits / len(y)
 
 

@@ -34,7 +34,7 @@ from sensorclass.features import FeatureVector, extract, subset_schema
 from sensorclass.forest import (
     ForestConfig,
     LabeledDataset,
-    forest_posterior,
+    classify,
     train_forest,
     train_tree,
 )
@@ -85,7 +85,7 @@ def test_criterion_02_tree_induction_matches_exhaustive_oracle():
     for ds in fixture_datasets():
         assert len(ds) <= 12 and ds.feature_count == 2
         tree = train_tree(ds, full_m, 0, identity_bootstrap=True)
-        assert_tree_matches_oracle(tree.root, ds.features, ds.labels)
+        assert_tree_matches_oracle(tree, ds.features, ds.labels)
         rows = [tuple(r) for r in ds.features]
         if len(set(rows)) != len(rows):
             continue
@@ -114,7 +114,7 @@ def test_criterion_03_probability_laws():
         for q in queries:
             fv = FeatureVector(np.asarray(q, dtype=float), schema)
             for mode in ("paper", "standard"):
-                probs = forest_posterior(forest, fv, mode)
+                _, probs = classify(forest, fv, mode)
                 assert abs(probs.sum() - 1.0) <= 1e-9
                 h = class_entropy(probs)
                 assert 0.0 <= h <= LN6 + 1e-12

@@ -340,3 +340,100 @@ def test_relabel_non_tty_without_answers_exits_config(ws, tmp_path):
                "--features", str(ws.features), "--model", str(ws.model),
                "--out-manifest", str(tmp_path / "m.csv"), "--out-model", str(tmp_path / "mo.json")])
     assert rc == EXIT_CONFIG
+
+
+# --- malformed inputs end in exit 2/3 with a one-line message ----------------
+
+
+def _first_node(doc, tag):
+    return next(n for tree in doc["trees"] for n in tree if n[0] == tag)
+
+
+def _drop_config_seed(doc):
+    del doc["config"]["seed"]
+
+
+def _empty_tree(doc):
+    doc["trees"][0] = []
+
+
+def _truncated_tree(doc):
+    tree = next(t for t in doc["trees"] if len(t) > 1)
+    del tree[-1]
+
+
+def _split_feature(value):
+    def mutate(doc):
+        _first_node(doc, "s")[1] = value
+    return mutate
+
+
+def _leaf(posterior):
+    def mutate(doc):
+        _first_node(doc, "l")[1] = posterior
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _drop_config_seed,
+    _empty_tree,
+    _truncated_tree,
+    _split_feature(99),
+    _split_feature(-1),
+    _leaf([5.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    _leaf([1.5, -0.5, 0.0, 0.0, 0.0, 0.0]),
+    _leaf([float("nan"), 1.0, 0.0, 0.0, 0.0, 0.0]),
+], ids=["missing-config-key", "empty-tree", "truncated-tree", "split-feature-99",
+        "split-feature-minus-1", "leaf-sums-to-5", "leaf-negative", "leaf-nan"])
+def test_classify_malformed_model_exits_data(ws, tmp_path, capsys, mutate):
+    doc = json.loads(ws.model.read_text())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["classify", "--model", str(bad), "--features", str(ws.features),
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _rewrite_first_row(path, out, edit):
+    lines = path.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("mini-"))
+    lines[first] = edit(lines[first].split(","))
+    out.write_text("\n".join(lines) + "\n")
+
+
+def test_classify_nan_feature_exits_data(ws, tmp_path):
+    feats = tmp_path / "f.csv"
+    _rewrite_first_row(ws.features, feats, lambda cells: ",".join(cells[:2] + ["nan"] + cells[3:]))
+    rc = main(["classify", "--model", str(ws.model), "--features", str(feats),
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == EXIT_DATA
+
+
+def test_classify_ragged_feature_row_exits_data(ws, tmp_path, capsys):
+    feats = tmp_path / "f.csv"
+    _rewrite_first_row(ws.features, feats, lambda cells: ",".join(cells[:-1]))
+    capsys.readouterr()
+    rc = main(["classify", "--model", str(ws.model), "--features", str(feats),
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_flag_nan_threshold_exits_config(ws, tmp_path):
+    rc = main(["flag", "--predictions", str(ws.preds), "--threshold", "nan",
+               "--out", str(tmp_path / "flags.csv")])
+    assert rc == EXIT_CONFIG
+
+
+def test_relabel_negative_budget_exits_config(ws, tmp_path):
+    answers = tmp_path / "answers.txt"
+    answers.write_text("")
+    rc = main(["relabel", "--predictions", str(ws.preds), "--manifest", str(ws.manifest),
+               "--features", str(ws.features), "--model", str(ws.model), "--budget", "-1",
+               "--answers", str(answers),
+               "--out-manifest", str(tmp_path / "m.csv"), "--out-model", str(tmp_path / "mo.json")])
+    assert rc == EXIT_CONFIG

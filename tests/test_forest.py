@@ -25,19 +25,15 @@ from sensorclass.forest import (
     ForestConfig,
     LabeledDataset,
     RandomForest,
-    Split,
-    TreeNode,
     best_split,
     classify,
     entropy_impurity,
-    forest_posterior,
     load_model,
     model_document,
     predict_matrix,
     save_model,
     train_forest,
     train_tree,
-    tree_posterior,
 )
 from sensorclass.trace import SensorType
 
@@ -81,7 +77,7 @@ def test_best_split_two_points():
     x = np.array([[1.0], [3.0]])
     y = np.array([0, 1])
     split = best_split(x, y, [0])
-    assert split == Split(0, 2.0)
+    assert split == (0, 2.0)
 
 
 def test_best_split_pure_labels_returns_none():
@@ -99,14 +95,14 @@ def test_best_split_constant_feature_returns_none():
 def test_best_split_ignores_non_candidate_features():
     x = np.array([[1.0, 10.0], [3.0, 20.0]])
     y = np.array([0, 1])
-    assert best_split(x, y, [1]) == Split(1, 15.0)
+    assert best_split(x, y, [1]) == (1, 15.0)
 
 
 def test_best_split_tie_prefers_lowest_feature():
     # both columns separate the labels identically; feature 0 must win
     x = np.array([[1.0, 100.0], [3.0, 300.0]])
     y = np.array([0, 1])
-    assert best_split(x, y, [0, 1]).feature == 0
+    assert best_split(x, y, [0, 1])[0] == 0
 
 
 def test_best_split_tie_prefers_smallest_threshold():
@@ -117,13 +113,13 @@ def test_best_split_tie_prefers_smallest_threshold():
     x = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 1, 1])
     split = best_split(x, y, [0])
-    assert split == Split(0, 2.5)
+    assert split == (0, 2.5)
     # symmetric two-cut tie: values 1,2,3 with labels A,B,A; the cuts at 1.5
     # and 2.5 have equal gain, so the smaller threshold wins
     x2 = np.array([[1.0], [2.0], [3.0]])
     y2 = np.array([0, 1, 0])
     split2 = best_split(x2, y2, [0])
-    assert split2 == Split(0, 1.5)
+    assert split2 == (0, 1.5)
 
 
 def test_best_split_matches_oracle_on_random_fixtures():
@@ -131,10 +127,7 @@ def test_best_split_matches_oracle_on_random_fixtures():
         ds = int_dataset(seed, n=2 + seed % 11, d=2, classes=3)
         got = best_split(ds.features, ds.labels, [0, 1])
         expected = oracle_best_split(ds.features, ds.labels)
-        if expected is None:
-            assert got is None
-        else:
-            assert (got.feature, got.threshold) == expected
+        assert got == expected
 
 
 # --- train_tree against the exhaustive oracle ------------------------------------
@@ -162,7 +155,7 @@ def test_trained_trees_match_exhaustive_oracle():
     for ds in fixtures:
         assert len(ds) <= 12 and ds.feature_count == 2
         tree = train_tree(ds, tree_config(), 0, identity_bootstrap=True)
-        assert_tree_matches_oracle(tree.root, ds.features, ds.labels)
+        assert_tree_matches_oracle(tree, ds.features, ds.labels)
 
 
 def test_resubstitution_perfect_when_rows_distinct():
@@ -189,16 +182,16 @@ def test_xor_layout_stalls_like_the_oracle():
     # demands exactly that leaf
     ds = two_feature_dataset([[1.0, 1.0], [1.0, 2.0], [2.0, 1.0], [2.0, 2.0]], [0, 1, 1, 0])
     tree = train_tree(ds, tree_config(), 0, identity_bootstrap=True)
-    assert tree.root.split is None
-    assert tree.root.posterior.tolist() == [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]
+    assert tree.feature.tolist() == [-1]
+    assert tree.value[0].tolist() == [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]
     assert not oracle_fully_separates(ds.features, ds.labels)
 
 
 def test_tree_leaf_posteriors_are_class_fractions():
     ds = two_feature_dataset([[5.0, 5.0], [5.0, 5.0], [5.0, 5.0], [5.0, 5.0]], [0, 0, 0, 1])
     tree = train_tree(ds, tree_config(), 0, identity_bootstrap=True)
-    assert tree.root.split is None
-    assert tree.root.posterior.tolist() == [0.75, 0.25, 0.0, 0.0, 0.0, 0.0]
+    assert tree.feature.tolist() == [-1]
+    assert tree.value[0].tolist() == [0.75, 0.25, 0.0, 0.0, 0.0, 0.0]
 
 
 def wrap_tree(tree, config, schema):
@@ -223,35 +216,91 @@ def test_bootstrap_trees_vary_with_index():
     assert len(docs) > 1
 
 
-# --- tree_posterior routing -------------------------------------------------------
+# --- routing through the preorder arrays -------------------------------------------
+
+
+def one_tree_forest(tree, schema="baseline2"):
+    config = ForestConfig(n_trees=1, m_try=1, seed=0, averaging_mode="standard")
+    return RandomForest((tree,), config, tuple(SensorType), schema)
 
 
 def manual_tree():
-    left = TreeNode(posterior=np.array([1.0, 0, 0, 0, 0, 0]))
-    right = TreeNode(posterior=np.array([0, 1.0, 0, 0, 0, 0]))
-    return DecisionTree(TreeNode(split=Split(1, 4.0), left=left, right=right))
+    # node 0 splits on feature 1 at 4.0; node 1 (left) and node 2 (right) are leaves
+    return DecisionTree(
+        feature=[1, -1, -1],
+        threshold=[4.0, 0.0, 0.0],
+        right=[2, -1, -1],
+        value=[[0.0] * 6, [1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]],
+    )
 
 
-def test_tree_posterior_routes_boundary_left():
-    tree = manual_tree()
-    assert tree_posterior(tree, np.array([0.0, 4.0])).tolist()[0] == 1.0  # == goes left
-    assert tree_posterior(tree, np.array([0.0, 4.0001])).tolist()[1] == 1.0
-    assert tree_posterior(tree, np.array([99.0, -1.0])).tolist()[0] == 1.0
+def test_predict_routes_boundary_left():
+    forest = one_tree_forest(manual_tree())
+    rows = np.array([[0.0, 4.0], [0.0, 4.0001], [99.0, -1.0]])
+    probs = predict_matrix(forest, rows, "baseline2")
+    assert probs[0].tolist()[0] == 1.0  # == goes left
+    assert probs[1].tolist()[1] == 1.0
+    assert probs[2].tolist()[0] == 1.0
+
+
+def reference_posterior(forest, row, mode):
+    """One row, one tree at a time, node by node; then the per-class combine."""
+    stack = []
+    for tree in forest.trees:
+        node = 0
+        while tree.feature[node] != -1:
+            go_left = row[tree.feature[node]] <= tree.threshold[node]
+            node = node + 1 if go_left else tree.right[node]
+        stack.append(tree.value[node])
+    stack = np.array(stack)
+    if mode == "standard":
+        return stack.mean(axis=0)
+    nonzero = np.count_nonzero(stack, axis=0)
+    raw = np.where(nonzero > 0, stack.sum(axis=0) / np.maximum(nonzero, 1), 0.0)
+    return raw / raw.sum()
+
+
+def test_predict_matrix_equals_per_row_reference(small_dataset):
+    rng = np.random.default_rng(3)
+    lo, hi = small_dataset.features.min(axis=0), small_dataset.features.max(axis=0)
+    queries = np.vstack([small_dataset.features, rng.uniform(lo, hi, size=(40, 8))])
+    for seed in range(3):
+        forest = train_forest(small_dataset, ForestConfig(n_trees=9, seed=seed))
+        for mode in ("paper", "standard"):
+            probs = predict_matrix(forest, queries, "rich8", mode)
+            expected = np.array([reference_posterior(forest, q, mode) for q in queries])
+            assert np.array_equal(probs, expected)
+
+
+def test_predict_matrix_rejects_non_finite_and_ragged_input():
+    forest = one_tree_forest(manual_tree())
+    with pytest.raises(DataError):
+        predict_matrix(forest, np.array([[0.0, np.nan]]), "baseline2")
+    with pytest.raises(DataError):
+        predict_matrix(forest, np.zeros((2, 3)), "baseline2")
 
 
 # --- forest posterior and averaging modes ------------------------------------------
 
 
+def leaf_tree(posterior):
+    return DecisionTree([-1], [0.0], [-1], [posterior])
+
+
 def leaf_forest(posteriors, mode="paper"):
-    trees = tuple(DecisionTree(TreeNode(posterior=np.asarray(p, dtype=float))) for p in posteriors)
+    trees = tuple(leaf_tree(p) for p in posteriors)
     config = ForestConfig(n_trees=len(trees), m_try=1, seed=0, averaging_mode=mode)
     return RandomForest(trees, config, None, "baseline2")
+
+
+def posterior(forest, fv, mode=None):
+    return classify(forest, fv, mode)[1]
 
 
 def test_standard_averaging_means_all_trees():
     forest = leaf_forest([[0.5, 0.5, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0]])
     fv = FeatureVector(np.zeros(2), "baseline2")
-    probs = forest_posterior(forest, fv, "standard")
+    probs = posterior(forest, fv, "standard")
     assert probs.tolist() == [0.75, 0.25, 0.0, 0.0, 0.0, 0.0]
 
 
@@ -260,21 +309,21 @@ def test_selective_averaging_skips_zero_trees_then_renormalizes():
     # that gave it mass (0.5); renormalizing {0.75, 0.5} gives {0.6, 0.4}
     forest = leaf_forest([[0.5, 0.5, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0]])
     fv = FeatureVector(np.zeros(2), "baseline2")
-    probs = forest_posterior(forest, fv, "paper")
+    probs = posterior(forest, fv, "paper")
     assert probs == pytest.approx([0.6, 0.4, 0, 0, 0, 0], abs=1e-15)
 
 
 def test_mode_defaults_to_forest_config():
     forest = leaf_forest([[0.5, 0.5, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0]], mode="standard")
     fv = FeatureVector(np.zeros(2), "baseline2")
-    assert forest_posterior(forest, fv).tolist() == [0.75, 0.25, 0.0, 0.0, 0.0, 0.0]
+    assert posterior(forest, fv).tolist() == [0.75, 0.25, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_unanimous_trees_agree_in_both_modes():
     forest = leaf_forest([[0, 0, 1.0, 0, 0, 0]] * 5)
     fv = FeatureVector(np.zeros(2), "baseline2")
     for mode in ("paper", "standard"):
-        assert forest_posterior(forest, fv, mode).tolist() == [0, 0, 1.0, 0, 0, 0]
+        assert posterior(forest, fv, mode).tolist() == [0, 0, 1.0, 0, 0, 0]
 
 
 def test_posteriors_sum_to_one_in_both_modes():
@@ -292,7 +341,7 @@ def test_posteriors_sum_to_one_in_both_modes():
         forest = leaf_forest(posts.tolist())
         fv = FeatureVector(np.zeros(2), "baseline2")
         for mode in ("paper", "standard"):
-            assert forest_posterior(forest, fv, mode).sum() == pytest.approx(1.0, abs=1e-9)
+            assert posterior(forest, fv, mode).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_classify_tie_breaks_to_lowest_code():
@@ -319,12 +368,11 @@ def test_classify_schema_mismatch():
 # --- forest training ---------------------------------------------------------------
 
 
-def test_train_forest_deterministic_and_thread_invariant(small_dataset):
+def test_train_forest_deterministic(small_dataset):
     config = ForestConfig(n_trees=12, seed=9)
-    doc1 = model_document(train_forest(small_dataset, config, threads=1))
-    doc2 = model_document(train_forest(small_dataset, config, threads=1))
-    doc4 = model_document(train_forest(small_dataset, config, threads=4))
-    assert doc1 == doc2 == doc4
+    doc1 = model_document(train_forest(small_dataset, config))
+    doc2 = model_document(train_forest(small_dataset, config))
+    assert doc1 == doc2
 
 
 def test_train_forest_seed_changes_trees(small_dataset):
