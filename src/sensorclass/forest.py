@@ -133,7 +133,7 @@ class LabeledDataset:
 class DecisionTree:
     """One tree as parallel arrays indexed by node, nodes in preorder.
 
-    Split node i sends a row x to node i + 1, its left child, when
+    At a split node i, a row x goes to node i + 1, its left child, when
     x[feature[i]] <= threshold[i], and to node right[i] otherwise. A leaf
     has feature -1 and right -1, and value[i] is its class posterior; the
     value rows of split nodes are zero. This is the array layout of Louppe,
@@ -307,7 +307,7 @@ def predict_matrix(
     value = np.concatenate([t.value for t in trees])
     stack = value[node].reshape(len(trees), len(x), CLASS_COUNT)
     if mode == "standard":
-        return stack.sum(axis=0) / len(trees)  # what stack.mean(axis=0) computes
+        return stack.mean(axis=0)
     nonzero = np.count_nonzero(stack, axis=0)
     raw = np.where(nonzero > 0, stack.sum(axis=0) / np.maximum(nonzero, 1), 0.0)
     return raw / raw.sum(axis=1, keepdims=True)

@@ -368,6 +368,12 @@ def _split_feature(value):
     return mutate
 
 
+def _split_threshold(value):
+    def mutate(doc):
+        _first_node(doc, "s")[2] = value
+    return mutate
+
+
 def _leaf(posterior):
     def mutate(doc):
         _first_node(doc, "l")[1] = posterior
@@ -380,11 +386,13 @@ def _leaf(posterior):
     _truncated_tree,
     _split_feature(99),
     _split_feature(-1),
+    _split_threshold(float("nan")),
     _leaf([5.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
     _leaf([1.5, -0.5, 0.0, 0.0, 0.0, 0.0]),
     _leaf([float("nan"), 1.0, 0.0, 0.0, 0.0, 0.0]),
 ], ids=["missing-config-key", "empty-tree", "truncated-tree", "split-feature-99",
-        "split-feature-minus-1", "leaf-sums-to-5", "leaf-negative", "leaf-nan"])
+        "split-feature-minus-1", "split-threshold-nan", "leaf-sums-to-5", "leaf-negative",
+        "leaf-nan"])
 def test_classify_malformed_model_exits_data(ws, tmp_path, capsys, mutate):
     doc = json.loads(ws.model.read_text())
     mutate(doc)
