@@ -1,10 +1,13 @@
 """Golden artifacts: the CLI pipeline reproduces committed outputs byte for byte.
 
 A 3-per-type, 2-day corpus is synthesized from a spec file, then run through
-features, train (10 trees), classify in both averaging modes, flag, the
-percentage protocol on both schemes, and subset search. Every artifact is
-compared with its copy under tests/golden/. The corpus itself is checked by
-a digest, so a change in synth shows up as such and not as a forest change.
+features, train (10 trees), classify in both averaging modes, flag, every
+eval protocol (percentage, loo and inter on both schemes, window-sweep with
+and without a second corpus) and subset search. The second corpus, for inter
+and the transfer window sweep, comes from the same spec with seed 6. Every
+artifact is compared with its copy under tests/golden/. Each corpus is
+checked by a digest, so a change in synth shows up as such and not as a
+forest change.
 
 The golden files were written by the code that introduced this test. A
 refactor that claims "same behaviour" must pass it without editing them. To
@@ -24,6 +27,10 @@ from sensorclass.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
 SPEC = {"name": "golden", "seed": 5, "traces_per_type": 3, "duration_s": 172800}
+SPEC_B = dict(SPEC, seed=6)
+CORPORA = {"corpus": SPEC, "corpus_b": SPEC_B}
+
+SCHEME_EVAL_DIRS = ("eval", "loo", "inter")
 
 ARTIFACTS = [
     "features.csv",
@@ -32,11 +39,14 @@ ARTIFACTS = [
     "preds_standard.csv",
     "flags.csv",
     *[
-        f"eval/{stem}_{scheme}.csv"
+        f"{out}/{stem}_{scheme}.csv"
+        for out in SCHEME_EVAL_DIRS
         for stem in ("accuracy", "predictions", "roc", "cdf")
         for scheme in ("rich8", "baseline2")
     ],
-    "eval/accuracy.txt",
+    *[f"{out}/accuracy.txt" for out in SCHEME_EVAL_DIRS],
+    "sweep/window_sweep.csv",
+    "sweep_b/window_sweep.csv",
     "subsets/subset_search.csv",
 ]
 
@@ -51,14 +61,16 @@ def corpus_digest(corpus: Path) -> str:
 
 
 def run_pipeline(root: Path) -> Path:
-    spec = root / "spec.json"
-    spec.write_text(json.dumps(SPEC))
-    corpus = root / "corpus"
-    manifest = str(corpus / "manifest.csv")
+    steps = []
+    for name, spec in CORPORA.items():
+        spec_file = root / f"{name}_spec.json"
+        spec_file.write_text(json.dumps(spec))
+        steps.append(["synth", "--spec", str(spec_file), "--out", str(root / name)])
+    manifest = str(root / "corpus" / "manifest.csv")
+    manifest_b = str(root / "corpus_b" / "manifest.csv")
     features = str(root / "features.csv")
     model = str(root / "model.json")
-    steps = [
-        ["synth", "--spec", str(spec), "--out", str(corpus)],
+    steps += [
         ["features", "--manifest", manifest, "--out", features],
         ["train", "--features", features, "--trees", "10", "--out", model],
         ["classify", "--model", model, "--features", features, "--averaging", "paper",
@@ -69,6 +81,15 @@ def run_pipeline(root: Path) -> Path:
          "--out", str(root / "flags.csv")],
         ["eval", "--protocol", "percentage", "--manifest", manifest, "--scheme", "both",
          "--trees", "10", "--out-dir", str(root / "eval")],
+        ["eval", "--protocol", "loo", "--manifest", manifest, "--scheme", "both",
+         "--trees", "10", "--out-dir", str(root / "loo")],
+        ["eval", "--protocol", "inter", "--manifest", manifest, "--manifest-b", manifest_b,
+         "--scheme", "both", "--fractions", "0.2,1.0,0.5", "--trees", "10",
+         "--out-dir", str(root / "inter")],
+        ["eval", "--protocol", "window-sweep", "--manifest", manifest, "--windows", "30,45,60",
+         "--trees", "10", "--out-dir", str(root / "sweep")],
+        ["eval", "--protocol", "window-sweep", "--manifest", manifest, "--manifest-b", manifest_b,
+         "--windows", "30,45,60", "--trees", "10", "--out-dir", str(root / "sweep_b")],
         ["eval", "--protocol", "subset-search", "--manifest", manifest,
          "--out-dir", str(root / "subsets")],
     ]
@@ -82,9 +103,17 @@ def outputs(tmp_path_factory):
     return run_pipeline(tmp_path_factory.mktemp("golden"))
 
 
+def check_corpus_digest(outputs: Path, name: str) -> None:
+    expected = (GOLDEN / f"{name}.sha256").read_text().strip()
+    assert corpus_digest(outputs / name) == expected
+
+
 def test_golden_corpus_digest(outputs):
-    expected = (GOLDEN / "corpus.sha256").read_text().strip()
-    assert corpus_digest(outputs / "corpus") == expected
+    check_corpus_digest(outputs, "corpus")
+
+
+def test_golden_corpus_b_digest(outputs):
+    check_corpus_digest(outputs, "corpus_b")
 
 
 @pytest.mark.parametrize("name", ARTIFACTS)
@@ -98,7 +127,8 @@ def regenerate(scratch: Path) -> None:
     for name in ARTIFACTS:
         (GOLDEN / name).parent.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(root / name, GOLDEN / name)
-    (GOLDEN / "corpus.sha256").write_text(corpus_digest(root / "corpus") + "\n")
+    for name in CORPORA:
+        (GOLDEN / f"{name}.sha256").write_text(corpus_digest(root / name) + "\n")
 
 
 if __name__ == "__main__":
@@ -106,4 +136,4 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         regenerate(Path(tmp))
-    print(f"rewrote {len(ARTIFACTS) + 1} files under {GOLDEN}", file=sys.stderr)
+    print(f"rewrote {len(ARTIFACTS) + len(CORPORA)} files under {GOLDEN}", file=sys.stderr)
