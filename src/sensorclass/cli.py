@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, evaluate, reporting, seeding
+from . import __version__, evaluate, reporting
 from .errors import (
     ConfigError,
     DataError,
@@ -86,11 +86,11 @@ def _averaging(args) -> str:
     return args.averaging or "paper"
 
 
-def _forest_config(args, seed: int | None = None) -> ForestConfig:
+def _forest_config(args) -> ForestConfig:
     return ForestConfig(
         n_trees=args.trees,
         m_try=args.mtry,
-        seed=_seed(args) if seed is None else seed,
+        seed=_seed(args),
         averaging_mode=_averaging(args),
     )
 
@@ -110,10 +110,6 @@ def _run_meta(args, **extra) -> dict:
     }
     meta.update(extra)
     return meta
-
-
-def _schemes(args) -> list[str]:
-    return [RICH8, BASELINE2] if args.scheme == "both" else [args.scheme]
 
 
 # --- synth -------------------------------------------------------------------
@@ -154,10 +150,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_features(args) -> int:
+    window_len = _window_len(args)
     traces = reporting.load_manifest_traces(args.manifest)
     if args.scheme == "both":
         raise ConfigError("features writes a single matrix; pick --scheme rich8 or baseline2")
-    window_len = args.window_mins * 60.0
     ids, labels, rows = [], [], []
     for tr in traces:
         try:
@@ -230,7 +226,7 @@ def cmd_flag(args) -> int:
     meta = _run_meta(args)
     code = EXIT_OK
     if args.manifest:
-        entries, _ = reporting.read_manifest(args.manifest)
+        entries, _ = reporting.parse_manifest(args.manifest)
         labels = {tid: lab for tid, _, lab in entries}
         missing = [p.trace_id for p in preds if labels.get(p.trace_id) is None]
         if missing:
@@ -255,6 +251,13 @@ def read_preds_rebase(path, base: str):
 # --- eval ----------------------------------------------------------------------
 
 
+def _window_len(args) -> float:
+    """--window-mins in seconds; a bad value is a flag error (exit 2), not a data error."""
+    if not (args.window_mins > 0 and np.isfinite(args.window_mins)):
+        raise ConfigError(f"--window-mins must be positive and finite, got {args.window_mins}")
+    return args.window_mins * 60.0
+
+
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
         values = [float(x) for x in text.split(",") if x.strip()]
@@ -262,7 +265,17 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         raise ConfigError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag}: empty list")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{flag}: duplicate entry in {text!r}")
     return values
+
+
+def _parse_minutes(text: str) -> list[int]:
+    values = _parse_floats(text, "--windows")
+    bad = [v for v in values if not (v > 0 and v.is_integer())]
+    if bad:
+        raise ConfigError(f"--windows takes whole positive minutes, got {bad[0]:g}")
+    return [int(v) for v in values]
 
 
 def _write_result_artifacts(out_dir: Path, stem: str, result, base: str, meta: dict) -> None:
@@ -274,64 +287,24 @@ def _write_result_artifacts(out_dir: Path, stem: str, result, base: str, meta: d
 
 
 def cmd_eval(args) -> int:
+    window_len = _window_len(args)
+    if args.protocol == "window-sweep":
+        minutes = _parse_minutes(args.windows)
+    elif args.protocol != "subset-search":
+        fractions = _parse_floats(args.fractions, "--fractions")
+    if args.protocol == "inter" and not args.manifest_b:
+        raise ConfigError("--protocol inter needs --manifest-b")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     traces = reporting.load_manifest_traces(args.manifest)
-    window_len = args.window_mins * 60.0
+    use_b = args.manifest_b and args.protocol in ("inter", "window-sweep")
+    traces_b = reporting.load_manifest_traces(args.manifest_b) if use_b else None
     config = _forest_config(args)
     base = args.entropy_base
 
-    if args.protocol in ("percentage", "loo"):
-        fractions = _parse_floats(args.fractions, "--fractions")
-        tables = {}
-        for scheme in _schemes(args):
-            dataset = evaluate.build_dataset(traces, window_len, scheme)
-            meta = _run_meta(args, scheme=scheme, protocol=args.protocol)
-            if args.protocol == "percentage":
-                table = evaluate.percentage_protocol(dataset, fractions, config, scheme, base)
-                loo = evaluate.loo_cv(dataset, config, scheme, base)
-                evaluate.add_column(table, evaluate.LOO_COLUMN, evaluate.loo_column(loo))
-            else:
-                loo = evaluate.loo_cv(dataset, config, scheme, base)
-                table = evaluate.new_table()
-                evaluate.add_column(table, evaluate.LOO_COLUMN, evaluate.loo_column(loo))
-            _write_result_artifacts(out_dir, scheme, loo, base, meta)
-            header, rows = evaluate.table_csv_rows(table)
-            meta_t = dict(meta)
-            meta_t.update(evaluate.table_repeat_meta(table))
-            reporting.write_csv(out_dir / f"accuracy_{scheme}.csv", header, rows, meta_t)
-            tables[scheme] = table
-        _write_table_text(out_dir, tables, args)
-        return EXIT_OK
-
-    if args.protocol == "inter":
-        if not args.manifest_b:
-            raise ConfigError("--protocol inter needs --manifest-b")
-        traces_b = reporting.load_manifest_traces(args.manifest_b)
-        fractions = _parse_floats(args.fractions, "--fractions")
-        if 1.0 not in fractions:
-            fractions = fractions + [1.0]
-        tables = {}
-        for scheme in _schemes(args):
-            ds_a = evaluate.build_dataset(traces, window_len, scheme)
-            ds_b = evaluate.build_dataset(traces_b, window_len, scheme)
-            meta = _run_meta(args, scheme=scheme, protocol="inter")
-            table, full = evaluate.inter_corpus(ds_a, ds_b, fractions, config, scheme, base)
-            if full is not None:
-                _write_result_artifacts(out_dir, scheme, full, base, meta)
-            header, rows = evaluate.table_csv_rows(table)
-            meta_t = dict(meta)
-            meta_t.update(evaluate.table_repeat_meta(table))
-            reporting.write_csv(out_dir / f"accuracy_{scheme}.csv", header, rows, meta_t)
-            tables[scheme] = table
-        _write_table_text(out_dir, tables, args)
-        return EXIT_OK
-
     if args.protocol == "window-sweep":
-        minutes = [int(x) for x in _parse_floats(args.windows, "--windows")]
-        traces_b = reporting.load_manifest_traces(args.manifest_b) if args.manifest_b else None
+        points = evaluate.window_sweep(traces, minutes, config, traces_b)
         mode = "inter_10fold" if traces_b is not None else "intra_loo"
-        points = evaluate.window_sweep(traces, minutes, mode, config, traces_b)
         meta = _run_meta(args, protocol=f"window-sweep/{mode}", scheme=RICH8)
         reporting.write_csv(
             out_dir / "window_sweep.csv", ["window_mins", "accuracy"], points, meta
@@ -353,15 +326,37 @@ def cmd_eval(args) -> int:
             out_dir / "subset_search.csv", ["mask", "features", "n_features", "accuracy"],
             rows, meta,
         )
-        best_mask, best_acc = results[0]
-        names = "+".join(feature_names(RICH8)[i] for i in mask_indices(best_mask))
-        print(f"best mask 0x{best_mask:02x} ({names}) accuracy {best_acc * 100:.1f}%")
+        best_mask, best_names, _, best_acc = rows[0]
+        print(f"best mask 0x{best_mask} ({best_names}) accuracy {best_acc * 100:.1f}%")
         return EXIT_OK
 
-    raise ConfigError(f"unknown protocol {args.protocol!r}")
+    # percentage, loo and inter: one accuracy table and one set of curves per scheme
+    if args.protocol == "loo":
+        fractions = []
+    elif args.protocol == "inter" and 1.0 not in fractions:
+        fractions = fractions + [1.0]
+    tables = {}
+    for scheme in [RICH8, BASELINE2] if args.scheme == "both" else [args.scheme]:
+        dataset = evaluate.build_dataset(traces, window_len, scheme)
+        meta = _run_meta(args, scheme=scheme, protocol=args.protocol)
+        if args.protocol == "inter":
+            dataset_b = evaluate.build_dataset(traces_b, window_len, scheme)
+            table, result = evaluate.inter_corpus(dataset, dataset_b, fractions, config, base)
+        else:
+            table = evaluate.percentage_protocol(dataset, fractions, config, base)
+            result = evaluate.loo_cv(dataset, config, base)
+            loo_cells = evaluate.accuracy_column([result.accuracy])
+            evaluate.add_column(table, evaluate.LOO_COLUMN, loo_cells)
+        _write_result_artifacts(out_dir, scheme, result, base, meta)
+        meta.update(evaluate.table_repeat_meta(table))
+        header, rows = evaluate.table_csv_rows(table)
+        reporting.write_csv(out_dir / f"accuracy_{scheme}.csv", header, rows, meta)
+        tables[scheme] = table
+    _write_table_text(out_dir, tables)
+    return EXIT_OK
 
 
-def _write_table_text(out_dir: Path, tables: dict, args) -> None:
+def _write_table_text(out_dir: Path, tables: dict) -> None:
     if RICH8 in tables and BASELINE2 in tables:
         text = evaluate.render_table_text(
             tables[RICH8], tables[BASELINE2],
@@ -392,15 +387,9 @@ def cmd_relabel(args) -> int:
     if args.budget < 0:
         raise ConfigError(f"--budget must be >= 0, got {args.budget}")
     preds, _pmeta = read_preds_rebase(args.predictions, args.entropy_base)
-    manifest_meta, header, rows = reporting.read_csv(args.manifest)
-    if header != reporting.MANIFEST_HEADER:
-        raise DataError(f"{args.manifest}: not a manifest file")
-    row_by_id = {}
-    for row in rows:
-        if len(row) != 3:
-            raise DataError(f"{args.manifest}: bad row {row!r}")
-        row_by_id[row[0]] = row
-    unknown = [p.trace_id for p in preds if p.trace_id not in row_by_id]
+    entries, manifest_meta = reporting.parse_manifest(args.manifest)
+    label_by_id = {tid: lab for tid, _, lab in entries}
+    unknown = [p.trace_id for p in preds if p.trace_id not in label_by_id]
     if unknown:
         raise DataError(f"predictions not in manifest: {unknown[:3]} (and maybe more)")
 
@@ -409,11 +398,11 @@ def cmd_relabel(args) -> int:
     corrected = 0
     reviewed = 0
     for p in queue:
-        row = row_by_id[p.trace_id]
-        current = row[2] or "(unlabeled)"
+        current = label_by_id[p.trace_id]
+        shown = "(unlabeled)" if current is None else current.label
         prompt = (
             f"{p.trace_id}: predicted={p.predicted.label} "
-            f"entropy={p.entropy:.3f} label={current}\n"
+            f"entropy={p.entropy:.3f} label={shown}\n"
             f"  [enter]=keep, type name to correct, q to stop: "
         )
         if answers is None:
@@ -426,26 +415,20 @@ def cmd_relabel(args) -> int:
         reviewed += 1
         if answer and answer.lower() not in ("y", "keep"):
             new_label = SensorType.from_label(answer)  # raises DataError on typos
-            if row[2] != new_label.label:
-                row[2] = new_label.label
+            if current != new_label:
+                label_by_id[p.trace_id] = new_label
                 corrected += 1
 
-    reporting.write_csv(args.out_manifest, reporting.MANIFEST_HEADER, rows, manifest_meta)
+    entries = [(tid, rel, label_by_id[tid]) for tid, rel, _ in entries]
+    reporting.write_manifest(args.out_manifest, entries, manifest_meta)
 
     forest, run = load_model(args.model)
     ids, _labels, feats, schema, _fmeta = reporting.read_feature_matrix(args.features)
-    label_by_id = {row[0]: row[2] for row in rows}
-    keep, codes = [], []
-    for i, tid in enumerate(ids):
-        lab = label_by_id.get(tid, "")
-        if lab:
-            keep.append(i)
-            codes.append(int(SensorType.from_label(lab)))
+    keep = [i for i, tid in enumerate(ids) if label_by_id.get(tid) is not None]
     if not keep:
         raise DataError("no labeled instances left to retrain on")
-    dataset = LabeledDataset(
-        tuple(ids[i] for i in keep), feats[keep], np.array(codes), schema
-    )
+    codes = np.array([int(label_by_id[ids[i]]) for i in keep])
+    dataset = LabeledDataset(tuple(ids[i] for i in keep), feats[keep], codes, schema)
     retrained = train_forest(dataset, forest.config)
     save_model(retrained, args.out_model, run)
     print(
@@ -506,9 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["percentage", "loo", "inter", "window-sweep", "subset-search"])
     p.add_argument("--manifest", required=True)
     p.add_argument("--manifest-b", help="second corpus (inter, window-sweep)")
-    p.add_argument("--fractions", default="0.05,0.1,0.2,0.33,0.5")
-    p.add_argument("--windows", default="15,30,45,60,90,120",
-                   help="window-sweep grid, minutes")
+    p.add_argument("--fractions", default=",".join(map(str, evaluate.DEFAULT_FRACTIONS)),
+                   help="train fractions, no duplicates (percentage, inter)")
+    p.add_argument("--windows", default=",".join(map(str, evaluate.WINDOW_SWEEP_MINUTES)),
+                   help="window-sweep grid, whole minutes, no duplicates")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -158,7 +158,8 @@ class AccuracyTable:
         return [t.label for t in SensorType] + ["overall"]
 
 
-def _aggregate_column(results: Sequence[PerClassAccuracy]) -> dict[str, AccuracyCell]:
+def accuracy_column(results: Sequence[PerClassAccuracy]) -> dict[str, AccuracyCell]:
+    """One table column: per-class and overall means over the runs where each is defined."""
     cells: dict[str, AccuracyCell] = {}
     for st in SensorType:
         vals = [r.per_class[st] for r in results if r.per_class[st] is not None]
@@ -174,7 +175,7 @@ def new_table() -> AccuracyTable:
 
 
 def add_column(table: AccuracyTable, name: str, cells: dict[str, AccuracyCell]) -> None:
-    """Append a column (a protocol's aggregate or a prebuilt one such as LOO)."""
+    """Append a column built by accuracy_column."""
     table.columns.append(name)
     for row_name in AccuracyTable.row_names():
         table.rows[row_name][name] = cells[row_name]
@@ -216,18 +217,28 @@ def _evaluate_fold(
     return ProtocolResult(preds, truth, acc)
 
 
-def _check_scheme(dataset: LabeledDataset, feature_scheme: str | None) -> None:
-    if feature_scheme is not None and feature_scheme != dataset.schema:
-        raise SchemaMismatch(
-            f"protocol asked for scheme {feature_scheme!r} but dataset is {dataset.schema!r}"
-        )
+def _fold_config(config: ForestConfig, *path: int) -> ForestConfig:
+    return replace(config, seed=seeding.derive_seed(config.seed, *path))
+
+
+def fraction_splits(
+    dataset: LabeledDataset, fraction: float, config: ForestConfig, tag: int, fi: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, ForestConfig]]:
+    """(train indices, test indices, fold config) for each repeat of a fraction.
+
+    Repeat rep splits with the generator at (seed, tag, fi, rep, 0) and
+    trains its forest with the seed at (seed, tag, fi, rep, 1).
+    """
+    for rep in range(repeats_for_fraction(fraction)):
+        rng = seeding.generator(config.seed, tag, fi, rep, 0)
+        train_idx, test_idx = stratified_split(dataset, fraction, rng)
+        yield train_idx, test_idx, _fold_config(config, tag, fi, rep, 1)
 
 
 def percentage_protocol(
     dataset: LabeledDataset,
     fractions: Sequence[float],
     config: ForestConfig,
-    feature_scheme: str | None = None,
     entropy_base: str = "nats",
 ) -> AccuracyTable:
     """Stratified train fractions, each repeated round(1/fraction) times.
@@ -235,61 +246,37 @@ def percentage_protocol(
     Small fractions are noisier, so they get proportionally more repeats;
     every cell is the mean over the repeats where it was defined.
     """
-    _check_scheme(dataset, feature_scheme)
     table = new_table()
     for fi, fraction in enumerate(fractions):
-        r = repeats_for_fraction(fraction)
-        results = []
-        for rep in range(r):
-            rng = seeding.generator(config.seed, _TAG_PERCENTAGE, fi, rep, 0)
-            train_idx, test_idx = stratified_split(dataset, fraction, rng)
-            fold_config = replace(
-                config, seed=seeding.derive_seed(config.seed, _TAG_PERCENTAGE, fi, rep, 1)
-            )
-            fold = _evaluate_fold(
-                dataset.subset(train_idx), dataset.subset(test_idx), fold_config, entropy_base
-            )
-            results.append(fold.accuracy)
-        add_column(table, fraction_column_name(fraction), _aggregate_column(results))
+        folds = fraction_splits(dataset, fraction, config, _TAG_PERCENTAGE, fi)
+        results = [
+            _evaluate_fold(dataset.subset(tr), dataset.subset(te), cfg, entropy_base).accuracy
+            for tr, te, cfg in folds
+        ]
+        add_column(table, fraction_column_name(fraction), accuracy_column(results))
     return table
 
 
 def loo_cv(
-    dataset: LabeledDataset,
-    config: ForestConfig,
-    feature_scheme: str | None = None,
-    entropy_base: str = "nats",
+    dataset: LabeledDataset, config: ForestConfig, entropy_base: str = "nats"
 ) -> ProtocolResult:
     """Leave-one-out cross-validation; one forest per held-out instance."""
-    _check_scheme(dataset, feature_scheme)
     n = len(dataset)
     if n < 2:
         raise DataError("leave-one-out needs at least two instances")
     all_preds: list[Prediction] = []
     truth: dict[str, SensorType] = {}
-    predicted_codes = np.empty(n, dtype=np.int64)
     for i in range(n):
-        rest = np.concatenate([np.arange(i), np.arange(i + 1, n)])
-        round_config = replace(config, seed=seeding.derive_seed(config.seed, _TAG_LOO, i))
         fold = _evaluate_fold(
-            dataset.subset(rest), dataset.subset([i]), round_config, entropy_base
+            dataset.subset(np.delete(np.arange(n), i)),
+            dataset.subset([i]),
+            _fold_config(config, _TAG_LOO, i),
+            entropy_base,
         )
         all_preds.extend(fold.predictions)
         truth.update(fold.truth)
-        predicted_codes[i] = int(fold.predictions[0].predicted)
-    acc = per_class_accuracy(dataset.labels, predicted_codes)
+    acc = per_class_accuracy(dataset.labels, [int(p.predicted) for p in all_preds])
     return ProtocolResult(all_preds, truth, acc)
-
-
-def loo_column(result: ProtocolResult) -> dict[str, AccuracyCell]:
-    cells = {
-        st.label: AccuracyCell(result.accuracy.per_class[st], 1)
-        if result.accuracy.per_class[st] is not None
-        else AccuracyCell(None, 0)
-        for st in SensorType
-    }
-    cells["overall"] = AccuracyCell(result.accuracy.overall, 1)
-    return cells
 
 
 def inter_corpus(
@@ -297,7 +284,6 @@ def inter_corpus(
     test_dataset: LabeledDataset,
     fractions: Sequence[float],
     config: ForestConfig,
-    feature_scheme: str | None = None,
     entropy_base: str = "nats",
 ) -> tuple[AccuracyTable, ProtocolResult | None]:
     """Train on one corpus, evaluate on another.
@@ -307,7 +293,6 @@ def inter_corpus(
     fraction 1.0 trains on the whole corpus exactly once. The second
     return value is the full-training-set run, when 1.0 was requested.
     """
-    _check_scheme(train_dataset, feature_scheme)
     if train_dataset.schema != test_dataset.schema:
         raise SchemaMismatch(
             f"corpora disagree on schema: {train_dataset.schema!r} vs {test_dataset.schema!r}"
@@ -316,81 +301,63 @@ def inter_corpus(
     full_result: ProtocolResult | None = None
     for fi, fraction in enumerate(fractions):
         if fraction == 1.0:
-            fold_config = replace(
-                config, seed=seeding.derive_seed(config.seed, _TAG_INTER, fi, 0, 1)
-            )
-            fold = _evaluate_fold(train_dataset, test_dataset, fold_config, entropy_base)
-            full_result = fold
-            add_column(table, FULL_COLUMN, _aggregate_column([fold.accuracy]))
-            continue
-        r = repeats_for_fraction(fraction)
-        results = []
-        for rep in range(r):
-            rng = seeding.generator(config.seed, _TAG_INTER, fi, rep, 0)
-            train_idx, _ = stratified_split(train_dataset, fraction, rng)
-            fold_config = replace(
-                config, seed=seeding.derive_seed(config.seed, _TAG_INTER, fi, rep, 1)
-            )
-            fold = _evaluate_fold(
-                train_dataset.subset(train_idx), test_dataset, fold_config, entropy_base
-            )
-            results.append(fold.accuracy)
-        add_column(table, fraction_column_name(fraction), _aggregate_column(results))
+            full_config = _fold_config(config, _TAG_INTER, fi, 0, 1)
+            full_result = _evaluate_fold(train_dataset, test_dataset, full_config, entropy_base)
+            results = [full_result.accuracy]
+        else:
+            folds = fraction_splits(train_dataset, fraction, config, _TAG_INTER, fi)
+            results = [
+                _evaluate_fold(train_dataset.subset(tr), test_dataset, cfg, entropy_base).accuracy
+                for tr, _, cfg in folds
+            ]
+        add_column(table, fraction_column_name(fraction), accuracy_column(results))
     return table, full_result
+
+
+def _sweep_dataset(traces: Sequence[SensorTrace], window_len: float) -> LabeledDataset | None:
+    """rich8 dataset of the traces at least one window long; None if there are none."""
+    usable = []
+    for tr in traces:
+        if tr.span >= window_len:
+            usable.append(tr)
+        else:
+            log.warning(
+                "window sweep: trace %s span %.0fs < window %.0fs, skipped",
+                tr.trace_id, tr.span, window_len,
+            )
+    return build_dataset(usable, window_len) if usable else None
 
 
 def window_sweep(
     traces: Sequence[SensorTrace],
     window_minutes: Sequence[int] = WINDOW_SWEEP_MINUTES,
-    protocol: str = "intra_loo",
     config: ForestConfig = ForestConfig(),
     traces_b: Sequence[SensorTrace] | None = None,
-    scheme: str = RICH8,
 ) -> list[tuple[int, float]]:
-    """Overall accuracy as a function of segmentation window length.
+    """Overall rich8 accuracy as a function of segmentation window length.
 
-    protocol "intra_loo" runs leave-one-out on the given traces.
-    protocol "inter_10fold" trains on the full first corpus and averages
-    accuracy over ten folds of the second corpus. Traces too short for a
-    window length are dropped with a notice; a window length that drops
-    every trace yields no curve point.
+    Without a second corpus each point is leave-one-out accuracy on the
+    given traces. With traces_b the forest trains on the full first corpus
+    and the point is its accuracy averaged over ten folds of the second.
+    Traces too short for a window length are dropped with a notice; a
+    window length that leaves either corpus empty yields no curve point.
     """
-    if protocol not in ("intra_loo", "inter_10fold"):
-        raise DataError(f"unknown sweep protocol {protocol!r}")
-    if protocol == "inter_10fold" and traces_b is None:
-        raise DataError("inter_10fold sweep needs a second corpus")
     points: list[tuple[int, float]] = []
     for wi, minutes in enumerate(window_minutes):
         window_len = float(minutes) * 60.0
-        usable = []
-        for tr in traces:
-            if tr.span >= window_len:
-                usable.append(tr)
-            else:
-                log.warning(
-                    "window sweep: trace %s span %.0fs < window %.0fs, skipped",
-                    tr.trace_id, tr.span, window_len,
-                )
-        if not usable:
+        corpora = [traces] if traces_b is None else [traces, traces_b]
+        datasets = [_sweep_dataset(corpus, window_len) for corpus in corpora]
+        if any(ds is None for ds in datasets):
             log.warning("window sweep: no usable traces at %d minutes, point skipped", minutes)
             continue
-        dataset = build_dataset(usable, window_len, scheme)
-        if protocol == "intra_loo":
-            result = loo_cv(dataset, config)
-            points.append((minutes, result.accuracy.overall))
+        if traces_b is None:
+            points.append((minutes, loo_cv(datasets[0], config).accuracy.overall))
             continue
-        usable_b = [tr for tr in traces_b if tr.span >= window_len]
-        if not usable_b:
-            log.warning("window sweep: second corpus empty at %d minutes, point skipped", minutes)
-            continue
-        dataset_b = build_dataset(usable_b, window_len, scheme)
-        fold_config = replace(config, seed=seeding.derive_seed(config.seed, _TAG_SWEEP, wi, 1))
-        forest = train_forest(dataset, fold_config)
+        dataset, dataset_b = datasets
+        forest = train_forest(dataset, _fold_config(config, _TAG_SWEEP, wi, 1))
         rng = seeding.generator(config.seed, _TAG_SWEEP, wi, 0)
-        order = rng.permutation(len(dataset_b))
-        folds = np.array_split(order, 10)
         accs = []
-        for fold_idx in folds:
+        for fold_idx in np.array_split(rng.permutation(len(dataset_b)), 10):
             if len(fold_idx) == 0:
                 continue
             sub = dataset_b.subset(fold_idx)
@@ -406,13 +373,12 @@ def _single_tree_loo(dataset: LabeledDataset) -> float:
     config = ForestConfig(n_trees=1, m_try=dataset.feature_count, seed=0)
     correct = 0
     for i in range(n):
-        rest = np.concatenate([np.arange(i), np.arange(i + 1, n)])
+        rest = np.delete(np.arange(n), i)
         tree = train_tree(dataset.subset(rest), config, 0, identity_bootstrap=True)
         forest = RandomForest((tree,), config, tuple(SensorType), dataset.schema)
         # standard mode over one tree is that tree's leaf posterior, exactly
         probs = predict_matrix(forest, dataset.features[i : i + 1], dataset.schema, "standard")
-        if int(np.argmax(probs[0])) == int(dataset.labels[i]):
-            correct += 1
+        correct += int(np.argmax(probs[0])) == int(dataset.labels[i])
     return correct / n
 
 
@@ -479,9 +445,8 @@ def render_table_text(
 def table_csv_rows(table: AccuracyTable) -> tuple[list[str], list[list]]:
     """(header, rows) for reporting.write_csv; cells are fractions, '' if undefined."""
     header = ["type"] + list(table.columns)
-    rows = []
-    for name in AccuracyTable.row_names():
-        rows.append([name] + [table.rows[name][c].mean for c in table.columns])
+    rows = [[name] + [table.rows[name][c].mean for c in table.columns]
+            for name in AccuracyTable.row_names()]
     return header, rows
 
 

@@ -98,11 +98,10 @@ def write_manifest(
     write_csv(path, MANIFEST_HEADER, rows, meta)
 
 
-def read_manifest(
+def parse_manifest(
     path: str | Path,
-) -> tuple[list[tuple[str, Path, SensorType | None]], dict[str, str]]:
-    """Entries with paths resolved against the manifest's directory."""
-    path = Path(path)
+) -> tuple[list[tuple[str, str, SensorType | None]], dict[str, str]]:
+    """Entries as written, paths still relative; header, row length and labels checked."""
     meta, header, rows = read_csv(path)
     if header != MANIFEST_HEADER:
         raise DataError(f"{path}: expected header {MANIFEST_HEADER}, got {header}")
@@ -111,9 +110,17 @@ def read_manifest(
         if len(row) != 3:
             raise DataError(f"{path}: bad manifest row {row!r}")
         tid, rel, lab = row
-        label = SensorType.from_label(lab) if lab else None
-        out.append((tid, (path.parent / rel).resolve(), label))
+        out.append((tid, rel, SensorType.from_label(lab) if lab else None))
     return out, meta
+
+
+def read_manifest(
+    path: str | Path,
+) -> tuple[list[tuple[str, Path, SensorType | None]], dict[str, str]]:
+    """Entries with paths resolved against the manifest's directory."""
+    path = Path(path)
+    entries, meta = parse_manifest(path)
+    return [(tid, (path.parent / rel).resolve(), lab) for tid, rel, lab in entries], meta
 
 
 def load_manifest_traces(path: str | Path):

@@ -16,7 +16,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -235,11 +235,3 @@ def read_trace_csv(
             except (ValueError, IndexError):
                 raise DataError(f"trace file {path}: bad row {row!r}") from None
     return validate_trace(tid, rows, label)
-
-
-def type_histogram(labels: Sequence[SensorType]) -> dict[SensorType, int]:
-    """Count traces per sensor type (handy for corpus summaries)."""
-    out = {t: 0 for t in SensorType}
-    for lab in labels:
-        out[lab] += 1
-    return out

@@ -445,3 +445,54 @@ def test_relabel_negative_budget_exits_config(ws, tmp_path):
                "--answers", str(answers),
                "--out-manifest", str(tmp_path / "m.csv"), "--out-model", str(tmp_path / "mo.json")])
     assert rc == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "nan"])
+@pytest.mark.parametrize("command", ["features", "eval"])
+def test_bad_window_mins_exits_config(ws, tmp_path, capsys, command, value):
+    out = ["--out", str(tmp_path / "f.csv")] if command == "features" else [
+        "--protocol", "loo", "--trees", "2", "--out-dir", str(tmp_path / "o")]
+    capsys.readouterr()
+    rc = main([command, "--manifest", str(ws.manifest), "--window-mins", value] + out)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: --window-mins") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("windows", ["45.7", "0.5", "0", "-30", "nan", "30,inf"])
+def test_eval_windows_must_be_whole_positive_minutes(ws, tmp_path, windows):
+    rc = main(["eval", "--protocol", "window-sweep", "--manifest", str(ws.manifest),
+               "--windows", windows, "--trees", "2", "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert not (tmp_path / "o" / "window_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("protocol, flag, values", [
+    ("percentage", "--fractions", "0.5,0.5"),
+    ("inter", "--fractions", "0.2,1.0,0.20"),
+    ("window-sweep", "--windows", "30,45,30"),
+])
+def test_eval_duplicate_list_entry_exits_config(ws, tmp_path, protocol, flag, values):
+    out = tmp_path / "o"
+    rc = main(["eval", "--protocol", protocol, "--manifest", str(ws.manifest),
+               "--manifest-b", str(ws.manifest), flag, values,
+               "--trees", "2", "--out-dir", str(out)])
+    assert rc == EXIT_CONFIG
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_relabel_unknown_manifest_label_writes_nothing(ws, tmp_path):
+    manifest = tmp_path / "manifest.csv"
+    text = ws.manifest.read_text()
+    manifest.write_text(text.replace(",co2\n", ",co3\n", 1))
+    assert manifest.read_text() != text
+    answers = tmp_path / "answers.txt"
+    answers.write_text("")
+    out_manifest = tmp_path / "m.csv"
+    out_model = tmp_path / "mo.json"
+    rc = main(["relabel", "--predictions", str(ws.preds), "--manifest", str(manifest),
+               "--features", str(ws.features), "--model", str(ws.model),
+               "--answers", str(answers),
+               "--out-manifest", str(out_manifest), "--out-model", str(out_model)])
+    assert rc == EXIT_DATA
+    assert not out_manifest.exists() and not out_model.exists()

@@ -1,24 +1,28 @@
 """Evaluation protocols: stratified percentage runs, leave-one-out,
 cross-corpus transfer, window sweeps, and the feature-subset search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_trace
+from sensorclass import seeding
 from sensorclass.errors import DataError, DegenerateFraction, SchemaMismatch
 from sensorclass.evaluate import (
     FULL_COLUMN,
     LOO_COLUMN,
     AccuracyCell,
     AccuracyTable,
+    accuracy_column,
     add_column,
     build_dataset,
     feature_subset_search,
     fraction_column_name,
+    fraction_splits,
     inter_corpus,
-    loo_column,
     loo_cv,
     per_class_accuracy,
     percentage_protocol,
@@ -186,9 +190,14 @@ def test_percentage_deterministic(small_dataset):
     assert a == b
 
 
-def test_percentage_scheme_check(small_dataset):
-    with pytest.raises(SchemaMismatch):
-        percentage_protocol(small_dataset, (0.5,), ForestConfig(), feature_scheme="baseline2")
+def test_fraction_splits_follow_the_seed_path(small_dataset):
+    config = ForestConfig(n_trees=3, seed=17)
+    folds = list(fraction_splits(small_dataset, 0.33, config, 201, 1))
+    assert len(folds) == repeats_for_fraction(0.33)
+    for rep, (train_idx, test_idx, fold_config) in enumerate(folds):
+        want = stratified_split(small_dataset, 0.33, seeding.generator(17, 201, 1, rep, 0))
+        assert np.array_equal(train_idx, want[0]) and np.array_equal(test_idx, want[1])
+        assert fold_config == replace(config, seed=seeding.derive_seed(17, 201, 1, rep, 1))
 
 
 # --- leave-one-out ---------------------------------------------------------------------
@@ -289,14 +298,16 @@ def test_window_sweep_drops_short_traces_only():
     assert points_with == points_without
 
 
-def test_window_sweep_unknown_protocol():
-    with pytest.raises(DataError):
-        window_sweep(sweep_traces(), (15,), protocol="bootstrap")
-
-
-def test_window_sweep_inter_needs_second_corpus():
-    with pytest.raises(DataError):
-        window_sweep(sweep_traces(), (15,), protocol="inter_10fold")
+def test_window_sweep_second_corpus_transfer():
+    cfg = ForestConfig(n_trees=5, seed=2)
+    half_hour = [
+        make_trace(t.trace_id, t.timestamps[:31].tolist(), t.values[:31].tolist(), t.label)
+        for t in sweep_traces()
+    ]
+    points = window_sweep(sweep_traces(), (15, 45), config=cfg, traces_b=half_hour)
+    assert [m for m, _ in points] == [15]  # 45 min fits the first corpus only
+    assert 0.0 <= points[0][1] <= 1.0
+    assert points == window_sweep(sweep_traces(), (15, 45), config=cfg, traces_b=half_hour)
 
 
 def test_window_sweep_deterministic():
@@ -361,11 +372,20 @@ def test_subset_search_requires_rich8(small_corpus):
 # --- table helpers ---------------------------------------------------------------------------
 
 
+def test_accuracy_column_of_one_run_is_that_run(small_dataset):
+    result = loo_cv(small_dataset, ForestConfig(n_trees=4, seed=6))
+    cells = accuracy_column([result.accuracy])
+    for st in SensorType:
+        value = result.accuracy.per_class[st]
+        assert cells[st.label] == AccuracyCell(value, 0 if value is None else 1)
+    assert cells["overall"] == AccuracyCell(result.accuracy.overall, 1)
+
+
 def test_loo_column_and_render(small_dataset):
     config = ForestConfig(n_trees=6, seed=2)
     result = loo_cv(small_dataset, config)
     table = AccuracyTable(columns=[], rows={n: {} for n in AccuracyTable.row_names()})
-    add_column(table, LOO_COLUMN, loo_column(result))
+    add_column(table, LOO_COLUMN, accuracy_column([result.accuracy]))
     assert table.columns == [LOO_COLUMN]
     cell = table.rows["overall"][LOO_COLUMN]
     assert cell.repeats == 1

@@ -12,7 +12,6 @@ from sensorclass.trace import (
     Window,
     read_trace_csv,
     segment_windows,
-    type_histogram,
     validate_trace,
     window_stats,
     write_trace_csv,
@@ -257,10 +256,3 @@ def test_sensor_type_label_round_trip():
         assert SensorType.from_label(t.label) is t
     with pytest.raises(DataError):
         SensorType.from_label("thermostat")
-
-
-def test_type_histogram_counts_every_type():
-    hist = type_histogram([SensorType.CO2, SensorType.CO2, SensorType.HUMIDITY])
-    assert hist[SensorType.CO2] == 2
-    assert hist[SensorType.HUMIDITY] == 1
-    assert hist[SensorType.SETPOINT] == 0
