@@ -278,6 +278,16 @@ def _parse_minutes(text: str) -> list[int]:
     return [int(v) for v in values]
 
 
+def _parse_fractions(text: str, protocol: str) -> list[float]:
+    values = _parse_floats(text, "--fractions")
+    full_ok = protocol == "inter"
+    bad = [v for v in values if not (0.0 < v < 1.0 or (full_ok and v == 1.0))]
+    if bad:
+        allowed = "(0, 1) or 1.0" if full_ok else "(0, 1)"
+        raise ConfigError(f"--fractions takes numbers in {allowed}, got {bad[0]:g}")
+    return values
+
+
 def _write_result_artifacts(out_dir: Path, stem: str, result, base: str, meta: dict) -> None:
     reporting.write_predictions(out_dir / f"predictions_{stem}.csv", result.predictions, meta)
     correctness = result.correctness
@@ -291,7 +301,7 @@ def cmd_eval(args) -> int:
     if args.protocol == "window-sweep":
         minutes = _parse_minutes(args.windows)
     elif args.protocol != "subset-search":
-        fractions = _parse_floats(args.fractions, "--fractions")
+        fractions = _parse_fractions(args.fractions, args.protocol)
     if args.protocol == "inter" and not args.manifest_b:
         raise ConfigError("--protocol inter needs --manifest-b")
     out_dir = Path(args.out_dir)
@@ -490,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--manifest-b", help="second corpus (inter, window-sweep)")
     p.add_argument("--fractions", default=",".join(map(str, evaluate.DEFAULT_FRACTIONS)),
-                   help="train fractions, no duplicates (percentage, inter)")
+                   help="train fractions in (0, 1), and 1.0 for inter; no duplicates")
     p.add_argument("--windows", default=",".join(map(str, evaluate.WINDOW_SWEEP_MINUTES)),
                    help="window-sweep grid, whole minutes, no duplicates")
     p.add_argument("--out-dir", required=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, EmptyMask
-from .trace import SensorTrace, Window, _readonly, population_var, segment_windows, window_stats
+from .trace import SensorTrace, _readonly, population_var, window_spans, window_stats
 
 RICH8 = "rich8"
 BASELINE2 = "baseline2"
@@ -125,10 +125,22 @@ def extract_med_var(trace: SensorTrace, window_len: float) -> MedVarVectors:
     Deterministic, and independent of a constant shift of all timestamps
     (windows are anchored at the first timestamp, not at an epoch).
     Raises NoWindows when the trace is shorter than one window.
+
+    Windows with the same sample count form one (windows, count) block: a
+    view when they lie back to back, as on a regular grid, else one gather.
     """
-    stats = [window_stats(w) for w in segment_windows(trace, window_len)]
-    med = np.array([m for m, _ in stats])
-    var = np.array([v for _, v in stats])
+    _, firsts, counts = window_spans(trace, window_len)
+    med = np.empty(len(counts))
+    var = np.empty(len(counts))
+    values = trace.values
+    for n in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == n)
+        lo = firsts[rows]
+        if lo[-1] - lo[0] == n * (len(rows) - 1):
+            block = values[lo[0]:lo[0] + n * len(rows)].reshape(len(rows), n)
+        else:
+            block = values[lo[:, None] + np.arange(n)]
+        med[rows], var[rows] = window_stats(block)
     return MedVarVectors(med, var, float(window_len))
 
 

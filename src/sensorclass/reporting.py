@@ -20,6 +20,7 @@ Formats:
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import DataError
 from .features import schema_length
-from .trace import CLASS_LABELS, SensorType, read_trace_csv
+from .trace import CLASS_LABELS, SensorType, read_trace_csv, read_utf8
 from .uncertainty import FlagReport, Prediction
 
 META_PREFIX = "# "
@@ -62,7 +63,8 @@ def read_csv(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str
     meta: dict[str, str] = {}
     header: list[str] = []
     rows: list[list[str]] = []
-    with open(path, newline="") as fh:
+    text = read_utf8(Path(path)).decode("utf-8")
+    with io.StringIO(text, newline="") as fh:
         for line in fh:
             if line.startswith("#"):
                 body = line[1:].strip()

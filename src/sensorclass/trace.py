@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -147,8 +148,10 @@ def validate_trace(
     return _from_arrays(trace_id, arr[:, 0], arr[:, 1], label)
 
 
-def segment_windows(trace: SensorTrace, window_len: float = DEFAULT_WINDOW_LEN) -> list[Window]:
-    """Split a trace into non-overlapping windows of window_len seconds.
+def window_spans(
+    trace: SensorTrace, window_len: float = DEFAULT_WINDOW_LEN
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(start time, first sample index, sample count) of each non-empty window.
 
     Windows tile [t0, t0 + k * window_len) from the first timestamp, where k
     is the number of whole windows that fit in the span; the trailing partial
@@ -167,12 +170,18 @@ def segment_windows(trace: SensorTrace, window_len: float = DEFAULT_WINDOW_LEN) 
         raise NoWindows(trace.trace_id, trace.span, window_len)
     edges = t0 + np.arange(k + 1) * window_len
     bounds = np.searchsorted(ts, edges, side="left")
-    out = []
-    for i in range(k):
-        lo, hi = bounds[i], bounds[i + 1]
-        if hi > lo:
-            out.append(Window(float(edges[i]), float(window_len), trace.values[lo:hi]))
-    return out
+    counts = np.diff(bounds)
+    keep = counts > 0
+    return edges[:-1][keep], bounds[:-1][keep], counts[keep]
+
+
+def segment_windows(trace: SensorTrace, window_len: float = DEFAULT_WINDOW_LEN) -> list[Window]:
+    """The non-empty windows of window_spans, each with its sample values."""
+    starts, firsts, counts = window_spans(trace, window_len)
+    return [
+        Window(start, float(window_len), trace.values[first:first + count])
+        for start, first, count in zip(starts.tolist(), firsts.tolist(), counts.tolist())
+    ]
 
 
 def population_var(values: np.ndarray) -> float:
@@ -188,30 +197,94 @@ def population_var(values: np.ndarray) -> float:
     return float(np.var(v))
 
 
-def window_stats(window: Window) -> tuple[float, float]:
-    """(median, population variance) of the window's values.
+def window_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(median, population variance) of each row of a (windows, samples) block.
 
     Median of an even count is the mean of the two middle values; variance
-    divides by N, not N-1.
+    divides by N, not N-1, and is exactly 0.0 for a constant row, as in
+    population_var.
     """
-    v = window.values
-    return float(np.median(v)), population_var(v)
+    med = np.median(block, axis=1)
+    var = np.var(block, axis=1)
+    var[(block == block[:, :1]).all(axis=1)] = 0.0
+    return med, var
 
 
 # --- trace CSV format -------------------------------------------------------
 #
-# Exactly two columns, header `timestamp,value`, one row per sample.
-# Lines starting with `#` are ignored on read.
+# UTF-8 text with exactly two columns, header `timestamp,value`, one row per
+# sample. Empty lines and lines starting with `#` are ignored on read.
 
 TRACE_HEADER = ["timestamp", "value"]
+_HEADER_LINE = ",".join(TRACE_HEADER).encode()
+
+# A quote can join physical lines into one csv row, and np.loadtxt strips
+# \x1c-\x1f around a number where float() rejects them; a file holding any
+# of these bytes is parsed by the csv loop alone.
+_CSV_ONLY = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def read_utf8(path: Path) -> bytes:
+    """A file's bytes, checked to be UTF-8 text. Raises DataError if the file
+    cannot be read or is not UTF-8."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return data
 
 
 def write_trace_csv(trace: SensorTrace, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for t, v in trace.samples():
-            writer.writerow([repr(t), repr(v)])
+    """One `repr(timestamp),repr(value)` row per sample, CRLF line ends: the
+    bytes csv.writer writes, built as one string."""
+    rows = [
+        f"{t!r},{v!r}\r\n"
+        for t, v in zip(trace.timestamps.tolist(), trace.values.tolist())
+    ]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(TRACE_HEADER) + "\r\n" + "".join(rows))
+
+
+def _loadtxt_rows(data: bytes) -> np.ndarray | None:
+    """The samples as an (n, 2) array in one np.loadtxt pass, or None when
+    the file needs the csv loop."""
+    if any(byte in data for byte in _CSV_ONLY):
+        return None
+    lines = data.splitlines()
+    if b"#" in data or b"" in lines:
+        lines = [ln for ln in lines if ln and ln[:1] != b"#"]
+    while _HEADER_LINE in lines:
+        lines.remove(_HEADER_LINE)
+    if not lines:
+        return np.empty((0, 2))
+    try:
+        arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, encoding="utf-8")
+    except ValueError:
+        return None
+    return arr if arr.shape[1] == 2 else None
+
+
+def _csv_rows(path: Path, text: str) -> np.ndarray:
+    """The samples as an (n, 2) array, read row by row with the csv module."""
+    rows = []
+    try:
+        for row in csv.reader(io.StringIO(text, newline="")):
+            if not row or row[0].startswith("#") or row == TRACE_HEADER:
+                continue
+            if len(row) == 2:
+                try:
+                    rows.append((float(row[0]), float(row[1])))
+                    continue
+                except ValueError:
+                    pass
+            raise DataError(f"trace file {path}: bad row {row!r}")
+    except csv.Error as exc:
+        raise DataError(f"trace file {path}: {exc}") from None
+    return np.array(rows, dtype=float).reshape(-1, 2)
 
 
 def read_trace_csv(
@@ -219,19 +292,15 @@ def read_trace_csv(
     trace_id: str | None = None,
     label: SensorType | None = None,
 ) -> SensorTrace:
-    """Load and clean a trace file. trace_id defaults to the file stem."""
+    """Load and clean a trace file. trace_id defaults to the file stem.
+
+    One np.loadtxt pass parses the file; only a file it rejects goes through
+    the csv loop, which accepts quoted cells and names the first bad row.
+    """
     path = Path(path)
     tid = trace_id if trace_id is not None else path.stem
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            if row[:2] == TRACE_HEADER:
-                continue
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError):
-                raise DataError(f"trace file {path}: bad row {row!r}") from None
-    return validate_trace(tid, rows, label)
+    data = read_utf8(path)
+    arr = _loadtxt_rows(data)
+    if arr is None:
+        arr = _csv_rows(path, data.decode("utf-8"))
+    return _from_arrays(tid, arr[:, 0], arr[:, 1], label)

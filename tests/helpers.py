@@ -8,12 +8,22 @@ the implementation against an independent derivation.
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
+from sensorclass.errors import DataError
 from sensorclass.forest import LabeledDataset
-from sensorclass.trace import CLASS_COUNT, SensorType, validate_trace
+from sensorclass.trace import (
+    CLASS_COUNT,
+    TRACE_HEADER,
+    SensorType,
+    population_var,
+    segment_windows,
+    validate_trace,
+)
 
 # Hand-computed rich8 vector for the two-window fixture with window values
 # {1,2,3} and {10,10,16}: MED = {2, 10}, VAR = {2/3, 8}.
@@ -37,6 +47,35 @@ def two_window_trace(label=None):
 def constant_trace(value=5.0, n=12, interval=1.0, label=None):
     ts = [i * interval for i in range(n)]
     return make_trace("constant", ts, [value] * n, label)
+
+
+def reference_read_trace_csv(path, trace_id=None, label=None):
+    """The trace CSV reader as a plain csv-module loop, for the np.loadtxt
+    reader to agree with: one float() per cell, exactly two cells per row,
+    and empty rows, rows whose first cell starts with `#` and the
+    `timestamp,value` header skipped."""
+    path = Path(path)
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.reader(fh):
+            if not row or row[0].startswith("#") or row == TRACE_HEADER:
+                continue
+            bad_row = DataError(f"trace file {path}: bad row {row!r}")
+            if len(row) != 2:
+                raise bad_row
+            try:
+                rows.append((float(row[0]), float(row[1])))
+            except ValueError:
+                raise bad_row from None
+    return validate_trace(trace_id if trace_id is not None else path.stem, rows, label)
+
+
+def reference_med_var(trace, window_len):
+    """Per-window (medians, variances) from Window objects, one window at a time."""
+    windows = segment_windows(trace, window_len)
+    med = np.array([float(np.median(w.values)) for w in windows])
+    var = np.array([population_var(w.values) for w in windows])
+    return med, var
 
 
 def int_dataset(seed, n, d=2, classes=3, max_val=5, schema="baseline2"):

@@ -496,3 +496,71 @@ def test_relabel_unknown_manifest_label_writes_nothing(ws, tmp_path):
                "--out-manifest", str(out_manifest), "--out-model", str(out_model)])
     assert rc == EXIT_DATA
     assert not out_manifest.exists() and not out_model.exists()
+
+
+def _manifest_naming(tmp_path, trace_name):
+    from sensorclass.reporting import write_manifest
+    write_manifest(tmp_path / "m.csv", [("t", trace_name, SensorType.CO2)])
+    return tmp_path / "m.csv"
+
+
+def _missing_trace(tmp_path):
+    return _manifest_naming(tmp_path, "absent.csv")
+
+
+def _directory_as_trace(tmp_path):
+    (tmp_path / "adir.csv").mkdir()
+    return _manifest_naming(tmp_path, "adir.csv")
+
+
+def _latin1_trace(tmp_path):
+    (tmp_path / "t.csv").write_bytes(b"# caf\xe9\ntimestamp,value\n0.0,1.0\n60.0,2.0\n")
+    return _manifest_naming(tmp_path, "t.csv")
+
+
+def _latin1_manifest(tmp_path):
+    write_trace_csv(make_trace("t", [0.0, 60.0], [1.0, 2.0]), tmp_path / "t.csv")
+    manifest = _manifest_naming(tmp_path, "t.csv")
+    manifest.write_bytes(manifest.read_bytes().replace(b"t,t.csv", b"t\xe9,t.csv"))
+    return manifest
+
+
+def _missing_manifest(tmp_path):
+    return tmp_path / "nowhere.csv"
+
+
+@pytest.mark.parametrize("make_manifest", [
+    _missing_trace, _directory_as_trace, _latin1_trace, _latin1_manifest, _missing_manifest,
+], ids=["missing-trace", "directory-trace", "non-utf8-trace", "non-utf8-manifest",
+        "missing-manifest"])
+def test_unreadable_input_file_exits_data(tmp_path, capsys, make_manifest):
+    manifest = make_manifest(tmp_path)
+    capsys.readouterr()
+    rc = main(["features", "--manifest", str(manifest), "--out", str(tmp_path / "f.csv")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("protocol, fractions", [
+    ("percentage", "0.5,1.5"),
+    ("percentage", "0.5,1.0"),
+    ("percentage", "0"),
+    ("loo", "-0.2"),
+    ("inter", "0.2,1.5"),
+    ("inter", "nan"),
+])
+def test_eval_fractions_out_of_range_exit_config_before_reading(tmp_path, capsys,
+                                                                 protocol, fractions):
+    # the manifests do not exist, so only a check made before any input is
+    # read can give exit 2
+    out = tmp_path / "o"
+    capsys.readouterr()
+    rc = main(["eval", "--protocol", protocol, "--manifest", str(tmp_path / "no.csv"),
+               "--manifest-b", str(tmp_path / "no_b.csv"), "--fractions", fractions,
+               "--trees", "2", "--out-dir", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: --fractions") and err.count("\n") == 1, err
+    assert not out.exists()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import F_ORACLE, constant_trace, make_trace, two_window_trace
+from helpers import F_ORACLE, constant_trace, make_trace, reference_med_var, two_window_trace
 from sensorclass.errors import DataError, EmptyMask, NoWindows
 from sensorclass.features import (
     BASELINE2,
@@ -42,6 +42,37 @@ def test_med_var_too_short_raises():
     tr = make_trace("t", [0.0, 1.0], [1.0, 2.0])
     with pytest.raises(NoWindows):
         extract_med_var(tr, 100.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ticks=st.lists(st.integers(0, 400), min_size=2, max_size=150, unique=True),
+    irregular=st.booleans(),
+    hold=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    window_len=st.sampled_from([60.0, 300.0, 900.0, 2700.0, 1234.5]),
+)
+def test_med_var_equals_per_window_loop(ticks, irregular, hold, seed, window_len):
+    # a 60 s grid with gaps (back-to-back windows and gathered ones), or the
+    # same with jittered times; a sample repeats the previous value with
+    # probability `hold`, so some windows are constant
+    rng = np.random.default_rng(seed)
+    n = len(ticks)
+    ts = 60.0 * np.sort(np.array(ticks, dtype=float))
+    if irregular:
+        ts += rng.uniform(0.0, 60.0, n)
+    held = rng.random(n) < hold
+    values = rng.normal(0.0, 1e3, n)[np.maximum.accumulate(np.where(held, 0, np.arange(n)))]
+    tr = make_trace("t", ts, values)
+    try:
+        med, var = reference_med_var(tr, window_len)
+    except NoWindows:
+        with pytest.raises(NoWindows):
+            extract_med_var(tr, window_len)
+        return
+    mv = extract_med_var(tr, window_len)
+    assert np.array_equal(mv.med, med)
+    assert np.array_equal(mv.var, var)
 
 
 # --- rich8 ----------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Trace cleaning, window segmentation, and per-window statistics."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_trace
+from helpers import make_trace, reference_read_trace_csv
 from sensorclass.errors import DataError, EmptyTrace, NonFiniteValue, NoWindows
 from sensorclass.trace import (
     SensorType,
-    Window,
     read_trace_csv,
     segment_windows,
     validate_trace,
@@ -181,31 +183,39 @@ def test_each_sample_lands_in_at_most_one_window(ts, window_len):
 
 
 def test_window_stats_odd_count():
-    med, var = window_stats(Window(0.0, 3.0, np.array([1.0, 2.0, 3.0])))
-    assert med == 2.0
-    assert var == pytest.approx(2.0 / 3.0, abs=1e-15)
+    med, var = window_stats(np.array([[1.0, 2.0, 3.0]]))
+    assert med.tolist() == [2.0]
+    assert var[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_window_stats_single_value():
-    med, var = window_stats(Window(0.0, 3.0, np.array([5.0])))
-    assert (med, var) == (5.0, 0.0)
+    med, var = window_stats(np.array([[5.0]]))
+    assert (med.tolist(), var.tolist()) == ([5.0], [0.0])
 
 
 def test_window_stats_even_count_median_is_middle_mean():
-    med, var = window_stats(Window(0.0, 3.0, np.array([10.0, 10.0, 16.0])))
-    assert (med, var) == (10.0, 8.0)
-    med2, _ = window_stats(Window(0.0, 4.0, np.array([1.0, 2.0, 3.0, 10.0])))
-    assert med2 == 2.5
+    med, var = window_stats(np.array([[10.0, 10.0, 16.0]]))
+    assert (med.tolist(), var.tolist()) == ([10.0], [8.0])
+    med2, _ = window_stats(np.array([[1.0, 2.0, 3.0, 10.0]]))
+    assert med2.tolist() == [2.5]
 
 
 def test_window_stats_population_variance():
-    _, var = window_stats(Window(0.0, 2.0, np.array([0.0, 2.0])))
-    assert var == 1.0  # sample variance would be 2
+    _, var = window_stats(np.array([[0.0, 2.0]]))
+    assert var.tolist() == [1.0]  # sample variance would be 2
 
 
 def test_window_stats_constant_variance_exactly_zero():
-    _, var = window_stats(Window(0.0, 4.0, np.full(9, 3.7)))
-    assert var == 0.0
+    _, var = window_stats(np.full((1, 9), 3.7))
+    assert var.tolist() == [0.0]
+
+
+def test_window_stats_one_result_per_row():
+    block = np.array([[1.0, 2.0, 3.0], [3.7, 3.7, 3.7], [10.0, 16.0, 10.0]])
+    med, var = window_stats(block)
+    assert med.tolist() == [2.0, 3.7, 10.0]
+    assert var[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert var[1:].tolist() == [0.0, 8.0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -217,10 +227,10 @@ def test_window_stats_constant_variance_exactly_zero():
     )
 )
 def test_window_stats_permutation_invariant(vals):
-    med_a, var_a = window_stats(Window(0.0, 1.0, np.array(vals)))
-    med_b, var_b = window_stats(Window(0.0, 1.0, np.array(vals[::-1])))
-    assert med_a == med_b  # the median sorts, so it is exactly invariant
-    assert var_a == pytest.approx(var_b, rel=1e-12, abs=1e-300)
+    med_a, var_a = window_stats(np.array([vals]))
+    med_b, var_b = window_stats(np.array([vals[::-1]]))
+    assert med_a[0] == med_b[0]  # the median sorts, so it is exactly invariant
+    assert var_a[0] == pytest.approx(var_b[0], rel=1e-12, abs=1e-300)
 
 
 # --- CSV round trip and histogram ----------------------------------------------
@@ -237,6 +247,19 @@ def test_trace_csv_round_trip(tmp_path):
     assert back.label is SensorType.CO2
 
 
+def test_trace_csv_bytes_are_csv_writer_bytes(tmp_path):
+    values = [1e-300, -0.0, 1e16, 123456789.123, 2.0 / 3.0, -4.5e-7]
+    tr = make_trace("w", [60.0 * i for i in range(len(values))], values)
+    path = tmp_path / "w.csv"
+    write_trace_csv(tr, path)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["timestamp", "value"])
+    for t, v in zip(tr.timestamps.tolist(), tr.values.tolist()):
+        writer.writerow([repr(t), repr(v)])
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
 def test_trace_csv_ignores_comment_lines(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("# a comment\ntimestamp,value\n0.0,1.0\n60.0,2.0\n")
@@ -251,8 +274,93 @@ def test_trace_csv_bad_row_raises(tmp_path):
         read_trace_csv(path)
 
 
+@pytest.mark.parametrize("text, row", [
+    ("timestamp,value\n0.0,1.0,9\n60.0,2.0\n", "['0.0', '1.0', '9']"),
+    ("timestamp,value,x\n0.0,1.0\n60.0,2.0\n", "['timestamp', 'value', 'x']"),
+    ("timestamp,value\n0.0,1.0,9\n60.0,2.0,9\n", "['0.0', '1.0', '9']"),
+    ("timestamp,value\n0.0\n60.0\n", "['0.0']"),
+], ids=["three-cell-row", "three-cell-header", "three-cells-everywhere", "one-cell-everywhere"])
+def test_trace_csv_rows_have_exactly_two_cells(tmp_path, text, row):
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as exc:
+        read_trace_csv(path)
+    assert str(exc.value) == f"trace file {path}: bad row {row}"
+
+
 def test_sensor_type_label_round_trip():
     for t in SensorType:
         assert SensorType.from_label(t.label) is t
     with pytest.raises(DataError):
         SensorType.from_label("thermostat")
+
+
+# --- np.loadtxt reader against the csv loop ----------------------------------------
+
+
+@st.composite
+def _cells(draw):
+    text = draw(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-10**6, 10**6).map(str),
+        st.sampled_from(["1_0", "0x10", "abc", "", " ", "nan", "-inf", "1e5", "+.5", "1.0x",
+                         "1 2", " 1", "#1", "timestamp"]),
+    ))
+    pad = ["", "", "", "", " ", "\t", "\x0c", "\x1c", "\x1f"]
+    text = draw(st.sampled_from(pad)) + text + draw(st.sampled_from(pad))
+    return f'"{text}"' if draw(st.integers(0, 7)) == 0 else text
+
+
+_LINES = st.one_of(
+    st.lists(_cells(), min_size=2, max_size=2).map(",".join),
+    st.lists(_cells(), min_size=1, max_size=3).map(",".join),
+    st.sampled_from(["", " ", "#", "# note, with a comma", '# a,"b', 'c",d', "timestamp,value",
+                     "timestamp,value,x", '"timestamp","value"', "timestamp, value"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                            st.floats(-1e6, 1e6)), min_size=2, max_size=10),
+    edits=st.lists(st.tuples(st.integers(0, 10), _LINES, st.booleans()), max_size=4),
+    header=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    final_newline=st.booleans(),
+)
+def test_reader_agrees_with_csv_loop(tmp_path_factory, rows, edits, header, newline,
+                                     final_newline):
+    # a valid file, then each edit inserts a line or replaces one
+    lines = [f"{t!r},{v!r}" for t, v in rows]
+    for pos, line, replace in edits:
+        lines[pos % len(lines):pos % len(lines) + replace] = [line]
+    text = newline.join((["timestamp,value"] if header else []) + lines)
+    path = tmp_path_factory.mktemp("mut") / "m.csv"
+    path.write_bytes((text + (newline if final_newline else "")).encode("utf-8"))
+    try:
+        expected = reference_read_trace_csv(path)
+    except DataError as exc:
+        with pytest.raises(type(exc)) as got:
+            read_trace_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    got = read_trace_csv(path)
+    assert got.trace_id == expected.trace_id
+    assert np.array_equal(got.timestamps, expected.timestamps)
+    assert np.array_equal(got.values, expected.values)
+
+
+def test_reader_parses_plain_files_without_the_csv_loop(tmp_path, monkeypatch):
+    import sensorclass.trace as trace_mod
+
+    def no_csv_loop(path, text):
+        raise AssertionError(f"csv loop ran on {path}")
+
+    monkeypatch.setattr(trace_mod, "_csv_rows", no_csv_loop)
+    tr = make_trace("plain", [0.0, 60.0, 120.0], [1.25, 2.0 / 3.0, -4.5])
+    write_trace_csv(tr, tmp_path / "plain.csv")
+    text = (tmp_path / "plain.csv").read_text()
+    (tmp_path / "noted.csv").write_text("# source: unit\n\n" + text + "\n# end\n")
+    for name in ("plain.csv", "noted.csv"):
+        back = read_trace_csv(tmp_path / name)
+        assert back.values.tolist() == tr.values.tolist()
