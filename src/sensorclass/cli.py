@@ -33,7 +33,7 @@ from .errors import (
 from .features import BASELINE2, RICH8, extract, feature_names, mask_indices
 from .forest import ForestConfig, LabeledDataset, load_model, predict_matrix, save_model, train_forest
 from .synth import PRESET_NAMES, generate_corpus, load_corpus_spec, preset_spec
-from .trace import SensorType, write_trace_csv
+from .trace import SensorType, read_utf8, write_trace_csv
 from .uncertainty import (
     DEFAULT_THRESHOLD,
     attach_metrics,
@@ -384,7 +384,7 @@ def _write_table_text(out_dir: Path, tables: dict) -> None:
 
 def _answer_stream(args):
     if args.answers:
-        lines = Path(args.answers).read_text().splitlines()
+        lines = read_utf8(Path(args.answers)).decode("utf-8").splitlines()
         return iter(lines)
     if not sys.stdin.isatty():
         raise NonInteractiveWithoutAnswers(

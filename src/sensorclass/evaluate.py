@@ -22,16 +22,16 @@ import numpy as np
 
 from . import seeding
 from .errors import DataError, DegenerateFraction, SchemaMismatch
-from .features import RICH8, extract, mask_indices, subset_schema
+from .features import RICH8, extract, mask_indices
 from .forest import (
     ForestConfig,
     LabeledDataset,
-    RandomForest,
     predict_matrix,
+    split_table,
+    table_split,
     train_forest,
-    train_tree,
 )
-from .trace import SensorTrace, SensorType
+from .trace import CLASS_COUNT, SensorTrace, SensorType
 from .uncertainty import Prediction, make_prediction
 
 log = logging.getLogger(__name__)
@@ -367,19 +367,14 @@ def window_sweep(
     return points
 
 
-def _single_tree_loo(dataset: LabeledDataset) -> float:
-    """LOO accuracy of one deterministic, fully-grown tree (no resampling)."""
-    n = len(dataset)
-    config = ForestConfig(n_trees=1, m_try=dataset.feature_count, seed=0)
-    correct = 0
-    for i in range(n):
-        rest = np.delete(np.arange(n), i)
-        tree = train_tree(dataset.subset(rest), config, 0, identity_bootstrap=True)
-        forest = RandomForest((tree,), config, tuple(SensorType), dataset.schema)
-        # standard mode over one tree is that tree's leaf posterior, exactly
-        probs = predict_matrix(forest, dataset.features[i : i + 1], dataset.schema, "standard")
-        correct += int(np.argmax(probs[0])) == int(dataset.labels[i])
-    return correct / n
+@dataclass(frozen=True)
+class _PathNode:
+    """A tree node of feature_subset_search, shared by every mask that grows it."""
+
+    rows: np.ndarray  # the training rows at the node, ascending
+    majority: int  # most frequent class, lowest code on ties
+    table: list | None  # forest.split_table of the rows; None at a pure node
+    children: dict  # (split feature, held-out row goes left) -> _PathNode
 
 
 def feature_subset_search(dataset: LabeledDataset) -> list[tuple[int, float]]:
@@ -389,16 +384,47 @@ def feature_subset_search(dataset: LabeledDataset) -> list[tuple[int, float]]:
     features available at every node, no bootstrap), so the ranking
     reflects the features rather than sampling noise. Sorted best-first;
     ties prefer fewer features, then the smaller mask value.
+
+    With no resampling and no feature sampling, a node's split is a pure
+    function of its rows and the mask: the lowest mask feature with the
+    strictly highest positive gain. So each distinct row set is scored once,
+    on all eight columns, and every (mask, fold) follows only the held-out
+    row's path, taking its split from that table. The prediction is the
+    leaf's most frequent class, lowest code on ties: the argmax of the leaf
+    posterior that train_tree(..., identity_bootstrap=True) would hold.
     """
     if dataset.schema != RICH8:
         raise SchemaMismatch(f"subset search expects a rich8 dataset, got {dataset.schema!r}")
+    n = len(dataset)
+    if n < 2:
+        raise DataError("leave-one-out needs at least two instances")
+    x, y = dataset.features, dataset.labels
+    xs, ys = x.tolist(), y.tolist()
+    nodes: dict[bytes, _PathNode] = {}  # by row set: ascending row indices as bytes
+
+    def node(rows: np.ndarray) -> _PathNode:
+        key = rows.tobytes()
+        if key not in nodes:
+            counts = np.bincount(y[rows], minlength=CLASS_COUNT)
+            table = None if counts.max() == len(rows) else split_table(x[rows], y[rows])
+            nodes[key] = _PathNode(rows, int(np.argmax(counts)), table, {})
+        return nodes[key]
+
+    roots = [node(np.delete(np.arange(n), i)) for i in range(n)]
     results = []
     for mask in range(1, 256):
-        idx = mask_indices(mask)
-        sub = LabeledDataset(
-            dataset.ids, dataset.features[:, idx], dataset.labels, subset_schema(mask)
-        )
-        results.append((mask, _single_tree_loo(sub)))
+        features = mask_indices(mask)
+        correct = 0
+        for i, at in enumerate(roots):
+            while at.table is not None and (split := table_split(at.table, features)) is not None:
+                f, t = split
+                step = (f, xs[i][f] <= t)
+                if step not in at.children:
+                    side = x[at.rows, f] <= t
+                    at.children[step] = node(at.rows[side if step[1] else ~side])
+                at = at.children[step]
+            correct += at.majority == ys[i]
+        results.append((mask, correct / n))
     results.sort(key=lambda item: (-item[1], len(mask_indices(item[0])), item[0]))
     return results
 

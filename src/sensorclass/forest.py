@@ -38,7 +38,7 @@ import numpy as np
 from . import seeding
 from .errors import DataError, InvalidConfig, SchemaMismatch
 from .features import FeatureVector, schema_length
-from .trace import CLASS_COUNT, SensorType
+from .trace import CLASS_COUNT, SensorType, read_utf8
 
 MODEL_FORMAT = "sensorclass-forest-v1"
 
@@ -177,6 +177,35 @@ def _entropy_rows(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return -plogp.sum(axis=1)
 
 
+def _column_split(
+    col: np.ndarray, labels: np.ndarray, counts: np.ndarray, parent: float
+) -> tuple[float, float] | None:
+    """(gain, threshold) of the best cut of one feature column, or None when
+    the column is constant. counts and parent are the node's class counts
+    and entropy; the first of equal gains, the smallest threshold, wins."""
+    n = len(labels)
+    order = np.argsort(col, kind="stable")
+    sv = col[order]
+    cuts = np.nonzero(sv[:-1] < sv[1:])[0]
+    if cuts.size == 0:
+        return None
+    cum = np.cumsum(_ONE_HOT[labels[order]], axis=0)
+    left = cum[cuts]
+    n_left = (cuts + 1).astype(float)
+    n_right = n - n_left
+    # both sides' entropies in one call: rows [0, k) are left, [k, 2k) right
+    h = _entropy_rows(np.vstack([left, counts - left]), np.concatenate([n_left, n_right]))
+    child = n_left * h[: len(cuts)] + n_right * h[len(cuts) :]
+    gains = parent - child / n
+    i = int(np.argmax(gains))
+    cut = cuts[i]
+    return float(gains[i]), float((sv[cut] + sv[cut + 1]) / 2.0)
+
+
+def _node_entropy(labels: np.ndarray) -> tuple[np.ndarray, float]:
+    """(class counts as floats, entropy) of the rows at a node."""
+    counts = np.bincount(labels, minlength=CLASS_COUNT).astype(float)
+    return counts, _entropy_rows(counts[None, :], np.array([float(len(labels))]))[0]
 
 
 def best_split(
@@ -190,31 +219,39 @@ def best_split(
     two distinct values or when the best achievable gain is not positive.
     Ties break toward the lowest feature index, then the smallest threshold.
     """
-    n = len(labels)
-    counts = np.bincount(labels, minlength=CLASS_COUNT).astype(float)
-    parent = _entropy_rows(counts[None, :], np.array([float(n)]))[0]
+    counts, parent = _node_entropy(labels)
     best: tuple[int, float] | None = None
     best_gain = 0.0
     for f in sorted(set(int(c) for c in candidates)):
-        col = features[:, f]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        cuts = np.nonzero(sv[:-1] < sv[1:])[0]
-        if cuts.size == 0:
+        score = _column_split(features[:, f], labels, counts, parent)
+        if score is None or score[0] <= best_gain:
             continue
-        cum = np.cumsum(_ONE_HOT[labels[order]], axis=0)
-        left = cum[cuts]
-        n_left = (cuts + 1).astype(float)
-        n_right = n - n_left
-        # both sides' entropies in one call: rows [0, k) are left, [k, 2k) right
-        h = _entropy_rows(np.vstack([left, counts - left]), np.concatenate([n_left, n_right]))
-        child = n_left * h[: len(cuts)] + n_right * h[len(cuts) :]
-        gains = parent - child / n
-        i = int(np.argmax(gains))  # first max: smallest threshold wins ties
-        if gains[i] > best_gain:
-            best_gain = float(gains[i])
-            cut = cuts[i]
-            best = (f, float((sv[cut] + sv[cut + 1]) / 2.0))
+        best_gain, threshold = score
+        best = (f, threshold)
+    return best
+
+
+def split_table(features: np.ndarray, labels: np.ndarray) -> list[tuple[float, float] | None]:
+    """(gain, threshold) of the best cut of every feature column of a node's
+    rows, None for a constant column. table_split picks from it as
+    best_split would, so a node shared by many candidate sets is scored once."""
+    counts, parent = _node_entropy(labels)
+    return [_column_split(col, labels, counts, parent) for col in features.T]
+
+
+def table_split(
+    table: Sequence[tuple[float, float] | None], candidates: Sequence[int]
+) -> tuple[int, float] | None:
+    """best_split over ascending, distinct candidates, from the node's
+    split_table: the first candidate with the strictly highest positive gain."""
+    best: tuple[int, float] | None = None
+    best_gain = 0.0
+    for f in candidates:
+        score = table[f]
+        if score is None or score[0] <= best_gain:
+            continue
+        best_gain, threshold = score
+        best = (f, threshold)
     return best
 
 
@@ -399,11 +436,11 @@ def load_model(path: str | Path) -> tuple[RandomForest, dict]:
 
     A malformed document of any kind raises DataError.
     """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"model file {path}: not valid JSON ({exc})") from None
+    text = read_utf8(Path(path)).decode("utf-8")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"model file {path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise DataError(f"model file {path}: not a {MODEL_FORMAT} document")
     try:

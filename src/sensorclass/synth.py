@@ -40,8 +40,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import seeding
-from .errors import InvalidSpec
-from .trace import SensorTrace, SensorType, _from_arrays
+from .errors import DataError, InvalidSpec
+from .trace import SensorTrace, SensorType, _from_arrays, read_utf8
 
 DAY_S = 86400.0
 _CORPUS_TAG = 301
@@ -367,11 +367,14 @@ def _spec_number(key: str, value, kind=float):
 
 def load_corpus_spec(path: str | Path) -> CorpusSpec:
     """Parse a JSON corpus spec file. See the module docstring for keys."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpec("<file>", f"not valid JSON: {exc}") from None
+    try:
+        text = read_utf8(Path(path)).decode("utf-8")
+    except DataError as exc:  # the spec is configuration: exit 2, not 3
+        raise InvalidSpec("<file>", str(exc)) from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidSpec("<file>", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidSpec("<file>", "spec must be a JSON object")
     unknown = set(doc) - _SPEC_KEYS

@@ -15,7 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from sensorclass.errors import DataError
-from sensorclass.forest import LabeledDataset
+from sensorclass.features import mask_indices, subset_schema
+from sensorclass.forest import (
+    ForestConfig,
+    LabeledDataset,
+    RandomForest,
+    predict_matrix,
+    train_tree,
+)
 from sensorclass.trace import (
     CLASS_COUNT,
     TRACE_HEADER,
@@ -87,6 +94,30 @@ def int_dataset(seed, n, d=2, classes=3, max_val=5, schema="baseline2"):
         labels[0] = (labels[0] + 1) % classes
     ids = tuple(f"r{i}" for i in range(n))
     return LabeledDataset(ids, feats, labels, schema)
+
+
+def reference_subset_search(dataset, masks=range(1, 256)):
+    """feature_subset_search by training every (mask, fold) tree: train_tree
+    with identity_bootstrap and m_try = D on the other rows, then the
+    held-out row through the one-tree forest in "standard" mode. Over fewer
+    masks it is the full list with the other masks left out."""
+    n = len(dataset)
+    results = []
+    for mask in masks:
+        idx = mask_indices(mask)
+        sub = LabeledDataset(dataset.ids, dataset.features[:, idx], dataset.labels,
+                             subset_schema(mask))
+        config = ForestConfig(n_trees=1, m_try=len(idx), seed=0)
+        correct = 0
+        for i in range(n):
+            rest = np.delete(np.arange(n), i)
+            tree = train_tree(sub.subset(rest), config, 0, identity_bootstrap=True)
+            forest = RandomForest((tree,), config, tuple(SensorType), sub.schema)
+            probs = predict_matrix(forest, sub.features[i : i + 1], sub.schema, "standard")
+            correct += int(np.argmax(probs[0])) == int(sub.labels[i])
+        results.append((mask, correct / n))
+    results.sort(key=lambda item: (-item[1], len(mask_indices(item[0])), item[0]))
+    return results
 
 
 # --- independent tree-induction oracle ---------------------------------------

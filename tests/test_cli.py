@@ -564,3 +564,36 @@ def test_eval_fractions_out_of_range_exit_config_before_reading(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: --fractions") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def _write_latin1(path):
+    path.write_bytes(b"caf\xe9\n")
+    return path
+
+
+@pytest.mark.parametrize("make_file", [
+    lambda tmp_path: tmp_path / "missing",
+    lambda tmp_path: _write_latin1(tmp_path / "latin1"),
+    lambda tmp_path: tmp_path,
+], ids=["missing", "non-utf8", "directory"])
+@pytest.mark.parametrize("command, expected", [
+    ("classify", EXIT_DATA), ("synth", EXIT_CONFIG), ("relabel", EXIT_DATA),
+])
+def test_unreadable_model_spec_or_answers_file(ws, tmp_path, capsys, make_file,
+                                               command, expected):
+    bad = str(make_file(tmp_path))
+    out = tmp_path / "out"
+    argv = {
+        "classify": ["classify", "--model", bad, "--features", str(ws.features),
+                     "--out", str(out)],
+        "synth": ["synth", "--spec", bad, "--out", str(out)],
+        "relabel": ["relabel", "--predictions", str(ws.preds), "--manifest", str(ws.manifest),
+                    "--features", str(ws.features), "--model", str(ws.model),
+                    "--answers", bad, "--out-manifest", str(out),
+                    "--out-model", str(tmp_path / "mo.json")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == expected
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_trace
+from helpers import make_trace, reference_subset_search
 from sensorclass import seeding
 from sensorclass.errors import DataError, DegenerateFraction, SchemaMismatch
 from sensorclass.evaluate import (
@@ -33,7 +33,7 @@ from sensorclass.evaluate import (
     window_sweep,
 )
 from sensorclass.forest import ForestConfig, LabeledDataset
-from sensorclass.trace import SensorType
+from sensorclass.trace import CLASS_COUNT, SensorType
 
 
 def dataset_with_counts(counts, schema="baseline2", feature_fn=None):
@@ -367,6 +367,71 @@ def test_subset_search_requires_rich8(small_corpus):
     ds = build_dataset(small_corpus, 2700.0, "baseline2")
     with pytest.raises(SchemaMismatch):
         feature_subset_search(ds)
+
+
+def test_subset_search_needs_two_instances():
+    one = LabeledDataset(("a",), np.zeros((1, 8)), np.array([0]), "rich8")
+    with pytest.raises(DataError):
+        feature_subset_search(one)
+
+
+@st.composite
+def small_rich8_datasets(draw):
+    """2-15 rows of small integers, so gains tie across features and
+    thresholds; some columns constant, duplicate rows likely, classes absent."""
+    n = draw(st.integers(2, 15))
+    classes = draw(st.integers(1, CLASS_COUNT))
+    cells = st.integers(0, draw(st.integers(1, 3)))
+    feats = np.array(draw(st.lists(st.lists(cells, min_size=8, max_size=8),
+                                   min_size=n, max_size=n)), dtype=float)
+    for col in draw(st.sets(st.integers(0, 7))):
+        feats[:, col] = feats[0, col]
+    labels = np.array(draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n)))
+    return LabeledDataset(tuple(f"r{i}" for i in range(n)), feats, labels, "rich8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_rich8_datasets(), st.sets(st.integers(1, 255), min_size=1, max_size=6))
+def test_subset_search_equals_one_tree_per_fold(dataset, masks):
+    # the reference trains 255 x n trees for the whole list, so it checks a
+    # sample of masks; the fixed cases below compare whole lists
+    found = [item for item in feature_subset_search(dataset) if item[0] in masks]
+    assert found == reference_subset_search(dataset, sorted(masks))
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_subset_search_whole_list_equals_one_tree_per_fold(seed):
+    rng = np.random.default_rng(seed)
+    feats = rng.integers(0, 3, size=(7, 8)).astype(float)
+    feats[:, 5] = 1.0
+    feats[6] = feats[2]
+    dataset = LabeledDataset(tuple(f"r{i}" for i in range(7)), feats,
+                             rng.integers(0, 3, size=7), "rich8")
+    assert feature_subset_search(dataset) == reference_subset_search(dataset)
+
+
+def tied_pair_dataset(good):
+    """Two features split every LOO training set with the same gain at the
+    root, but send the held-out row h different ways; the other six are
+    constant. Feature `good` puts h with its class, the other feature does not."""
+    other = 1 - good
+    rows = [(0, 0, 0), (0, 0, 0), (1, 1, 1), (1, 1, 1), (0, 1, 0)]  # last row is h
+    feats = np.zeros((len(rows), 8))
+    for i, (g, o, _) in enumerate(rows):
+        feats[i, good], feats[i, other] = g, o
+    labels = np.array([label for *_, label in rows])
+    return LabeledDataset(tuple(f"r{i}" for i in range(len(rows))), feats, labels, "rich8")
+
+
+@pytest.mark.parametrize("good, both_acc", [(0, 1.0), (1, 0.8)])
+def test_subset_search_tie_goes_to_the_lower_feature(good, both_acc):
+    dataset = tied_pair_dataset(good)
+    by_mask = dict(feature_subset_search(dataset))
+    assert by_mask[1 << good] == 1.0
+    assert by_mask[1 << (1 - good)] == 0.4
+    # with both features the lower one wins the tie, whichever it is
+    assert by_mask[0b11] == both_acc
+    assert feature_subset_search(dataset) == reference_subset_search(dataset)
 
 
 # --- table helpers ---------------------------------------------------------------------------
