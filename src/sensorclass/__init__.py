@@ -22,7 +22,7 @@ from .forest import (
     save_model,
     train_forest,
 )
-from .trace import SensorTrace, SensorType, segment_windows, validate_trace
+from .trace import SensorTrace, SensorType, validate_trace
 from .uncertainty import Prediction, class_entropy, flag_above_threshold
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "flag_above_threshold",
     "load_model",
     "save_model",
-    "segment_windows",
     "train_forest",
     "validate_trace",
 ]

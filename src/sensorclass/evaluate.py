@@ -26,10 +26,12 @@ from .features import RICH8, extract, mask_indices
 from .forest import (
     ForestConfig,
     LabeledDataset,
+    RandomForest,
     predict_matrix,
     split_table,
     table_split,
     train_forest,
+    train_forests,
 )
 from .trace import CLASS_COUNT, SensorTrace, SensorType
 from .uncertainty import Prediction, make_prediction
@@ -200,12 +202,8 @@ class ProtocolResult:
 
 
 def _evaluate_fold(
-    train_ds: LabeledDataset,
-    test_ds: LabeledDataset,
-    config: ForestConfig,
-    entropy_base: str,
+    forest: RandomForest, test_ds: LabeledDataset, entropy_base: str
 ) -> ProtocolResult:
-    forest = train_forest(train_ds, config)
     probs = predict_matrix(forest, test_ds.features, test_ds.schema)
     predicted = probs.argmax(axis=1)
     preds = [
@@ -247,11 +245,13 @@ def percentage_protocol(
     every cell is the mean over the repeats where it was defined.
     """
     table = new_table()
-    for fi, fraction in enumerate(fractions):
-        folds = fraction_splits(dataset, fraction, config, _TAG_PERCENTAGE, fi)
+    splits = [list(fraction_splits(dataset, fraction, config, _TAG_PERCENTAGE, fi))
+              for fi, fraction in enumerate(fractions)]
+    forests = train_forests(dataset, [(tr, cfg) for folds in splits for tr, _, cfg in folds])
+    for fraction, folds in zip(fractions, splits):
         results = [
-            _evaluate_fold(dataset.subset(tr), dataset.subset(te), cfg, entropy_base).accuracy
-            for tr, te, cfg in folds
+            _evaluate_fold(next(forests), dataset.subset(te), entropy_base).accuracy
+            for _, te, _ in folds
         ]
         add_column(table, fraction_column_name(fraction), accuracy_column(results))
     return table
@@ -266,13 +266,9 @@ def loo_cv(
         raise DataError("leave-one-out needs at least two instances")
     all_preds: list[Prediction] = []
     truth: dict[str, SensorType] = {}
-    for i in range(n):
-        fold = _evaluate_fold(
-            dataset.subset(np.delete(np.arange(n), i)),
-            dataset.subset([i]),
-            _fold_config(config, _TAG_LOO, i),
-            entropy_base,
-        )
+    folds = ((np.delete(np.arange(n), i), _fold_config(config, _TAG_LOO, i)) for i in range(n))
+    for i, forest in enumerate(train_forests(dataset, folds)):
+        fold = _evaluate_fold(forest, dataset.subset([i]), entropy_base)
         all_preds.extend(fold.predictions)
         truth.update(fold.truth)
     acc = per_class_accuracy(dataset.labels, [int(p.predicted) for p in all_preds])
@@ -297,20 +293,23 @@ def inter_corpus(
         raise SchemaMismatch(
             f"corpora disagree on schema: {train_dataset.schema!r} vs {test_dataset.schema!r}"
         )
-    table = new_table()
-    full_result: ProtocolResult | None = None
+    splits = []  # per fraction, its (training rows, config) folds
     for fi, fraction in enumerate(fractions):
         if fraction == 1.0:
-            full_config = _fold_config(config, _TAG_INTER, fi, 0, 1)
-            full_result = _evaluate_fold(train_dataset, test_dataset, full_config, entropy_base)
-            results = [full_result.accuracy]
+            everyone = np.arange(len(train_dataset))
+            splits.append([(everyone, _fold_config(config, _TAG_INTER, fi, 0, 1))])
         else:
             folds = fraction_splits(train_dataset, fraction, config, _TAG_INTER, fi)
-            results = [
-                _evaluate_fold(train_dataset.subset(tr), test_dataset, cfg, entropy_base).accuracy
-                for tr, _, cfg in folds
-            ]
-        add_column(table, fraction_column_name(fraction), accuracy_column(results))
+            splits.append([(tr, cfg) for tr, _, cfg in folds])
+    forests = train_forests(train_dataset, [fold for folds in splits for fold in folds])
+    table = new_table()
+    full_result: ProtocolResult | None = None
+    for fraction, folds in zip(fractions, splits):
+        runs = [_evaluate_fold(next(forests), test_dataset, entropy_base) for _ in folds]
+        if fraction == 1.0:
+            full_result = runs[0]
+        add_column(table, fraction_column_name(fraction),
+                   accuracy_column([run.accuracy for run in runs]))
     return table, full_result
 
 

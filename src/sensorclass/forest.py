@@ -21,17 +21,29 @@ Forest posteriors combine tree posteriors in one of two modes:
 Trees are held as parallel preorder arrays (see DecisionTree), and
 predict_matrix is the one path that routes feature rows through them.
 
-Determinism: every tree's RNG derives from (config.seed, tree index), so
-the forest is a pure function of (dataset, config) no matter in what order
-its trees are built.
+Trees grow in lockstep: the trees of a forest, or of every fold of an
+evaluation protocol, grow together, and at each step every one of them
+splits its next impure node. One segmented kernel scores all those
+(node, candidate feature) pairs at once: a stable sort by (segment,
+value), a running count of classes, and one entropy call over every cut.
+Trees hold row indices into the shared feature matrix, not copies, and
+the trees growing at once and the entries per kernel call are capped, so
+memory stays bounded however many folds a protocol has.
+
+Determinism: every tree's RNG derives from (config.seed, tree index), and
+its draws happen in its own preorder (the bootstrap, then one feature
+subset per impure node). So a tree does not depend on the trees it grew
+beside, and the forest is a pure function of (dataset, config).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +58,11 @@ AVERAGING_MODES = ("paper", "standard")
 
 # derivation tag separating tree RNG streams from other consumers of a seed
 _TREE_TAG = 101
+
+# Bounds on the memory of one lockstep grow, whatever its number of folds:
+# trees growing at once, and (row, candidate feature) entries per kernel call.
+_TREES_IN_FLIGHT = 32
+_KERNEL_ENTRIES = 2048
 
 _NO_POSTERIOR = np.zeros(CLASS_COUNT)  # value row of a split node
 _ONE_HOT = np.eye(CLASS_COUNT)  # row c is the one-hot vector of class c
@@ -173,39 +190,124 @@ def _entropy_rows(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Row-wise entropy of count matrices; shared by parent and child paths
     so that identical distributions produce bit-identical values."""
     p = counts / totals[:, None]
-    plogp = np.where(counts > 0, p * np.log(np.where(counts > 0, p, 1.0)), 0.0)
+    plogp = np.where(counts > 0, p, 1.0)  # log(1) = 0: a zero count adds 0 * 0
+    np.log(plogp, out=plogp)
+    plogp *= p
     return -plogp.sum(axis=1)
 
 
-def _column_split(
-    col: np.ndarray, labels: np.ndarray, counts: np.ndarray, parent: float
-) -> tuple[float, float] | None:
-    """(gain, threshold) of the best cut of one feature column, or None when
-    the column is constant. counts and parent are the node's class counts
-    and entropy; the first of equal gains, the smallest threshold, wins."""
-    n = len(labels)
-    order = np.argsort(col, kind="stable")
-    sv = col[order]
-    cuts = np.nonzero(sv[:-1] < sv[1:])[0]
-    if cuts.size == 0:
-        return None
-    cum = np.cumsum(_ONE_HOT[labels[order]], axis=0)
-    left = cum[cuts]
-    n_left = (cuts + 1).astype(float)
-    n_right = n - n_left
-    # both sides' entropies in one call: rows [0, k) are left, [k, 2k) right
-    h = _entropy_rows(np.vstack([left, counts - left]), np.concatenate([n_left, n_right]))
-    child = n_left * h[: len(cuts)] + n_right * h[len(cuts) :]
-    gains = parent - child / n
-    i = int(np.argmax(gains))
-    cut = cuts[i]
-    return float(gains[i]), float((sv[cut] + sv[cut + 1]) / 2.0)
+def _column_ranks(x: np.ndarray) -> np.ndarray:
+    """Dense rank of every value within its column: equal values share a
+    rank, and a larger value has a larger rank."""
+    order = np.argsort(x, axis=0, kind="stable")
+    sx = np.take_along_axis(x, order, axis=0)
+    steps = np.zeros(x.shape, dtype=np.intp)
+    steps[1:] = sx[1:] > sx[:-1]
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, np.cumsum(steps, axis=0), axis=0)
+    return ranks
 
 
-def _node_entropy(labels: np.ndarray) -> tuple[np.ndarray, float]:
-    """(class counts as floats, entropy) of the rows at a node."""
-    counts = np.bincount(labels, minlength=CLASS_COUNT).astype(float)
-    return counts, _entropy_rows(counts[None, :], np.array([float(len(labels))]))[0]
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in a."""
+    new = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _segment_scores(
+    x: np.ndarray,
+    y: np.ndarray,
+    ranks: np.ndarray,
+    rows: Sequence[np.ndarray],
+    counts: np.ndarray,
+    candidates: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(gain, threshold) of the best cut of every (node, candidate) segment.
+
+    Node k holds rows[k] of x and y, with class counts counts[k] (floats),
+    and is scored on the features candidates[k]; ranks is _column_ranks(x).
+    Segments are node-major, candidates in the given order. A segment whose
+    column is constant has gain -inf. Within a segment the first of equal
+    gains, the smallest threshold, wins. Segments are scored in calls of at
+    most _KERNEL_ENTRIES entries (one segment alone may exceed it).
+    """
+    n_rows = np.array([len(r) for r in rows])
+    seg_node = np.repeat(np.arange(len(rows)), [len(c) for c in candidates])
+    seg_feature = np.concatenate(candidates)
+    seg_len = n_rows[seg_node]
+    seg_row0 = (np.cumsum(n_rows) - n_rows)[seg_node]  # the node's first entry in all_rows
+    all_rows = np.concatenate(rows)
+    parent = _entropy_rows(counts, n_rows.astype(float))
+    gain = np.full(len(seg_node), -np.inf)
+    threshold = np.zeros(len(seg_node))
+    n_ranks = int(ranks.max()) + 1
+    ends = np.cumsum(seg_len)
+    a = 0
+    while a < len(seg_node):
+        done = ends[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, done + _KERNEL_ENTRIES, side="right")))
+        lens = seg_len[a:b]
+        seg = np.repeat(np.arange(b - a), lens)  # chunk-local segment of each entry
+        first = np.cumsum(lens) - lens
+        entry_rows = all_rows[seg_row0[a:b][seg] + np.arange(ends[b - 1] - done) - first[seg]]
+        entry_features = seg_feature[a:b][seg]
+        # sort by (segment, value): a value's column rank orders it in its
+        # segment. Equal values may come in any order, since cuts fall only
+        # between distinct values.
+        key = seg * n_ranks + ranks[entry_rows, entry_features]
+        order = np.argsort(key.astype(np.min_scalar_type((b - a) * n_ranks)), kind="stable")
+        sk = key[order]
+        cut = np.flatnonzero((sk[:-1] < sk[1:]) & (seg[:-1] == seg[1:]))
+        if cut.size:
+            # cum[c, i]: entries of class c among the first i, as exact counts
+            labels = y[entry_rows[order]]
+            cum = np.zeros((CLASS_COUNT, len(seg) + 1), dtype=np.int32)
+            for c in range(CLASS_COUNT):
+                np.cumsum(labels == c, out=cum[c, 1:])
+            cs = seg[cut]
+            left = (cum[:, cut + 1] - cum[:, first[cs]]).T.astype(float, order="C")
+            node = seg_node[a:b][cs]
+            n = lens[cs].astype(float)
+            n_left = (cut - first[cs] + 1).astype(float)
+            n_right = n - n_left
+            h_left = _entropy_rows(left, n_left)
+            h_right = _entropy_rows(counts[node] - left, n_right)
+            gains = parent[node] - (n_left * h_left + n_right * h_right) / n
+            starts = _run_starts(cs)
+            scored = a + cs[starts]  # the segments with a cut
+            gain[scored] = np.maximum.reduceat(gains, starts)
+            hit = np.flatnonzero(gains == gain[a + cs])
+            at = cut[hit[_run_starts(cs[hit])]]  # the first best cut of each segment
+            lo, hi = order[at], order[at + 1]  # the entries either side of it
+            threshold[scored] = (x[entry_rows[lo], entry_features[lo]]
+                                 + x[entry_rows[hi], entry_features[hi]]) / 2.0
+        a = b
+    return gain, threshold
+
+
+def _best_splits(
+    x: np.ndarray,
+    y: np.ndarray,
+    ranks: np.ndarray,
+    rows: Sequence[np.ndarray],
+    counts: np.ndarray,
+    candidates: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(feature, threshold) of each node's split, feature -1 for none: the
+    first ascending candidate with the strictly highest positive gain."""
+    gain, threshold = _segment_scores(x, y, ranks, rows, counts, candidates)
+    n_cand = np.array([len(c) for c in candidates])
+    seg_node = np.repeat(np.arange(len(rows)), n_cand)
+    top = np.maximum.reduceat(gain, np.cumsum(n_cand) - n_cand)
+    hit = np.flatnonzero(gain == top[seg_node])  # -inf == -inf: every node has a hit
+    pick = hit[_run_starts(seg_node[hit])]
+    feature = np.where(top > 0, np.concatenate(candidates)[pick], -1)
+    return feature, threshold[pick]
+
+
+def _class_counts(labels: np.ndarray) -> np.ndarray:
+    return np.bincount(labels, minlength=CLASS_COUNT).astype(float)
 
 
 def best_split(
@@ -219,24 +321,23 @@ def best_split(
     two distinct values or when the best achievable gain is not positive.
     Ties break toward the lowest feature index, then the smallest threshold.
     """
-    counts, parent = _node_entropy(labels)
-    best: tuple[int, float] | None = None
-    best_gain = 0.0
-    for f in sorted(set(int(c) for c in candidates)):
-        score = _column_split(features[:, f], labels, counts, parent)
-        if score is None or score[0] <= best_gain:
-            continue
-        best_gain, threshold = score
-        best = (f, threshold)
-    return best
+    cand = np.array(sorted(set(int(c) for c in candidates)), dtype=np.intp)
+    if cand.size == 0:
+        return None
+    rows = np.arange(len(labels))
+    feature, threshold = _best_splits(features, labels, _column_ranks(features), [rows],
+                                      _class_counts(labels)[None], [cand])
+    return None if feature[0] < 0 else (int(feature[0]), float(threshold[0]))
 
 
 def split_table(features: np.ndarray, labels: np.ndarray) -> list[tuple[float, float] | None]:
     """(gain, threshold) of the best cut of every feature column of a node's
     rows, None for a constant column. table_split picks from it as
     best_split would, so a node shared by many candidate sets is scored once."""
-    counts, parent = _node_entropy(labels)
-    return [_column_split(col, labels, counts, parent) for col in features.T]
+    rows = np.arange(len(labels))
+    gain, threshold = _segment_scores(features, labels, _column_ranks(features), [rows],
+                                      _class_counts(labels)[None], [np.arange(features.shape[1])])
+    return [None if g == -np.inf else (float(g), float(t)) for g, t in zip(gain, threshold)]
 
 
 def table_split(
@@ -255,6 +356,122 @@ def table_split(
     return best
 
 
+class _Growing:
+    """One tree in a lockstep grow: its generator, its preorder node lists
+    so far, and a stack of nodes still to grow. A stack entry is (rows,
+    class counts, leaf posterior if the node is pure else None, the split
+    node whose right child it is or -1)."""
+
+    __slots__ = ("rng", "m_try", "feature", "threshold", "right", "value", "stack")
+
+    def __init__(self, y: np.ndarray, rows: np.ndarray, config: ForestConfig, index: int,
+                 identity_bootstrap: bool, feature_count: int):
+        self.rng = seeding.generator(config.seed, _TREE_TAG, index)
+        self.m_try = config.resolve_m_try(feature_count)
+        if not identity_bootstrap:
+            rows = rows[self.rng.integers(0, len(rows), size=len(rows))]
+        counts = _class_counts(y[rows])
+        leaf = counts / len(rows) if counts.max() == len(rows) else None
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.right: list[int] = []
+        self.value: list[np.ndarray] = []
+        self.stack = [(rows, counts, leaf, -1)]
+
+    def emit(self, feature: int, threshold: float, value: np.ndarray, parent: int) -> int:
+        """Append the next node in preorder; returns its index."""
+        if parent >= 0:
+            self.right[parent] = len(self.feature)
+        self.feature.append(feature)
+        self.threshold.append(threshold)
+        self.right.append(-1)
+        self.value.append(value)
+        return len(self.feature) - 1
+
+    def next_impure(self, feature_count: int):
+        """Pop nodes, emitting pure ones as leaves, up to the next impure
+        node: (rows, counts, parent, candidates), its candidates drawn
+        here. None once the stack is empty."""
+        while self.stack:
+            rows, counts, leaf, parent = self.stack.pop()
+            if leaf is None:
+                if self.m_try == feature_count:
+                    cand = np.arange(feature_count)
+                else:
+                    cand = self.rng.choice(feature_count, size=self.m_try, replace=False)
+                    cand.sort(kind="stable")  # the default sort maps in a large SIMD library
+                return rows, counts, parent, cand
+            self.emit(-1, 0.0, leaf, parent)
+        return None
+
+    def tree(self) -> DecisionTree:
+        return DecisionTree(self.feature, self.threshold, self.right, self.value)
+
+
+def _grow(
+    x: np.ndarray, y: np.ndarray, jobs: Iterable[tuple[np.ndarray, ForestConfig, int, bool]]
+) -> Iterator[DecisionTree]:
+    """Grow the tree of each (rows, config, tree index, identity bootstrap)
+    job in lockstep; yield the trees in job order.
+
+    At most _TREES_IN_FLIGHT trees grow at once. At each step every one of
+    them pops its next impure node, and one _best_splits call splits all
+    those nodes. Each tree draws from its own generator in its own
+    preorder, so it does not depend on the trees it grows beside.
+    """
+    d = x.shape[1]
+    ranks = _column_ranks(x)
+    queue = enumerate(jobs)
+    growing: list[tuple[int, _Growing]] = []
+    finished: dict[int, DecisionTree] = {}
+    next_out = 0
+    while True:
+        while len(growing) < _TREES_IN_FLIGHT and (job := next(queue, None)) is not None:
+            pos, (rows, config, index, identity) = job
+            growing.append((pos, _Growing(y, rows, config, index, identity, d)))
+        if not growing:
+            return
+        active, nodes = [], []  # the trees still growing, and the node each pops
+        for pos, tree in growing:
+            node = tree.next_impure(d)
+            if node is None:
+                finished[pos] = tree.tree()
+            else:
+                active.append((pos, tree))
+                nodes.append(node)
+        growing = active
+        while next_out in finished:
+            yield finished.pop(next_out)
+            next_out += 1
+        if not nodes:
+            continue
+        rows, counts, parents, cands = zip(*nodes)
+        counts = np.array(counts)
+        n_rows = np.array([len(r) for r in rows])
+        feature, threshold = _best_splits(x, y, ranks, rows, counts, cands)
+        leaves = counts / n_rows[:, None]
+        # rows of node k partitioned into child 2k (left) and 2k + 1 (right), in row order
+        row_node = np.repeat(np.arange(len(rows)), n_rows)
+        all_rows = np.concatenate(rows)
+        child = 2 * row_node + (x[all_rows, np.maximum(feature, 0)[row_node]] > threshold[row_node])
+        child_rows = all_rows[np.argsort(child, kind="stable")]
+        sizes = np.bincount(child, minlength=2 * len(rows))
+        bounds = [0] + np.cumsum(sizes).tolist()  # child j is child_rows[bounds[j]:bounds[j + 1]]
+        child_counts = np.bincount(
+            child * CLASS_COUNT + y[all_rows], minlength=2 * len(rows) * CLASS_COUNT
+        ).reshape(-1, CLASS_COUNT).astype(float)
+        child_leaves = child_counts / np.maximum(sizes, 1)[:, None]
+        pure = (child_counts.max(axis=1) == sizes).tolist()
+        for k, ((_, tree), f, t) in enumerate(zip(active, feature.tolist(), threshold.tolist())):
+            if f < 0:
+                tree.emit(-1, 0.0, leaves[k], parents[k])
+                continue
+            at = tree.emit(f, t, _NO_POSTERIOR, parents[k])
+            for j, parent in ((2 * k + 1, at), (2 * k, -1)):  # right first: left pops first
+                tree.stack.append((child_rows[bounds[j]:bounds[j + 1]], child_counts[j],
+                                   child_leaves[j] if pure[j] else None, parent))
+
+
 def train_tree(
     dataset: LabeledDataset,
     config: ForestConfig,
@@ -270,42 +487,42 @@ def train_tree(
     skips resampling and trains on the dataset as-is; evaluation code uses
     it where a deterministic single tree is wanted.
     """
-    rng = seeding.generator(config.seed, _TREE_TAG, tree_index)
-    n = len(dataset)
-    d = dataset.feature_count
-    m_try = config.resolve_m_try(d)
-    chosen = np.arange(n) if identity_bootstrap else rng.integers(0, n, size=n)
-    x = dataset.features[chosen]
-    y = dataset.labels[chosen]
-    all_features = np.arange(d)
-    nodes: list[list] = []  # [feature, threshold, right, value] per node, preorder
+    job = (np.arange(len(dataset)), config, tree_index, identity_bootstrap)
+    return next(_grow(dataset.features, dataset.labels, [job]))
 
-    def grow(sel: np.ndarray) -> None:
-        counts = np.bincount(y[sel], minlength=CLASS_COUNT).astype(float)
-        split = None
-        if counts.max() < len(sel):  # impure
-            cand = all_features if m_try == d else rng.choice(d, size=m_try, replace=False)
-            split = best_split(x[sel], y[sel], cand)
-        if split is None:
-            nodes.append([-1, 0.0, -1, counts / len(sel)])
-            return
-        f, t = split
-        node = [f, t, -1, _NO_POSTERIOR]
-        nodes.append(node)
-        go_left = x[sel, f] <= t
-        grow(sel[go_left])
-        node[2] = len(nodes)
-        grow(sel[~go_left])
 
-    grow(np.arange(n))
-    return DecisionTree(*zip(*nodes))
+def train_forests(
+    dataset: LabeledDataset, folds: Iterable[tuple[np.ndarray, ForestConfig]]
+) -> Iterator[RandomForest]:
+    """The forest of each (training rows, config) fold, in fold order.
+
+    Tree k of a fold's forest is train_tree(dataset.subset(rows), config,
+    k): its bootstrap draws from the fold's rows. The trees of all folds
+    grow in lockstep. Folds are read and forests yielded as the growing
+    goes, so only the folds in flight and the forests not yet consumed
+    are held.
+    """
+    configs: deque[ForestConfig] = deque()  # of the folds read, whose forests are not out
+
+    def jobs():
+        for rows, config in folds:
+            if len(rows) == 0:
+                raise DataError("a fold has no training rows")
+            config = replace(config, m_try=config.resolve_m_try(dataset.feature_count))
+            configs.append(config)
+            rows = np.asarray(rows, dtype=np.intp)
+            yield from ((rows, config, k, False) for k in range(config.n_trees))
+
+    trees = _grow(dataset.features, dataset.labels, jobs())
+    for first in trees:  # a fold's first tree comes out after its config went in
+        config = configs.popleft()
+        forest = (first, *itertools.islice(trees, config.n_trees - 1))
+        yield RandomForest(forest, config, tuple(SensorType), dataset.schema)
 
 
 def train_forest(dataset: LabeledDataset, config: ForestConfig) -> RandomForest:
     """Train config.n_trees trees, tree k from train_tree(..., k)."""
-    resolved = replace(config, m_try=config.resolve_m_try(dataset.feature_count))
-    trees = tuple(train_tree(dataset, resolved, i) for i in range(resolved.n_trees))
-    return RandomForest(trees, resolved, tuple(SensorType), dataset.schema)
+    return next(train_forests(dataset, [(np.arange(len(dataset)), config)]))
 
 
 def predict_matrix(

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -58,32 +59,66 @@ def write_csv(
             writer.writerow([fmt(cell) for cell in row])
 
 
+def _read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[tuple[int, list[str]]]]:
+    """(metadata, header, (line number, cells) of each row) of an artifact CSV."""
+    meta: dict[str, str] = {}
+    lines = io.StringIO(read_utf8(Path(path)).decode("utf-8"), newline="").readlines()
+    start = 0
+    while start < len(lines) and lines[start].startswith("#"):
+        body = lines[start][1:].strip()
+        if "=" in body:
+            k, v = body.split("=", 1)
+            meta[k.strip()] = v
+        start += 1
+    reader = csv.reader(lines[start:])
+    try:
+        rows = [(start + reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise DataError(f"{path}, line {start + reader.line_num}: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: no header row found")
+    return meta, rows[0][1], rows[1:]
+
+
 def read_csv(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
     """(metadata, header, rows) of an artifact CSV."""
-    meta: dict[str, str] = {}
-    header: list[str] = []
-    rows: list[list[str]] = []
-    text = read_utf8(Path(path)).decode("utf-8")
-    with io.StringIO(text, newline="") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, v = body.split("=", 1)
-                    meta[k.strip()] = v
-                continue
-            # hand the rest to the csv reader
-            rest = [line] + list(fh)
-            reader = csv.reader(rest)
-            parsed = [row for row in reader if row]
-            if not parsed:
-                break
-            header = parsed[0]
-            rows = parsed[1:]
-            break
-    if not header:
-        raise DataError(f"{path}: no header row found")
-    return meta, header, rows
+    meta, header, rows = _read_table(path)
+    return meta, header, [row for _, row in rows]
+
+
+def read_rows(
+    path: str | Path,
+    header: Sequence[str] | Callable[[dict[str, str]], Sequence[str]],
+    text_cells: int,
+) -> tuple[dict[str, str], list[tuple[list[str], list[float]]]]:
+    """(metadata, rows) of an artifact CSV keyed by the id in its first column.
+
+    The header must equal `header`, or header(metadata). Each row becomes
+    (its first text_cells cells, the rest parsed as floats). Raises
+    DataError naming the file and line of the first row with a wrong cell
+    count, a cell that is not a finite number, or an id seen before.
+    """
+    meta, found, rows = _read_table(path)
+    expected = list(header(meta) if callable(header) else header)
+    if found != expected:
+        raise DataError(f"{path}: expected header {expected}, got {found}")
+    out = []
+    first_line: dict[str, int] = {}
+    for line, row in rows:
+        where = f"{path}, line {line}"
+        if len(row) != len(expected):
+            raise DataError(f"{where}: {len(row)} cells, expected {len(expected)}")
+        if row[0] in first_line:
+            raise DataError(f"{where}: id {row[0]!r} repeats line {first_line[row[0]]}")
+        first_line[row[0]] = line
+        try:
+            numbers = [float(cell) for cell in row[text_cells:]]
+        except ValueError:
+            raise DataError(f"{where}: non-numeric cell in {row!r}") from None
+        if not all(map(math.isfinite, numbers)):
+            raise DataError(f"{where}: non-finite number in {row!r}")
+        out.append((row[:text_cells], numbers))
+    return meta, out
 
 
 # --- manifest ----------------------------------------------------------------
@@ -103,16 +138,9 @@ def write_manifest(
 def parse_manifest(
     path: str | Path,
 ) -> tuple[list[tuple[str, str, SensorType | None]], dict[str, str]]:
-    """Entries as written, paths still relative; header, row length and labels checked."""
-    meta, header, rows = read_csv(path)
-    if header != MANIFEST_HEADER:
-        raise DataError(f"{path}: expected header {MANIFEST_HEADER}, got {header}")
-    out = []
-    for row in rows:
-        if len(row) != 3:
-            raise DataError(f"{path}: bad manifest row {row!r}")
-        tid, rel, lab = row
-        out.append((tid, rel, SensorType.from_label(lab) if lab else None))
+    """Entries as written, paths still relative; header, rows, ids and labels checked."""
+    meta, rows = read_rows(path, MANIFEST_HEADER, 3)
+    out = [(tid, rel, SensorType.from_label(lab) if lab else None) for (tid, rel, lab), _ in rows]
     return out, meta
 
 
@@ -155,24 +183,17 @@ def write_feature_matrix(
 def read_feature_matrix(
     path: str | Path,
 ) -> tuple[list[str], list[SensorType | None], np.ndarray, str, dict[str, str]]:
-    meta, header, rows = read_csv(path)
-    if "schema" not in meta:
-        raise DataError(f"{path}: feature matrix is missing its schema metadata line")
+    def header(meta: dict[str, str]) -> list[str]:
+        if "schema" not in meta:
+            raise DataError(f"{path}: feature matrix is missing its schema metadata line")
+        return ["trace_id", "label"] + [f"f{i}" for i in range(schema_length(meta["schema"]))]
+
+    meta, rows = read_rows(path, header, 2)
     schema = meta["schema"]
-    d = schema_length(schema)
-    if header[:2] != ["trace_id", "label"] or len(header) != 2 + d:
-        raise DataError(f"{path}: expected trace_id,label,f0..f{d - 1} header, got {header}")
-    ids, labels, feats = [], [], []
-    for row in rows:
-        if len(row) != 2 + d:
-            raise DataError(f"{path}: row {row[0]!r} has {len(row)} cells, expected {2 + d}")
-        ids.append(row[0])
-        labels.append(SensorType.from_label(row[1]) if row[1] else None)
-        try:
-            feats.append([float(x) for x in row[2:]])
-        except ValueError:
-            raise DataError(f"{path}: non-numeric feature in row for {row[0]!r}") from None
-    return ids, labels, np.asarray(feats, dtype=float).reshape(len(rows), d), schema, meta
+    ids = [tid for (tid, _), _ in rows]
+    labels = [SensorType.from_label(lab) if lab else None for (_, lab), _ in rows]
+    feats = np.array([values for _, values in rows], dtype=float)
+    return ids, labels, feats.reshape(len(rows), schema_length(schema)), schema, meta
 
 
 # --- predictions ---------------------------------------------------------------
@@ -194,15 +215,11 @@ def write_predictions(
 def read_predictions(
     path: str | Path,
 ) -> tuple[list[Prediction], dict[str, str]]:
-    meta, header, rows = read_csv(path)
-    if header != PREDICTION_HEADER:
-        raise DataError(f"{path}: expected predictions header {PREDICTION_HEADER}")
-    out = []
-    for row in rows:
-        tid = row[0]
-        predicted = SensorType.from_label(row[1])
-        probs = np.array([float(x) for x in row[2:-1]])
-        out.append(Prediction(tid, predicted, probs, float(row[-1])))
+    meta, rows = read_rows(path, PREDICTION_HEADER, 2)
+    out = [
+        Prediction(tid, SensorType.from_label(predicted), np.array(numbers[:-1]), numbers[-1])
+        for (tid, predicted), numbers in rows
+    ]
     return out, meta
 
 

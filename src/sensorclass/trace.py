@@ -15,7 +15,7 @@ import csv
 import enum
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -85,18 +85,6 @@ class SensorTrace:
 
     def samples(self) -> Iterable[tuple[float, float]]:
         return zip(self.timestamps.tolist(), self.values.tolist())
-
-
-@dataclass(frozen=True, eq=False)
-class Window:
-    """One segmentation window and the sample values that fell inside it."""
-
-    start: float
-    length: float
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
 
 
 def _from_arrays(
@@ -173,15 +161,6 @@ def window_spans(
     counts = np.diff(bounds)
     keep = counts > 0
     return edges[:-1][keep], bounds[:-1][keep], counts[keep]
-
-
-def segment_windows(trace: SensorTrace, window_len: float = DEFAULT_WINDOW_LEN) -> list[Window]:
-    """The non-empty windows of window_spans, each with its sample values."""
-    starts, firsts, counts = window_spans(trace, window_len)
-    return [
-        Window(start, float(window_len), trace.values[first:first + count])
-        for start, first, count in zip(starts.tolist(), firsts.tolist(), counts.tolist())
-    ]
 
 
 def population_var(values: np.ndarray) -> float:

@@ -10,26 +10,30 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from sensorclass import seeding
 from sensorclass.errors import DataError
 from sensorclass.features import mask_indices, subset_schema
 from sensorclass.forest import (
+    _TREE_TAG,
+    DecisionTree,
     ForestConfig,
     LabeledDataset,
     RandomForest,
     predict_matrix,
-    train_tree,
 )
 from sensorclass.trace import (
     CLASS_COUNT,
+    DEFAULT_WINDOW_LEN,
     TRACE_HEADER,
     SensorType,
     population_var,
-    segment_windows,
     validate_trace,
+    window_spans,
 )
 
 # Hand-computed rich8 vector for the two-window fixture with window values
@@ -77,6 +81,24 @@ def reference_read_trace_csv(path, trace_id=None, label=None):
     return validate_trace(trace_id if trace_id is not None else path.stem, rows, label)
 
 
+@dataclass(frozen=True, eq=False)
+class Window:
+    """One segmentation window and the sample values that fell inside it."""
+
+    start: float
+    length: float
+    values: np.ndarray = field(repr=False)
+
+
+def segment_windows(trace, window_len=DEFAULT_WINDOW_LEN):
+    """The non-empty windows of window_spans, each with its sample values."""
+    starts, firsts, counts = window_spans(trace, window_len)
+    return [
+        Window(start, float(window_len), trace.values[first:first + count])
+        for start, first, count in zip(starts.tolist(), firsts.tolist(), counts.tolist())
+    ]
+
+
 def reference_med_var(trace, window_len):
     """Per-window (medians, variances) from Window objects, one window at a time."""
     windows = segment_windows(trace, window_len)
@@ -97,8 +119,8 @@ def int_dataset(seed, n, d=2, classes=3, max_val=5, schema="baseline2"):
 
 
 def reference_subset_search(dataset, masks=range(1, 256)):
-    """feature_subset_search by training every (mask, fold) tree: train_tree
-    with identity_bootstrap and m_try = D on the other rows, then the
+    """feature_subset_search by training every (mask, fold) tree:
+    reference_train_tree with identity_bootstrap and m_try = D on the other rows, then the
     held-out row through the one-tree forest in "standard" mode. Over fewer
     masks it is the full list with the other masks left out."""
     n = len(dataset)
@@ -111,13 +133,108 @@ def reference_subset_search(dataset, masks=range(1, 256)):
         correct = 0
         for i in range(n):
             rest = np.delete(np.arange(n), i)
-            tree = train_tree(sub.subset(rest), config, 0, identity_bootstrap=True)
+            tree = reference_train_tree(sub.subset(rest), config, 0, identity_bootstrap=True)
             forest = RandomForest((tree,), config, tuple(SensorType), sub.schema)
             probs = predict_matrix(forest, sub.features[i : i + 1], sub.schema, "standard")
             correct += int(np.argmax(probs[0])) == int(sub.labels[i])
         results.append((mask, correct / n))
     results.sort(key=lambda item: (-item[1], len(mask_indices(item[0])), item[0]))
     return results
+
+
+# --- the recursive grower, the reference for the lockstep one ---------------
+#
+# One node at a time: each node's rows are copied out, each candidate column
+# is argsorted on its own, and the children are grown by recursion. It makes
+# the same draws from the same generator in the same order as forest.py, so
+# its trees must match the lockstep grower's byte for byte.
+
+_ONE_HOT = np.eye(CLASS_COUNT)
+
+
+def _reference_entropy_rows(counts, totals):
+    p = counts / totals[:, None]
+    plogp = np.where(counts > 0, p * np.log(np.where(counts > 0, p, 1.0)), 0.0)
+    return -plogp.sum(axis=1)
+
+
+def reference_column_split(col, labels, counts, parent):
+    """(gain, threshold) of the best cut of one feature column, or None when
+    the column is constant; the first of equal gains, the smallest threshold, wins."""
+    n = len(labels)
+    order = np.argsort(col, kind="stable")
+    sv = col[order]
+    cuts = np.nonzero(sv[:-1] < sv[1:])[0]
+    if cuts.size == 0:
+        return None
+    cum = np.cumsum(_ONE_HOT[labels[order]], axis=0)
+    left = cum[cuts]
+    n_left = (cuts + 1).astype(float)
+    n_right = n - n_left
+    h = _reference_entropy_rows(np.vstack([left, counts - left]),
+                                np.concatenate([n_left, n_right]))
+    child = n_left * h[: len(cuts)] + n_right * h[len(cuts):]
+    gains = parent - child / n
+    i = int(np.argmax(gains))
+    cut = cuts[i]
+    return float(gains[i]), float((sv[cut] + sv[cut + 1]) / 2.0)
+
+
+def reference_best_split(features, labels, candidates):
+    """The first ascending candidate with the strictly highest positive gain."""
+    counts = np.bincount(labels, minlength=CLASS_COUNT).astype(float)
+    parent = _reference_entropy_rows(counts[None, :], np.array([float(len(labels))]))[0]
+    best = None
+    best_gain = 0.0
+    for f in sorted(set(int(c) for c in candidates)):
+        score = reference_column_split(features[:, f], labels, counts, parent)
+        if score is None or score[0] <= best_gain:
+            continue
+        best_gain, threshold = score
+        best = (f, threshold)
+    return best
+
+
+def reference_train_tree(dataset, config, tree_index, *, identity_bootstrap=False):
+    """train_tree by recursion: the bootstrap, then one feature subset per
+    impure node in preorder, from the generator at (seed, tree index)."""
+    rng = seeding.generator(config.seed, _TREE_TAG, tree_index)
+    n = len(dataset)
+    d = dataset.feature_count
+    m_try = config.resolve_m_try(d)
+    chosen = np.arange(n) if identity_bootstrap else rng.integers(0, n, size=n)
+    x = dataset.features[chosen]
+    y = dataset.labels[chosen]
+    all_features = np.arange(d)
+    nodes = []  # [feature, threshold, right, value] per node, preorder
+
+    def grow(sel):
+        counts = np.bincount(y[sel], minlength=CLASS_COUNT).astype(float)
+        split = None
+        if counts.max() < len(sel):  # impure
+            cand = all_features if m_try == d else rng.choice(d, size=m_try, replace=False)
+            split = reference_best_split(x[sel], y[sel], cand)
+        if split is None:
+            nodes.append([-1, 0.0, -1, counts / len(sel)])
+            return
+        f, t = split
+        node = [f, t, -1, np.zeros(CLASS_COUNT)]
+        nodes.append(node)
+        go_left = x[sel, f] <= t
+        grow(sel[go_left])
+        node[2] = len(nodes)
+        grow(sel[~go_left])
+
+    grow(np.arange(n))
+    return DecisionTree(*zip(*nodes))
+
+
+def tree_bytes(tree):
+    """A tree's four arrays, with their dtypes and shapes, as bytes."""
+    return b"|".join(
+        f"{a.dtype}{a.shape}".encode() + np.ascontiguousarray(a).tobytes()
+        for a in (tree.feature, tree.threshold, tree.right, tree.value)
+    )
 
 
 # --- independent tree-induction oracle ---------------------------------------

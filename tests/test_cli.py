@@ -431,6 +431,50 @@ def test_classify_ragged_feature_row_exits_data(ws, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _data_line(path):
+    """The 1-based line of the first data row of an artifact."""
+    return next(i for i, line in enumerate(path.read_text().splitlines(), 1)
+                if line.startswith("mini-"))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda cells: cells[:1],
+    lambda cells: cells[:2] + ["abc"] + cells[3:],
+    lambda cells: cells[:2] + ["nan"] + cells[3:],
+    lambda cells: cells[:-1] + ["inf"],
+], ids=["one-cell", "probability-abc", "probability-nan", "entropy-inf"])
+def test_flag_malformed_predictions_row_exits_data(ws, tmp_path, capsys, edit):
+    preds = tmp_path / "p.csv"
+    _rewrite_first_row(ws.preds, preds, lambda cells: ",".join(edit(cells)))
+    out = tmp_path / "flags.csv"
+    capsys.readouterr()
+    assert main(["flag", "--predictions", str(preds), "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {preds}, line {_data_line(preds)}: ")
+    assert err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("artifact", ["predictions", "features", "manifest"])
+def test_repeated_id_exits_data(ws, tmp_path, capsys, artifact):
+    source = {"predictions": ws.preds, "features": ws.features, "manifest": ws.manifest}[artifact]
+    lines = source.read_text().splitlines()
+    repeated = tmp_path / source.name
+    repeated.write_text("\n".join(lines + [lines[_data_line(source) - 1]]) + "\n")
+    out = tmp_path / "out.csv"
+    argv = {
+        "predictions": ["flag", "--predictions", str(repeated), "--out", str(out)],
+        "features": ["train", "--features", str(repeated), "--trees", "2", "--out", str(out)],
+        "manifest": ["features", "--manifest", str(repeated), "--out", str(out)],
+    }[artifact]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {repeated}, line {len(lines) + 1}: id ")
+    assert err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_flag_nan_threshold_exits_config(ws, tmp_path):
     rc = main(["flag", "--predictions", str(ws.preds), "--threshold", "nan",
                "--out", str(tmp_path / "flags.csv")])

@@ -10,16 +10,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     assert_tree_matches_oracle,
     int_dataset,
     oracle_best_split,
     oracle_fully_separates,
+    reference_best_split,
+    reference_column_split,
+    reference_train_tree,
     resubstitution_accuracy,
+    tree_bytes,
 )
+from sensorclass import forest as forest_module
 from sensorclass.errors import DataError, InvalidConfig, SchemaMismatch
-from sensorclass.features import FeatureVector
+from sensorclass.features import FeatureVector, subset_schema
 from sensorclass.forest import (
     DecisionTree,
     ForestConfig,
@@ -32,9 +39,12 @@ from sensorclass.forest import (
     model_document,
     predict_matrix,
     save_model,
+    split_table,
     train_forest,
+    train_forests,
     train_tree,
 )
+from sensorclass.trace import CLASS_COUNT
 from sensorclass.trace import SensorType
 
 LN2 = math.log(2.0)
@@ -214,6 +224,96 @@ def test_bootstrap_trees_vary_with_index():
         for k in range(6)
     }
     assert len(docs) > 1
+
+
+# --- the lockstep grower against the recursive reference ---------------------------
+
+
+@st.composite
+def small_int_datasets(draw):
+    """1-15 rows of 1, 2, 3 or 8 small-integer features: gains tie across
+    features and thresholds, some columns are constant, duplicate rows are
+    likely and classes absent."""
+    d = draw(st.sampled_from([1, 2, 3, 8]))
+    n = draw(st.integers(1, 15))
+    classes = draw(st.integers(1, CLASS_COUNT))
+    cells = st.integers(0, draw(st.integers(1, 3)))
+    feats = np.array(draw(st.lists(st.lists(cells, min_size=d, max_size=d),
+                                   min_size=n, max_size=n)), dtype=float)
+    for col in draw(st.sets(st.integers(0, d - 1))):
+        feats[:, col] = feats[0, col]
+    labels = np.array(draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n)))
+    return LabeledDataset(tuple(f"r{i}" for i in range(n)), feats, labels,
+                          subset_schema((1 << d) - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_int_datasets(), st.sampled_from(["1", "2", "D"]), st.booleans(),
+       st.integers(0, 50), st.integers(0, 9), st.data())
+def test_grower_equals_recursive_reference(dataset, m_try, identity, seed, index, data):
+    d = dataset.feature_count
+    config = ForestConfig(n_trees=1, m_try={"1": 1, "2": min(2, d), "D": d}[m_try], seed=seed)
+    tree = train_tree(dataset, config, index, identity_bootstrap=identity)
+    expected = reference_train_tree(dataset, config, index, identity_bootstrap=identity)
+    assert tree_bytes(tree) == tree_bytes(expected)
+
+    x, y = dataset.features, dataset.labels
+    candidates = data.draw(st.lists(st.integers(0, d - 1), max_size=d))
+    assert best_split(x, y, candidates) == reference_best_split(x, y, candidates)
+    counts = np.bincount(y, minlength=CLASS_COUNT).astype(float)
+    parent = entropy_impurity(counts)
+    assert split_table(x, y) == [reference_column_split(x[:, f], y, counts, parent)
+                                 for f in range(d)]
+
+
+def batch_jobs():
+    """Trees from folds of one dataset that differ in row count, m_try (1, 2
+    and D) and bootstrap mode: (rows, config, tree index, identity bootstrap)."""
+    ds = int_dataset(21, n=40, d=8, classes=5, max_val=4, schema="rich8")
+    rng = np.random.default_rng(5)
+    jobs = []
+    for k, (size, m_try, identity) in enumerate(
+        [(40, 2, False), (7, 1, False), (23, 8, True), (2, 2, False), (31, 1, True),
+         (40, 8, False), (12, 2, True), (1, 1, False), (19, 8, False)]
+    ):
+        rows = np.sort(rng.choice(40, size=size, replace=False))
+        jobs.append((rows, ForestConfig(n_trees=1, m_try=m_try, seed=100 + k), k, identity))
+    return ds, jobs
+
+
+@pytest.mark.parametrize("in_flight, entries", [(64, 4096), (3, 4096), (9, 1), (2, 50)])
+def test_tree_does_not_depend_on_its_batch(monkeypatch, in_flight, entries):
+    # every tree grown alone, then all of them grown in one lockstep batch,
+    # with small caps so batches and kernel calls are cut in many places
+    ds, jobs = batch_jobs()
+    x, y = ds.features, ds.labels
+    alone = [tree_bytes(next(forest_module._grow(x, y, [job]))) for job in jobs]
+    monkeypatch.setattr(forest_module, "_TREES_IN_FLIGHT", in_flight)
+    monkeypatch.setattr(forest_module, "_KERNEL_ENTRIES", entries)
+    batched = [tree_bytes(tree) for tree in forest_module._grow(x, y, jobs)]
+    assert batched == alone
+    for (rows, config, index, identity), got in zip(jobs, batched):
+        expected = reference_train_tree(ds.subset(rows), config, index,
+                                        identity_bootstrap=identity)
+        assert got == tree_bytes(expected)
+
+
+def test_train_forests_equals_one_forest_per_fold(small_dataset):
+    n = len(small_dataset)
+    folds = [(np.delete(np.arange(n), i), ForestConfig(n_trees=3 + i % 2, seed=i))
+             for i in range(0, n, 3)]
+    folds.append((np.arange(n)[::2], ForestConfig(n_trees=2, m_try=8, seed=7)))
+    forests = list(train_forests(small_dataset, folds))
+    assert len(forests) == len(folds)
+    for (rows, config), got in zip(folds, forests):
+        expected = train_forest(small_dataset.subset(rows), config)
+        assert model_document(got) == model_document(expected)
+
+
+def test_train_forests_rejects_a_fold_without_rows(small_dataset):
+    folds = [(np.arange(3), ForestConfig(n_trees=1)), (np.array([], dtype=int), ForestConfig())]
+    with pytest.raises(DataError):
+        list(train_forests(small_dataset, folds))
 
 
 # --- routing through the preorder arrays -------------------------------------------

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_trace, reference_read_trace_csv
+from helpers import make_trace, reference_read_trace_csv, segment_windows
 from sensorclass.errors import DataError, EmptyTrace, NonFiniteValue, NoWindows
 from sensorclass.trace import (
     SensorType,
     read_trace_csv,
-    segment_windows,
     validate_trace,
     window_stats,
     write_trace_csv,
