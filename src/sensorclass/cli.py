@@ -353,7 +353,7 @@ def cmd_eval(args) -> int:
             dataset_b = evaluate.build_dataset(traces_b, window_len, scheme)
             table, result = evaluate.inter_corpus(dataset, dataset_b, fractions, config, base)
         else:
-            table = evaluate.percentage_protocol(dataset, fractions, config, base)
+            table = evaluate.percentage_protocol(dataset, fractions, config)
             result = evaluate.loo_cv(dataset, config, base)
             loo_cells = evaluate.accuracy_column([result.accuracy])
             evaluate.add_column(table, evaluate.LOO_COLUMN, loo_cells)

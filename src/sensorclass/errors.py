@@ -65,7 +65,7 @@ class SchemaMismatch(DataError):
 
 
 class UnnormalizedProbabilities(DataError):
-    """A probability vector does not sum to 1 (or has negative entries)."""
+    """A probability vector does not sum to 1 (or has negative or NaN entries)."""
 
 
 class DegenerateFraction(ConfigError):

@@ -5,6 +5,12 @@ Randomness for split r of fraction f comes from a seed derived along the
 path (seed, protocol tag, fraction index, repeat), so adding a fraction
 or rerunning a repeat never disturbs the others.
 
+Every protocol runs its (training rows, test rows, config) folds through
+one loop, _fold_posteriors, which grows all their forests in one
+train_forests call; each forest's posteriors on its test rows are scored
+by row index. Only loo_cv and inter's full-training-set run build
+Prediction records, with entropies: theirs are the predictions eval writes.
+
 Accuracy bookkeeping follows the reporting layout: one row per sensor
 type plus an overall row, one column per training fraction plus the
 cross-validation column. The overall figure is always micro-averaged
@@ -26,11 +32,9 @@ from .features import RICH8, extract, mask_indices
 from .forest import (
     ForestConfig,
     LabeledDataset,
-    RandomForest,
     predict_matrix,
     split_table,
     table_split,
-    train_forest,
     train_forests,
 )
 from .trace import CLASS_COUNT, SensorTrace, SensorType
@@ -201,18 +205,26 @@ class ProtocolResult:
         return {tid: by_id[tid] == lab for tid, lab in self.truth.items()}
 
 
-def _evaluate_fold(
-    forest: RandomForest, test_ds: LabeledDataset, entropy_base: str
+def _fold_posteriors(
+    train: LabeledDataset, test: LabeledDataset, folds: Sequence[tuple]
+) -> Iterator[np.ndarray]:
+    """Per (rows of train, rows of test, config) fold, its forest's posteriors on its test rows."""
+    forests = train_forests(train, [(rows, config) for rows, _, config in folds])
+    for forest, (_, rows, _) in zip(forests, folds):
+        yield predict_matrix(forest, test.features[rows], test.schema)
+
+
+def _prediction_records(
+    dataset: LabeledDataset, probs: np.ndarray, entropy_base: str
 ) -> ProtocolResult:
-    probs = predict_matrix(forest, test_ds.features, test_ds.schema)
+    """One Prediction per dataset row, from the (n, classes) posteriors of every row."""
     predicted = probs.argmax(axis=1)
     preds = [
         make_prediction(tid, SensorType(int(code)), row, entropy_base)
-        for tid, code, row in zip(test_ds.ids, predicted, probs)
+        for tid, code, row in zip(dataset.ids, predicted, probs)
     ]
-    truth = {tid: SensorType(int(lab)) for tid, lab in zip(test_ds.ids, test_ds.labels)}
-    acc = per_class_accuracy(test_ds.labels, predicted)
-    return ProtocolResult(preds, truth, acc)
+    truth = {tid: SensorType(int(lab)) for tid, lab in zip(dataset.ids, dataset.labels)}
+    return ProtocolResult(preds, truth, per_class_accuracy(dataset.labels, predicted))
 
 
 def _fold_config(config: ForestConfig, *path: int) -> ForestConfig:
@@ -234,10 +246,7 @@ def fraction_splits(
 
 
 def percentage_protocol(
-    dataset: LabeledDataset,
-    fractions: Sequence[float],
-    config: ForestConfig,
-    entropy_base: str = "nats",
+    dataset: LabeledDataset, fractions: Sequence[float], config: ForestConfig
 ) -> AccuracyTable:
     """Stratified train fractions, each repeated round(1/fraction) times.
 
@@ -247,12 +256,10 @@ def percentage_protocol(
     table = new_table()
     splits = [list(fraction_splits(dataset, fraction, config, _TAG_PERCENTAGE, fi))
               for fi, fraction in enumerate(fractions)]
-    forests = train_forests(dataset, [(tr, cfg) for folds in splits for tr, _, cfg in folds])
+    posteriors = _fold_posteriors(dataset, dataset, [fold for folds in splits for fold in folds])
     for fraction, folds in zip(fractions, splits):
-        results = [
-            _evaluate_fold(next(forests), dataset.subset(te), entropy_base).accuracy
-            for _, te, _ in folds
-        ]
+        results = [per_class_accuracy(dataset.labels[te], next(posteriors).argmax(axis=1))
+                   for _, te, _ in folds]
         add_column(table, fraction_column_name(fraction), accuracy_column(results))
     return table
 
@@ -264,15 +271,9 @@ def loo_cv(
     n = len(dataset)
     if n < 2:
         raise DataError("leave-one-out needs at least two instances")
-    all_preds: list[Prediction] = []
-    truth: dict[str, SensorType] = {}
-    folds = ((np.delete(np.arange(n), i), _fold_config(config, _TAG_LOO, i)) for i in range(n))
-    for i, forest in enumerate(train_forests(dataset, folds)):
-        fold = _evaluate_fold(forest, dataset.subset([i]), entropy_base)
-        all_preds.extend(fold.predictions)
-        truth.update(fold.truth)
-    acc = per_class_accuracy(dataset.labels, [int(p.predicted) for p in all_preds])
-    return ProtocolResult(all_preds, truth, acc)
+    folds = [(np.delete(np.arange(n), i), [i], _fold_config(config, _TAG_LOO, i)) for i in range(n)]
+    probs = np.concatenate(list(_fold_posteriors(dataset, dataset, folds)))
+    return _prediction_records(dataset, probs, entropy_base)
 
 
 def inter_corpus(
@@ -293,37 +294,35 @@ def inter_corpus(
         raise SchemaMismatch(
             f"corpora disagree on schema: {train_dataset.schema!r} vs {test_dataset.schema!r}"
         )
-    splits = []  # per fraction, its (training rows, config) folds
+    test_rows = np.arange(len(test_dataset))
+    splits = []  # per fraction, its (training rows, test rows, config) folds
     for fi, fraction in enumerate(fractions):
         if fraction == 1.0:
             everyone = np.arange(len(train_dataset))
-            splits.append([(everyone, _fold_config(config, _TAG_INTER, fi, 0, 1))])
+            splits.append([(everyone, test_rows, _fold_config(config, _TAG_INTER, fi, 0, 1))])
         else:
             folds = fraction_splits(train_dataset, fraction, config, _TAG_INTER, fi)
-            splits.append([(tr, cfg) for tr, _, cfg in folds])
-    forests = train_forests(train_dataset, [fold for folds in splits for fold in folds])
+            splits.append([(tr, test_rows, cfg) for tr, _, cfg in folds])
+    posteriors = _fold_posteriors(train_dataset, test_dataset,
+                                  [fold for folds in splits for fold in folds])
     table = new_table()
     full_result: ProtocolResult | None = None
     for fraction, folds in zip(fractions, splits):
-        runs = [_evaluate_fold(next(forests), test_dataset, entropy_base) for _ in folds]
+        runs = [next(posteriors) for _ in folds]
         if fraction == 1.0:
-            full_result = runs[0]
-        add_column(table, fraction_column_name(fraction),
-                   accuracy_column([run.accuracy for run in runs]))
+            full_result = _prediction_records(test_dataset, runs[0], entropy_base)
+        results = [per_class_accuracy(test_dataset.labels, probs.argmax(axis=1)) for probs in runs]
+        add_column(table, fraction_column_name(fraction), accuracy_column(results))
     return table, full_result
 
 
 def _sweep_dataset(traces: Sequence[SensorTrace], window_len: float) -> LabeledDataset | None:
     """rich8 dataset of the traces at least one window long; None if there are none."""
-    usable = []
     for tr in traces:
-        if tr.span >= window_len:
-            usable.append(tr)
-        else:
-            log.warning(
-                "window sweep: trace %s span %.0fs < window %.0fs, skipped",
-                tr.trace_id, tr.span, window_len,
-            )
+        if tr.span < window_len:
+            log.warning("window sweep: trace %s span %.0fs < window %.0fs, skipped",
+                        tr.trace_id, tr.span, window_len)
+    usable = [tr for tr in traces if tr.span >= window_len]
     return build_dataset(usable, window_len) if usable else None
 
 
@@ -353,15 +352,12 @@ def window_sweep(
             points.append((minutes, loo_cv(datasets[0], config).accuracy.overall))
             continue
         dataset, dataset_b = datasets
-        forest = train_forest(dataset, _fold_config(config, _TAG_SWEEP, wi, 1))
+        fold = (np.arange(len(dataset)), np.arange(len(dataset_b)),
+                _fold_config(config, _TAG_SWEEP, wi, 1))
+        predicted = next(_fold_posteriors(dataset, dataset_b, [fold])).argmax(axis=1)
         rng = seeding.generator(config.seed, _TAG_SWEEP, wi, 0)
-        accs = []
-        for fold_idx in np.array_split(rng.permutation(len(dataset_b)), 10):
-            if len(fold_idx) == 0:
-                continue
-            sub = dataset_b.subset(fold_idx)
-            probs = predict_matrix(forest, sub.features, sub.schema)
-            accs.append(float((probs.argmax(axis=1) == sub.labels).mean()))
+        accs = [per_class_accuracy(dataset_b.labels[rows], predicted[rows]).overall
+                for rows in np.array_split(rng.permutation(len(dataset_b)), 10) if len(rows)]
         points.append((minutes, float(np.mean(accs))))
     return points
 

@@ -48,27 +48,23 @@ def subset_schema(mask: int) -> str:
 
 
 def parse_subset_mask(schema: str) -> int | None:
-    """The mask of a subset schema, or None for rich8/baseline2."""
-    if schema.startswith("subset:"):
-        return int(schema.split(":", 1)[1], 16)
-    return None
+    """The mask of a subset schema, or None for any other schema.
+
+    Schemas come from data files, so a mask other than the two lowercase
+    hex digits 01..ff that subset_schema writes raises DataError.
+    """
+    if not schema.startswith("subset:"):
+        return None
+    digits = schema.split(":", 1)[1]
+    if len(digits) != 2 or not set(digits) <= set("0123456789abcdef") or digits == "00":
+        raise DataError(f"feature schema {schema!r}: subset mask must be hex 01..ff")
+    return int(digits, 16)
 
 
 def mask_indices(mask: int) -> list[int]:
     if not 0 < mask <= FULL_MASK:
         raise EmptyMask(f"subset mask must be in 1..255, got {mask}")
     return [i for i in range(8) if mask >> i & 1]
-
-
-def schema_length(schema: str) -> int:
-    if schema == RICH8:
-        return 8
-    if schema == BASELINE2:
-        return 2
-    mask = parse_subset_mask(schema)
-    if mask is not None:
-        return len(mask_indices(mask))
-    raise DataError(f"unknown feature schema {schema!r}")
 
 
 def feature_names(schema: str) -> list[str]:
@@ -81,6 +77,10 @@ def feature_names(schema: str) -> list[str]:
     if mask is not None:
         return [RICH8_NAMES[i] for i in mask_indices(mask)]
     raise DataError(f"unknown feature schema {schema!r}")
+
+
+def schema_length(schema: str) -> int:
+    return len(feature_names(schema))
 
 
 @dataclass(frozen=True, eq=False)

@@ -673,7 +673,7 @@ def load_model(path: str | Path) -> tuple[RandomForest, dict]:
         feature_count = schema_length(schema)
         trees = tuple(_nodes_to_tree(nodes, feature_count) for nodes in doc["trees"])
         run = dict(doc.get("run", {}))
-    except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidConfig) as exc:
         raise DataError(f"model file {path}: malformed ({type(exc).__name__}: {exc})") from None
     except DataError as exc:
         raise DataError(f"model file {path}: {exc}") from None

@@ -333,8 +333,13 @@ def preset_spec(name: str, seed: int = 0, traces_per_type: int = 20) -> CorpusSp
                   whole-trace statistics collide and windowed ones do not
     "confusable"  generic temperature dressed as return air, the hardest
                   pair for the classifier
+
+    Raises InvalidSpec for an unknown name or a traces_per_type below 1.
     """
-    base = CorpusSpec(name=name, seed=seed, traces_per_type=traces_per_type)
+    n = traces_per_type
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InvalidSpec("traces_per_type", f"expected a positive integer, got {n!r}")
+    base = CorpusSpec(name=name, seed=seed, traces_per_type=n)
     if name == "default":
         return base
     if name == "building-b":
@@ -380,7 +385,8 @@ def load_corpus_spec(path: str | Path) -> CorpusSpec:
     unknown = set(doc) - _SPEC_KEYS
     if unknown:
         raise InvalidSpec(sorted(unknown)[0], "unknown key")
-    spec = preset_spec(str(doc.get("preset", "default")))
+    spec = preset_spec(str(doc.get("preset", "default")),
+                       traces_per_type=doc.get("traces_per_type", CorpusSpec.traces_per_type))
     if "name" in doc:
         if not isinstance(doc["name"], str) or not doc["name"]:
             raise InvalidSpec("name", "expected a non-empty string")
@@ -391,11 +397,6 @@ def load_corpus_spec(path: str | Path) -> CorpusSpec:
         if isinstance(doc["seed"], bool) or not isinstance(doc["seed"], int):
             raise InvalidSpec("seed", f"expected an integer, got {doc['seed']!r}")
         spec = dataclasses.replace(spec, seed=doc["seed"])
-    if "traces_per_type" in doc:
-        n = doc["traces_per_type"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise InvalidSpec("traces_per_type", f"expected a positive integer, got {n!r}")
-        spec = dataclasses.replace(spec, traces_per_type=n)
     if "duration_s" in doc:
         spec = dataclasses.replace(spec, duration_s=_spec_number("duration_s", doc["duration_s"]))
     if "interval_s" in doc:

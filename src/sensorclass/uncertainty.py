@@ -42,12 +42,12 @@ def class_entropy(probs: np.ndarray | Sequence[float], base: str = "nats") -> fl
 
     base "nats" uses the natural log, "bits" divides by ln 2, and
     "normalized" divides by ln C so the uniform distribution scores 1.
-    Raises UnnormalizedProbabilities when entries are negative or the sum
-    strays from 1 by more than 1e-6.
+    Raises UnnormalizedProbabilities when entries are negative or NaN or
+    the sum strays from 1 by more than 1e-6 (an infinite entry does).
     """
     p = np.asarray(probs, dtype=float)
-    if (p < 0).any():
-        raise UnnormalizedProbabilities(f"negative probability in {p.tolist()}")
+    if not (p >= 0).all():  # a NaN compares False
+        raise UnnormalizedProbabilities(f"negative or NaN probability in {p.tolist()}")
     total = float(p.sum())
     if abs(total - 1.0) > _SUM_TOLERANCE:
         raise UnnormalizedProbabilities(f"probabilities sum to {total!r}, not 1")

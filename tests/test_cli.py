@@ -109,6 +109,28 @@ def test_synth_invalid_spec_exits_config(tmp_path):
     assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_synth_non_positive_traces_per_type_exits_config(tmp_path, capsys, n):
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["synth", "--traces-per-type", n, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "traces_per_type" in err and err.count("\n") == 1
+    assert not (out / "manifest.csv").exists()
+
+
+@pytest.mark.parametrize("schema", ["subset:zz", "subset:00", "subset:-1"])
+def test_malformed_schema_in_feature_matrix_exits_data(ws, tmp_path, capsys, schema):
+    feats = tmp_path / "f.csv"
+    feats.write_text(ws.features.read_text().replace("# schema=rich8\n", f"# schema={schema}\n"))
+    capsys.readouterr()
+    rc = main(["train", "--features", str(feats), "--trees", "2",
+               "--out", str(tmp_path / "m.json")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and schema in err and err.count("\n") == 1, err
+
+
 def test_classify_resubstitution_is_accurate(ws, tmp_path):
     preds, meta = read_predictions(ws.preds)
     assert len(preds) == 18
@@ -353,6 +375,12 @@ def _drop_config_seed(doc):
     del doc["config"]["seed"]
 
 
+def _infinite_config(key):
+    def mutate(doc):
+        doc["config"][key] = float("inf")  # json writes Infinity; 1e309 reads back the same
+    return mutate
+
+
 def _empty_tree(doc):
     doc["trees"][0] = []
 
@@ -382,6 +410,9 @@ def _leaf(posterior):
 
 @pytest.mark.parametrize("mutate", [
     _drop_config_seed,
+    _infinite_config("n_trees"),
+    _infinite_config("m_try"),
+    _infinite_config("seed"),
     _empty_tree,
     _truncated_tree,
     _split_feature(99),
@@ -390,7 +421,8 @@ def _leaf(posterior):
     _leaf([5.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
     _leaf([1.5, -0.5, 0.0, 0.0, 0.0, 0.0]),
     _leaf([float("nan"), 1.0, 0.0, 0.0, 0.0, 0.0]),
-], ids=["missing-config-key", "empty-tree", "truncated-tree", "split-feature-99",
+], ids=["missing-config-key", "n-trees-inf", "m-try-inf", "seed-inf",
+        "empty-tree", "truncated-tree", "split-feature-99",
         "split-feature-minus-1", "split-threshold-nan", "leaf-sums-to-5", "leaf-negative",
         "leaf-nan"])
 def test_classify_malformed_model_exits_data(ws, tmp_path, capsys, mutate):

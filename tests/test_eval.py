@@ -32,7 +32,7 @@ from sensorclass.evaluate import (
     table_csv_rows,
     window_sweep,
 )
-from sensorclass.forest import ForestConfig, LabeledDataset
+from sensorclass.forest import ForestConfig, LabeledDataset, predict_matrix, train_forest
 from sensorclass.trace import CLASS_COUNT, SensorType
 
 
@@ -308,6 +308,36 @@ def test_window_sweep_second_corpus_transfer():
     assert [m for m, _ in points] == [15]  # 45 min fits the first corpus only
     assert 0.0 <= points[0][1] <= 1.0
     assert points == window_sweep(sweep_traces(), (15, 45), config=cfg, traces_b=half_hour)
+
+
+def mislabeled_sweep_corpus(n=13):
+    """n one-hour traces in sweep_traces' bands; every third carries the next band's label."""
+    rng = np.random.default_rng(1)
+    bands = ((0, 400.0), (1, 40.0), (2, 70.0), (4, 200.0))
+    traces = []
+    for k in range(n):
+        code, level = bands[k % 4]
+        label = bands[(k + 1) % 4][0] if k % 3 == 0 else code
+        vs = level + rng.normal(0, 1 + code, size=61)
+        traces.append(make_trace(f"b{k}", [60.0 * i for i in range(61)], vs.tolist(),
+                                 SensorType(label)))
+    return traces
+
+
+def test_window_sweep_transfer_is_the_mean_of_fold_accuracies():
+    cfg = ForestConfig(n_trees=5, seed=2)
+    traces_b = mislabeled_sweep_corpus()
+    [(_, got)] = window_sweep(sweep_traces(), (15,), config=cfg, traces_b=traces_b)
+    # recomputed by hand: a forest on all of corpus A at seed (2, 204, 0, 1), scored on ten
+    # folds of corpus B permuted at (2, 204, 0, 0); 13 rows split into folds of 2 and of 1
+    forest = train_forest(build_dataset(sweep_traces(), 900.0),
+                          replace(cfg, seed=seeding.derive_seed(2, 204, 0, 1)))
+    ds_b = build_dataset(traces_b, 900.0)
+    hits = predict_matrix(forest, ds_b.features, ds_b.schema).argmax(axis=1) == ds_b.labels
+    folds = np.array_split(seeding.generator(2, 204, 0, 0).permutation(len(ds_b)), 10)
+    fold_mean = float(np.mean([hits[rows].mean() for rows in folds if len(rows)]))
+    assert got == fold_mean
+    assert abs(fold_mean - hits.mean()) > 0.01  # the fold mean is not the pooled accuracy
 
 
 def test_window_sweep_deterministic():

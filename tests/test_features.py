@@ -241,6 +241,20 @@ def test_parse_subset_mask_other_schemas():
     assert parse_subset_mask(BASELINE2) is None
 
 
+@pytest.mark.parametrize("schema", [
+    "subset:zz", "subset:00", "subset:-1", "subset:100", "subset:", "subset:1", "subset:FF",
+    "subset:0x1f", "subset: 1f",
+])
+def test_malformed_subset_schema_is_a_data_error(schema):
+    # a schema arrives in a data file; EmptyMask is for masks passed in by callers
+    with pytest.raises(DataError) as exc:
+        parse_subset_mask(schema)
+    assert not isinstance(exc.value, EmptyMask)
+    for parse in (schema_length, feature_names):
+        with pytest.raises(DataError):
+            parse(schema)
+
+
 def test_feature_names_known_schemas():
     assert feature_names(RICH8) == list(RICH8_NAMES)
     assert feature_names(BASELINE2) == list(BASELINE2_NAMES)

@@ -200,6 +200,12 @@ def test_unknown_preset_rejected():
         preset_spec("atrium")
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_preset_needs_a_positive_trace_count(n):
+    with pytest.raises(InvalidSpec):
+        preset_spec("default", traces_per_type=n)
+
+
 def test_building_b_preset_carries_the_shift():
     spec = preset_spec("building-b")
     assert dict((st, (o, s)) for st, o, s in spec.climate_shift) == BUILDING_B_SHIFT

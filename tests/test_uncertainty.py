@@ -82,6 +82,10 @@ def test_entropy_rejects_bad_distributions():
         class_entropy([0.9, 0.2, 0, 0, 0, 0])
     with pytest.raises(UnnormalizedProbabilities):
         class_entropy([1.1, -0.1, 0, 0, 0, 0])
+    with pytest.raises(UnnormalizedProbabilities):
+        class_entropy([np.nan, 1.0, 0, 0, 0, 0])
+    with pytest.raises(UnnormalizedProbabilities):
+        make_prediction("x", SensorType.CO2, [np.nan, 0.5, 0.5, 0, 0, 0])
 
 
 @settings(max_examples=100, deadline=None)
