@@ -7,7 +7,9 @@ and without a second corpus) and subset search. The second corpus, for inter
 and the transfer window sweep, comes from the same spec with seed 6. Every
 artifact is compared with its copy under tests/golden/. Each corpus is
 checked by a digest, so a change in synth shows up as such and not as a
-forest change.
+forest change. Every shipped preset is pinned the same way, by the digest
+of a one-trace-per-type corpus built from `--preset`, from a spec file
+naming the preset, and from two spec files that layer keys over one.
 
 The golden files were written by the code that introduced this test. A
 refactor that claims "same behaviour" must pass it without editing them. To
@@ -24,11 +26,24 @@ from pathlib import Path
 import pytest
 
 from sensorclass.cli import EXIT_OK, main
+from sensorclass.synth import PRESET_NAMES
 
 GOLDEN = Path(__file__).parent / "golden"
 SPEC = {"name": "golden", "seed": 5, "traces_per_type": 3, "duration_s": 172800}
 SPEC_B = dict(SPEC, seed=6)
 CORPORA = {"corpus": SPEC, "corpus_b": SPEC_B}
+
+PRESET_SPEC = {"seed": 1, "traces_per_type": 1, "duration_s": 86400}
+PRESET_CASES = {
+    **{f"{name}-cli": ["--preset", name, "--seed", "1", "--traces-per-type", "1"]
+       for name in PRESET_NAMES},
+    **{f"{name}-spec": dict(PRESET_SPEC, preset=name) for name in PRESET_NAMES},
+    "building-b-co2-shift": dict(PRESET_SPEC, preset="building-b",
+                                 climate_shift={"co2": {"offset": 30.0, "scale": 1.5}}),
+    "overlap-humidity-noise": dict(PRESET_SPEC, preset="overlap",
+                                   profiles={"humidity": {"noise_std": 0.5}}),
+}
+PRESET_DIGESTS = GOLDEN / "presets.sha256"
 
 SCHEME_EVAL_DIRS = ("eval", "loo", "inter")
 
@@ -98,6 +113,23 @@ def run_pipeline(root: Path) -> Path:
     return root
 
 
+def synth_preset_case(root: Path, case: str) -> Path:
+    """Synthesize one PRESET_CASES corpus under root; return its directory."""
+    flags = PRESET_CASES[case]
+    if isinstance(flags, dict):
+        spec_file = root / f"{case}_spec.json"
+        spec_file.write_text(json.dumps(flags))
+        flags = ["--spec", str(spec_file)]
+    out = root / case
+    assert main(["synth", *flags, "--out", str(out)]) == EXIT_OK, case
+    return out
+
+
+def preset_digests() -> dict[str, str]:
+    lines = PRESET_DIGESTS.read_text().splitlines()
+    return {case: digest for digest, case in (line.split() for line in lines)}
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     return run_pipeline(tmp_path_factory.mktemp("golden"))
@@ -116,6 +148,11 @@ def test_golden_corpus_b_digest(outputs):
     check_corpus_digest(outputs, "corpus_b")
 
 
+@pytest.mark.parametrize("case", PRESET_CASES)
+def test_golden_preset_digest(tmp_path, case):
+    assert corpus_digest(synth_preset_case(tmp_path, case)) == preset_digests()[case]
+
+
 @pytest.mark.parametrize("name", ARTIFACTS)
 def test_golden_artifact_bytes(outputs, name):
     assert (outputs / name).read_bytes() == (GOLDEN / name).read_bytes(), name
@@ -129,6 +166,9 @@ def regenerate(scratch: Path) -> None:
         shutil.copyfile(root / name, GOLDEN / name)
     for name in CORPORA:
         (GOLDEN / f"{name}.sha256").write_text(corpus_digest(root / name) + "\n")
+    PRESET_DIGESTS.write_text("".join(
+        f"{corpus_digest(synth_preset_case(scratch, case))}  {case}\n" for case in PRESET_CASES
+    ))
 
 
 if __name__ == "__main__":
@@ -136,4 +176,4 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         regenerate(Path(tmp))
-    print(f"rewrote {len(ARTIFACTS) + len(CORPORA)} files under {GOLDEN}", file=sys.stderr)
+    print(f"rewrote {len(ARTIFACTS) + len(CORPORA) + 1} files under {GOLDEN}", file=sys.stderr)
