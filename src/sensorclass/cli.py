@@ -32,7 +32,7 @@ from .errors import (
 )
 from .features import BASELINE2, RICH8, extract, feature_names, mask_indices
 from .forest import ForestConfig, LabeledDataset, load_model, predict_matrix, save_model, train_forest
-from .synth import PRESET_NAMES, generate_corpus, load_corpus_spec, preset_spec
+from .synth import PRESET_NAMES, corpus_spec, generate_corpus, load_corpus_spec, preset_spec
 from .trace import SensorType, read_utf8, write_trace_csv
 from .uncertainty import (
     DEFAULT_THRESHOLD,
@@ -119,8 +119,7 @@ def cmd_synth(args) -> int:
     if args.spec:
         spec = load_corpus_spec(args.spec)
         if args.seed is not None:
-            import dataclasses
-            spec = dataclasses.replace(spec, seed=args.seed)
+            spec = corpus_spec({"seed": args.seed}, spec)
     else:
         spec = preset_spec(args.preset, seed=_seed(args),
                            traces_per_type=args.traces_per_type)

@@ -13,19 +13,31 @@ code, index). The per-trace draw order (level jitter, phase, band pick,
 events, then noise) is fixed and is effectively part of the format;
 reordering draws would change every corpus.
 
-A corpus spec can come from a JSON file with these keys, all optional:
+A corpus spec is a JSON document with these keys, all optional:
 
-    preset           name of a shipped preset to start from ("default",
-                     "building-b", "overlap", "confusable")
-    name             corpus name, used as the trace-id prefix
-    seed             master seed (integer)
-    traces_per_type  integer
-    duration_s       trace length in seconds
-    interval_s       sampling interval in seconds
-    climate_shift    {"<type>": {"offset": x, "scale": y}, ...}
-    profiles         {"<type>": {<TypeProfile field>: value, ...}, ...}
+    preset           a shipped preset to start from: "default",
+                     "building-b", "overlap" or "confusable"; without it
+                     the spec starts from the default profiles, named
+                     "custom"
+    name             corpus name and trace-id prefix (letters, digits,
+                     "_", "." or "-")
+    seed             master seed, an integer >= 0
+    traces_per_type  an integer >= 1
+    duration_s       trace length in seconds, > 0 and >= interval_s
+    interval_s       sampling interval in seconds, > 0
+    climate_shift    {"<type>": {"offset": x, "scale": y}, ...}; replaces
+                     the preset's shift as a whole
+    profiles         {"<type>": {<TypeProfile field>: value, ...}, ...};
+                     each field replaces the preset's
 
-Unknown keys, unknown type labels, and ill-typed values are rejected.
+Each preset in PRESETS is itself such a document (without "preset"), and
+preset_spec(name, seed, n) reads {"preset": name, "seed": seed,
+"traces_per_type": n}, so presets and spec files go through one reader.
+Every value must have its field's type (an integer, a number, a string,
+true/false, a number or null, or a list of numbers); numbers must be
+finite (only a clamp bound may be infinite); rates, noise, jitter and
+burst_minutes must be >= 0 and period_days > 0; a clamp (low, high) must
+be ordered. Anything else raises InvalidSpec naming the key.
 """
 
 from __future__ import annotations
@@ -33,9 +45,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
+import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -139,18 +152,6 @@ DEFAULT_PROFILES: tuple[TypeProfile, ...] = (
         band_split=True,
     ),
 )
-
-# Second-building shift: every type keeps its identity but moves a little,
-# the way two real buildings' calibrations and climates differ.
-BUILDING_B_SHIFT: dict[SensorType, tuple[float, float]] = {
-    SensorType.CO2: (60.0, 1.15),
-    SensorType.HUMIDITY: (6.0, 1.2),
-    SensorType.ROOM_TEMP: (1.5, 1.25),
-    SensorType.SETPOINT: (2.0, 1.0),
-    SensorType.AIR_VOLUME: (80.0, 1.1),
-    SensorType.OTHER_TEMP: (4.0, 1.1),
-}
-
 
 @dataclass(frozen=True)
 class CorpusSpec:
@@ -266,188 +267,168 @@ def generate_corpus(spec: CorpusSpec) -> list[SensorTrace]:
     return traces
 
 
-# --- presets -------------------------------------------------------------------
+# --- spec documents ------------------------------------------------------------
+
+# Every preset is a spec document, read exactly like a --spec file.
+PRESETS: dict[str, dict] = {
+    "default": {},
+    # Second building: every type keeps its identity but moves a little, the
+    # way two real buildings' calibrations and climates differ.
+    "building-b": {"climate_shift": {
+        "co2": {"offset": 60.0, "scale": 1.15},
+        "humidity": {"offset": 6.0, "scale": 1.2},
+        "room_temp": {"offset": 1.5, "scale": 1.25},
+        "setpoint": {"offset": 2.0, "scale": 1.0},
+        "air_volume": {"offset": 80.0, "scale": 1.1},
+        "other_temp": {"offset": 4.0, "scale": 1.1},
+    }},
+    # Humidity re-leveled into the room-temperature band. The two classes end
+    # up with matching whole-trace medians and, on average, variance (the
+    # amplitude is sqrt(2 (2.0**2 / 2 + 0.45**2 - 0.05**2)) from room's swing
+    # and noise); what still separates them is pace. Room temperature moves
+    # daily with measurement noise, this humidity drifts over days almost
+    # noiselessly, so windowed variances differ by orders of magnitude.
+    "overlap": {"profiles": {"humidity": {
+        "base_level": 72.0, "daily_amplitude": 2.0976176963403033, "noise_std": 0.05,
+        "level_jitter": 1.2, "period_days": 3.5, "clamp": [55.0, 90.0],
+    }}},
+    # The generic-temperature class dressed as return air: a degree or so warm
+    # of the room with similar daily swing and noise, so the pair is genuinely
+    # confusable rather than separable by level alone.
+    "confusable": {"profiles": {"other_temp": {
+        "base_level": 73.0, "daily_amplitude": 2.2, "noise_std": 0.5, "level_jitter": 1.2,
+        "high_level": None, "band_split": False, "clamp": [55.0, 90.0],
+    }}},
+}
+PRESET_NAMES = tuple(PRESETS)
+
+_POSITIVE = {"traces_per_type", "duration_s", "interval_s", "period_days"}
+_NON_NEGATIVE = {
+    "seed", "noise_std", "level_jitter", "burst_rate_per_day", "burst_minutes",
+    "step_rate_per_day", "switch_rate_per_day",
+}
 
 
-def _overlap_profiles() -> tuple[TypeProfile, ...]:
-    """Humidity re-leveled into the room-temperature band.
+@dataclass(frozen=True)
+class _Shift:
+    """One type's climate_shift entry."""
 
-    The two classes end up with matching whole-trace medians and matched
-    whole-trace variance on average; what still separates them is pace.
-    Room temperature moves daily with measurement noise, the re-leveled
-    humidity drifts over multiple days almost noiselessly, so windowed
-    variances differ by orders of magnitude while whole-trace statistics
-    collide.
+    offset: float = 0.0
+    scale: float = 1.0
+
+
+def corpus_spec(doc: object, base: CorpusSpec = CorpusSpec(name="custom")) -> CorpusSpec:
+    """The spec a document describes, layered over base or over its preset.
+
+    Each value must have its field's type, and each field its range; any
+    failure raises InvalidSpec naming the key. Keys replace base's values,
+    except that profiles replace field by field.
     """
-    room = next(p for p in DEFAULT_PROFILES if p.sensor_type == SensorType.ROOM_TEMP)
-    slow_noise = 0.05
-    amp = math.sqrt(
-        2.0 * (room.daily_amplitude**2 / 2.0 + room.noise_std**2 - slow_noise**2)
-    )
-    out = []
-    for prof in DEFAULT_PROFILES:
-        if prof.sensor_type == SensorType.HUMIDITY:
-            prof = dataclasses.replace(
-                prof,
-                base_level=room.base_level,
-                daily_amplitude=amp,
-                noise_std=slow_noise,
-                level_jitter=room.level_jitter,
-                period_days=3.5,
-                clamp=room.clamp,
-            )
-        out.append(prof)
-    return tuple(out)
+    if not isinstance(doc, dict):
+        raise InvalidSpec("<file>", "spec must be a JSON object")
+    if "preset" in doc:
+        name = doc["preset"]
+        if not isinstance(name, str) or name not in PRESETS:
+            raise InvalidSpec("preset", f"unknown preset {name!r}")
+        base = corpus_spec(PRESETS[name], CorpusSpec(name=name))
+    return _read(base, {k: v for k, v in doc.items() if k != "preset"}, "")
 
 
-def _confusable_profiles() -> tuple[TypeProfile, ...]:
-    """The generic-temperature class dressed as return-air temperature.
+def _read(base, doc: object, prefix: str):
+    """A copy of the dataclass base with doc's typed, range-checked fields."""
+    if not isinstance(doc, dict):
+        raise InvalidSpec(prefix[:-1], "expected an object")
+    types = typing.get_type_hints(type(base))
+    changes = {}
+    for key, value in doc.items():
+        where = prefix + key
+        if key not in types or key == "sensor_type":
+            raise InvalidSpec(where, "unknown key")
+        if key == "profiles":
+            by_type = {p.sensor_type: p for p in base.profiles}
+            for st, entry, pre in _by_type(value, where):
+                by_type[st] = _read(by_type[st], entry, pre)
+            changes[key] = tuple(by_type[p.sensor_type] for p in base.profiles)
+        elif key == "climate_shift":
+            shifts = [(st, _read(_Shift(), e, pre)) for st, e, pre in _by_type(value, where)]
+            changes[key] = tuple((st, sh.offset, sh.scale) for st, sh in shifts)
+        else:
+            changes[key] = _typed(where, value, types[key])
+    out = dataclasses.replace(base, **changes)
+    _check_ranges(out, prefix)
+    return out
 
-    Return-air runs a degree or so warm of the room with similar daily
-    swing and noise, which makes the pair genuinely confusable rather
-    than separable by level alone.
-    """
-    out = []
-    for prof in DEFAULT_PROFILES:
-        if prof.sensor_type == SensorType.OTHER_TEMP:
-            prof = dataclasses.replace(
-                prof,
-                base_level=73.0,
-                daily_amplitude=2.2,
-                noise_std=0.5,
-                level_jitter=1.2,
-                high_level=None,
-                band_split=False,
-                clamp=(55.0, 90.0),
-            )
-        out.append(prof)
-    return tuple(out)
+
+def _by_type(doc: object, where: str):
+    """(type, entry, key prefix) for each entry of an object keyed by type label."""
+    if not isinstance(doc, dict):
+        raise InvalidSpec(where, "expected an object keyed by type label")
+    for label, entry in doc.items():
+        try:
+            st = SensorType.from_label(label)
+        except DataError:
+            raise InvalidSpec(where, f"unknown sensor type {label!r}") from None
+        yield st, entry, f"{where}.{label}."
+
+
+def _typed(key: str, value: object, tp):
+    """value as a field of type tp, or InvalidSpec naming key."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp is float or tp == float | None:
+        if value is None and tp is not float:
+            return None
+        if number:
+            try:
+                return float(value)
+            except OverflowError:
+                raise InvalidSpec(key, f"number out of range: {value}") from None
+    elif tp in (int, str, bool):
+        if isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
+            return value
+    elif isinstance(value, list):  # tuple[float, ...] or a fixed-length tuple[float, ...]
+        shape = typing.get_args(tp)
+        if shape[-1] is Ellipsis or len(value) == len(shape):
+            return tuple(_typed(key, x, float) for x in value)
+    raise InvalidSpec(key, f"expected {tp.__name__ if isinstance(tp, type) else tp}, got {value!r}")
+
+
+def _check_ranges(spec, prefix: str) -> None:
+    """NaN nowhere, infinity only in clamp, and each field's own bound."""
+    for field in dataclasses.fields(spec):
+        key, value = prefix + field.name, getattr(spec, field.name)
+        numbers = [x for x in (value if isinstance(value, tuple) else (value,))
+                   if isinstance(x, float)]
+        if any(math.isnan(x) or math.isinf(x) and field.name != "clamp" for x in numbers):
+            raise InvalidSpec(key, f"must be finite, got {value!r}")
+        if field.name in _POSITIVE and not value > 0:
+            raise InvalidSpec(key, f"must be > 0, got {value!r}")
+        if field.name in _NON_NEGATIVE and not value >= 0:
+            raise InvalidSpec(key, f"must be >= 0, got {value!r}")
+    if isinstance(spec, TypeProfile) and not spec.clamp[0] <= spec.clamp[1]:
+        raise InvalidSpec(prefix + "clamp", f"must be ordered (low, high), got {spec.clamp!r}")
+    if isinstance(spec, CorpusSpec):
+        if not re.fullmatch(r"[\w.-]+", spec.name):
+            raise InvalidSpec(prefix + "name", "expected letters, digits, '_', '.' or '-'")
+        if spec.duration_s < spec.interval_s:
+            raise InvalidSpec(prefix + "duration_s", "must cover at least one interval_s")
 
 
 def preset_spec(name: str, seed: int = 0, traces_per_type: int = 20) -> CorpusSpec:
-    """A shipped corpus preset.
-
-    "default"     six types in their natural bands
-    "building-b"  the default corpus under the second-building shift
-    "overlap"     humidity re-leveled into the temperature band, where
-                  whole-trace statistics collide and windowed ones do not
-    "confusable"  generic temperature dressed as return air, the hardest
-                  pair for the classifier
+    """A shipped preset (a name in PRESETS) at the given seed and size.
 
     Raises InvalidSpec for an unknown name or a traces_per_type below 1.
     """
-    n = traces_per_type
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidSpec("traces_per_type", f"expected a positive integer, got {n!r}")
-    base = CorpusSpec(name=name, seed=seed, traces_per_type=n)
-    if name == "default":
-        return base
-    if name == "building-b":
-        shift = tuple((st, off, sc) for st, (off, sc) in BUILDING_B_SHIFT.items())
-        return dataclasses.replace(base, climate_shift=shift)
-    if name == "overlap":
-        return dataclasses.replace(base, profiles=_overlap_profiles())
-    if name == "confusable":
-        return dataclasses.replace(base, profiles=_confusable_profiles())
-    raise InvalidSpec("preset", f"unknown preset {name!r}")
-
-
-PRESET_NAMES = ("default", "building-b", "overlap", "confusable")
-
-
-# --- spec files ----------------------------------------------------------------
-
-_SPEC_KEYS = {
-    "preset", "name", "seed", "traces_per_type", "duration_s", "interval_s",
-    "climate_shift", "profiles",
-}
-_PROFILE_FIELDS = {f.name for f in dataclasses.fields(TypeProfile)} - {"sensor_type"}
-
-
-def _spec_number(key: str, value, kind=float):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidSpec(key, f"expected a number, got {value!r}")
-    return kind(value)
+    return corpus_spec({"preset": name, "seed": seed, "traces_per_type": traces_per_type})
 
 
 def load_corpus_spec(path: str | Path) -> CorpusSpec:
-    """Parse a JSON corpus spec file. See the module docstring for keys."""
+    """Read a JSON spec file. See the module docstring for its keys."""
     try:
         text = read_utf8(Path(path)).decode("utf-8")
     except DataError as exc:  # the spec is configuration: exit 2, not 3
         raise InvalidSpec("<file>", str(exc)) from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InvalidSpec("<file>", f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InvalidSpec("<file>", "spec must be a JSON object")
-    unknown = set(doc) - _SPEC_KEYS
-    if unknown:
-        raise InvalidSpec(sorted(unknown)[0], "unknown key")
-    spec = preset_spec(str(doc.get("preset", "default")),
-                       traces_per_type=doc.get("traces_per_type", CorpusSpec.traces_per_type))
-    if "name" in doc:
-        if not isinstance(doc["name"], str) or not doc["name"]:
-            raise InvalidSpec("name", "expected a non-empty string")
-        spec = dataclasses.replace(spec, name=doc["name"])
-    elif "preset" not in doc:
-        spec = dataclasses.replace(spec, name="custom")
-    if "seed" in doc:
-        if isinstance(doc["seed"], bool) or not isinstance(doc["seed"], int):
-            raise InvalidSpec("seed", f"expected an integer, got {doc['seed']!r}")
-        spec = dataclasses.replace(spec, seed=doc["seed"])
-    if "duration_s" in doc:
-        spec = dataclasses.replace(spec, duration_s=_spec_number("duration_s", doc["duration_s"]))
-    if "interval_s" in doc:
-        v = _spec_number("interval_s", doc["interval_s"])
-        if v <= 0:
-            raise InvalidSpec("interval_s", "must be positive")
-        spec = dataclasses.replace(spec, interval_s=v)
-    if "climate_shift" in doc:
-        cs = doc["climate_shift"]
-        if not isinstance(cs, dict):
-            raise InvalidSpec("climate_shift", "expected an object keyed by type label")
-        shift = []
-        for label, entry in cs.items():
-            try:
-                st = SensorType.from_label(label)
-            except Exception:
-                raise InvalidSpec("climate_shift", f"unknown sensor type {label!r}") from None
-            if not isinstance(entry, dict) or set(entry) - {"offset", "scale"}:
-                raise InvalidSpec("climate_shift", f"{label}: expected offset/scale object")
-            off = _spec_number("climate_shift.offset", entry.get("offset", 0.0))
-            sc = _spec_number("climate_shift.scale", entry.get("scale", 1.0))
-            shift.append((st, off, sc))
-        spec = dataclasses.replace(spec, climate_shift=tuple(shift))
-    if "profiles" in doc:
-        pv = doc["profiles"]
-        if not isinstance(pv, dict):
-            raise InvalidSpec("profiles", "expected an object keyed by type label")
-        by_type = {p.sensor_type: p for p in spec.profiles}
-        for label, overrides in pv.items():
-            try:
-                st = SensorType.from_label(label)
-            except Exception:
-                raise InvalidSpec("profiles", f"unknown sensor type {label!r}") from None
-            if not isinstance(overrides, dict):
-                raise InvalidSpec("profiles", f"{label}: expected a field/value object")
-            bad = set(overrides) - _PROFILE_FIELDS
-            if bad:
-                raise InvalidSpec(f"profiles.{label}.{sorted(bad)[0]}", "unknown profile field")
-            fixed = dict(overrides)
-            for tuple_field in ("clamp", "step_levels"):
-                if tuple_field in fixed:
-                    if not isinstance(fixed[tuple_field], list):
-                        raise InvalidSpec(
-                            f"profiles.{label}.{tuple_field}", "expected a list of numbers"
-                        )
-                    fixed[tuple_field] = tuple(
-                        _spec_number(tuple_field, x) for x in fixed[tuple_field]
-                    )
-            try:
-                by_type[st] = dataclasses.replace(by_type[st], **fixed)
-            except TypeError as exc:
-                raise InvalidSpec(f"profiles.{label}", str(exc)) from None
-        spec = dataclasses.replace(spec, profiles=tuple(by_type[p.sensor_type] for p in spec.profiles))
-    return spec
+    return corpus_spec(doc)

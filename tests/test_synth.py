@@ -1,20 +1,24 @@
 """Synthetic corpus generator: profiles, presets, spec files, determinism."""
 
+import dataclasses
 import json
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from sensorclass.cli import EXIT_CONFIG, main
 from sensorclass.errors import InvalidSpec
 from sensorclass.features import extract
 from sensorclass.synth import (
-    BUILDING_B_SHIFT,
     DEFAULT_PROFILES,
     PRESET_NAMES,
+    PRESETS,
     CorpusSpec,
     TypeProfile,
     apply_climate_shift,
+    corpus_spec,
     effective_profiles,
     generate_corpus,
     generate_trace,
@@ -208,7 +212,8 @@ def test_preset_needs_a_positive_trace_count(n):
 
 def test_building_b_preset_carries_the_shift():
     spec = preset_spec("building-b")
-    assert dict((st, (o, s)) for st, o, s in spec.climate_shift) == BUILDING_B_SHIFT
+    shift = {st.label: {"offset": o, "scale": s} for st, o, s in spec.climate_shift}
+    assert shift == PRESETS["building-b"]["climate_shift"]
     co2 = profile_for(SensorType.CO2, effective_profiles(spec))
     assert co2.base_level == 480.0
     assert co2.clamp == (410.0, 2060.0)
@@ -308,3 +313,93 @@ def test_load_spec_profile_field_errors(tmp_path):
         load_corpus_spec(write_spec(tmp_path, {"profiles": {"porch": {}}}))
     with pytest.raises(InvalidSpec):
         load_corpus_spec(write_spec(tmp_path, {"profiles": [1]}))
+
+
+def test_presets_are_spec_documents(tmp_path):
+    for name, doc in PRESETS.items():
+        assert "preset" not in doc
+        assert json.loads(json.dumps(doc)) == doc  # a document a spec file could hold
+        from_file = load_corpus_spec(write_spec(tmp_path, {"preset": name, "seed": 3}))
+        assert from_file == preset_spec(name, seed=3)
+
+
+def test_spec_profiles_layer_over_the_preset_and_shift_replaces_it(tmp_path):
+    doc = {"preset": "confusable", "profiles": {"other_temp": {"noise_std": 0.7}},
+           "climate_shift": {"co2": {"scale": 2.0}}}
+    spec = load_corpus_spec(write_spec(tmp_path, doc))
+    other = profile_for(SensorType.OTHER_TEMP, spec.profiles)
+    confusable = profile_for(SensorType.OTHER_TEMP, preset_spec("confusable").profiles)
+    assert other == dataclasses.replace(confusable, noise_std=0.7)
+    assert spec.climate_shift == ((SensorType.CO2, 0.0, 2.0),)
+    b = load_corpus_spec(write_spec(tmp_path, {"preset": "building-b", **doc}))
+    assert b.climate_shift == ((SensorType.CO2, 0.0, 2.0),)
+
+
+def test_corpus_spec_over_a_base_keeps_its_name():
+    spec = corpus_spec({"seed": 8}, preset_spec("overlap", seed=1, traces_per_type=2))
+    assert (spec.name, spec.seed, spec.traces_per_type) == ("overlap", 8, 2)
+    with pytest.raises(InvalidSpec, match="seed"):
+        corpus_spec({"seed": -1}, spec)
+
+
+# Spec files that ended in a traceback, were accepted as written, or
+# exited as a data error before every value was checked against its field.
+PROBE_SPECS = [
+    ("duration_s", {"duration_s": math.nan}),
+    ("duration_s", {"duration_s": math.inf}),
+    ("duration_s", {"duration_s": -60}),
+    ("interval_s", {"interval_s": math.nan}),
+    ("profiles.humidity.period_days", {"profiles": {"humidity": {"period_days": 0}}}),
+    ("profiles.co2.noise_std", {"profiles": {"co2": {"noise_std": "a"}}}),
+    ("profiles.co2.clamp", {"profiles": {"co2": {"clamp": [0]}}}),
+    ("profiles.co2.level_jitter", {"profiles": {"co2": {"level_jitter": math.nan}}}),
+    ("profiles.setpoint.step_rate_per_day", {"profiles": {"setpoint": {"step_rate_per_day": -1}}}),
+    ("profiles.other_temp.band_split", {"profiles": {"other_temp": {"band_split": "yes"}}}),
+    ("profiles.co2.high_level", {"profiles": {"co2": {"high_level": "a"}}}),
+    ("profiles.co2.clamp", {"profiles": {"co2": {"clamp": [100, 0]}}}),
+    ("climate_shift.co2.scale", {"climate_shift": {"co2": {"scale": math.nan}}}),
+]
+
+
+@pytest.mark.parametrize("key,doc", PROBE_SPECS, ids=[json.dumps(d) for _, d in PROBE_SPECS])
+def test_probe_spec_exits_config_naming_its_key(tmp_path, capsys, key, doc):
+    spec = write_spec(tmp_path, {"traces_per_type": 1, "duration_s": 86400, **doc})
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: corpus spec key '{key}': ") and err.count("\n") == 1
+    assert not (out / "manifest.csv").exists()
+
+
+@pytest.mark.parametrize("key,doc", [
+    ("seed", {"seed": -1}),
+    ("name", {"name": "a/b"}),
+    ("duration_s", {"duration_s": 30}),  # one sample per trace
+    ("duration_s", {"duration_s": 10**400}),
+    ("profiles.co2.noise_std", {"profiles": {"co2": {"noise_std": -1}}}),
+    ("profiles.co2.noise_std", {"profiles": {"co2": {"noise_std": math.inf}}}),
+    ("profiles.co2.base_level", {"profiles": {"co2": {"base_level": None}}}),
+    ("profiles.co2.sensor_type", {"profiles": {"co2": {"sensor_type": 1}}}),
+    ("profiles.co2.step_levels", {"profiles": {"co2": {"step_levels": [1, True]}}}),
+    ("climate_shift.co2", {"climate_shift": {"co2": 5}}),
+    ("preset", {"preset": ["default"]}),
+])
+def test_spec_value_out_of_type_or_range(tmp_path, key, doc):
+    with pytest.raises(InvalidSpec) as info:
+        load_corpus_spec(write_spec(tmp_path, doc))
+    assert info.value.key == key
+
+
+def test_spec_clamp_may_be_infinite(tmp_path):
+    doc = {"profiles": {"co2": {"clamp": [-math.inf, math.inf]}}}
+    spec = load_corpus_spec(write_spec(tmp_path, doc))
+    assert profile_for(SensorType.CO2, spec.profiles).clamp == (-math.inf, math.inf)
+
+
+def test_synth_seed_flag_is_checked_like_a_spec_seed(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"traces_per_type": 1, "duration_s": 3600})
+    capsys.readouterr()
+    rc = main(["synth", "--spec", str(spec), "--seed", "-1", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: corpus spec key 'seed': ")
