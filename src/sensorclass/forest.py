@@ -41,7 +41,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -86,6 +86,8 @@ class ForestConfig:
             raise InvalidConfig(f"n_trees must be >= 1, got {self.n_trees}")
         if self.m_try is not None and self.m_try < 1:
             raise InvalidConfig(f"m_try must be >= 1, got {self.m_try}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.averaging_mode not in AVERAGING_MODES:
             raise InvalidConfig(
                 f"averaging_mode must be one of {AVERAGING_MODES}, got {self.averaging_mode!r}"
@@ -626,12 +628,7 @@ def model_document(forest: RandomForest, run_meta: dict | None = None) -> dict:
     """The JSON document a model file holds, built in a fixed key order."""
     doc = {
         "format": MODEL_FORMAT,
-        "config": {
-            "n_trees": forest.config.n_trees,
-            "m_try": forest.config.m_try,
-            "seed": forest.config.seed,
-            "averaging_mode": forest.config.averaging_mode,
-        },
+        "config": asdict(forest.config),
         "class_labels": [t.label for t in forest.class_labels],
         "feature_schema": forest.feature_schema,
     }
@@ -662,15 +659,14 @@ def load_model(path: str | Path) -> tuple[RandomForest, dict]:
         raise DataError(f"model file {path}: not a {MODEL_FORMAT} document")
     try:
         cfg = doc["config"]
-        config = ForestConfig(
-            n_trees=int(cfg["n_trees"]),
-            m_try=int(cfg["m_try"]),
-            seed=int(cfg["seed"]),
-            averaging_mode=str(cfg["averaging_mode"]),
-        )
+        for key in ("n_trees", "m_try", "seed"):
+            if type(cfg[key]) is not int:
+                raise DataError(f"config {key} must be an integer, got {cfg[key]!r}")
+        config = ForestConfig(**{f.name: cfg[f.name] for f in fields(ForestConfig)})
         labels = tuple(SensorType.from_label(s) for s in doc["class_labels"])
         schema = str(doc["feature_schema"])
         feature_count = schema_length(schema)
+        config.resolve_m_try(feature_count)
         trees = tuple(_nodes_to_tree(nodes, feature_count) for nodes in doc["trees"])
         run = dict(doc.get("run", {}))
     except (KeyError, TypeError, ValueError, OverflowError, InvalidConfig) as exc:

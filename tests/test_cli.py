@@ -119,6 +119,14 @@ def test_synth_non_positive_traces_per_type_exits_config(tmp_path, capsys, n):
     assert not (out / "manifest.csv").exists()
 
 
+def test_train_negative_seed_exits_config(ws, tmp_path, capsys):
+    capsys.readouterr()
+    rc = main(["train", "--features", str(ws.features), "--seed", "-1",
+               "--out", str(tmp_path / "m.json")])
+    assert rc == EXIT_CONFIG
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("schema", ["subset:zz", "subset:00", "subset:-1"])
 def test_malformed_schema_in_feature_matrix_exits_data(ws, tmp_path, capsys, schema):
     feats = tmp_path / "f.csv"
@@ -375,10 +383,14 @@ def _drop_config_seed(doc):
     del doc["config"]["seed"]
 
 
-def _infinite_config(key):
+def _config(key, value):
     def mutate(doc):
-        doc["config"][key] = float("inf")  # json writes Infinity; 1e309 reads back the same
+        doc["config"][key] = value  # json writes inf as Infinity; 1e309 reads back the same
     return mutate
+
+
+def _fractional_n_trees(doc):
+    doc["config"]["n_trees"] += 0.9  # read with int(), it matched the tree count
 
 
 def _empty_tree(doc):
@@ -410,9 +422,14 @@ def _leaf(posterior):
 
 @pytest.mark.parametrize("mutate", [
     _drop_config_seed,
-    _infinite_config("n_trees"),
-    _infinite_config("m_try"),
-    _infinite_config("seed"),
+    _config("n_trees", float("inf")),
+    _config("m_try", float("inf")),
+    _config("seed", float("inf")),
+    _fractional_n_trees,
+    _config("m_try", True),
+    _config("seed", 2.5),
+    _config("seed", -1),
+    _config("m_try", 9),
     _empty_tree,
     _truncated_tree,
     _split_feature(99),
@@ -422,6 +439,7 @@ def _leaf(posterior):
     _leaf([1.5, -0.5, 0.0, 0.0, 0.0, 0.0]),
     _leaf([float("nan"), 1.0, 0.0, 0.0, 0.0, 0.0]),
 ], ids=["missing-config-key", "n-trees-inf", "m-try-inf", "seed-inf",
+        "n-trees-float", "m-try-bool", "seed-float", "seed-negative", "m-try-above-features",
         "empty-tree", "truncated-tree", "split-feature-99",
         "split-feature-minus-1", "split-threshold-nan", "leaf-sums-to-5", "leaf-negative",
         "leaf-nan"])
