@@ -264,16 +264,20 @@ def percentage_protocol(
     return table
 
 
-def loo_cv(
-    dataset: LabeledDataset, config: ForestConfig, entropy_base: str = "nats"
-) -> ProtocolResult:
-    """Leave-one-out cross-validation; one forest per held-out instance."""
+def _loo_posteriors(dataset: LabeledDataset, config: ForestConfig) -> np.ndarray:
+    """Each row's posteriors from a forest grown without it, seeded at (seed, 202, row)."""
     n = len(dataset)
     if n < 2:
         raise DataError("leave-one-out needs at least two instances")
     folds = [(np.delete(np.arange(n), i), [i], _fold_config(config, _TAG_LOO, i)) for i in range(n)]
-    probs = np.concatenate(list(_fold_posteriors(dataset, dataset, folds)))
-    return _prediction_records(dataset, probs, entropy_base)
+    return np.concatenate(list(_fold_posteriors(dataset, dataset, folds)))
+
+
+def loo_cv(
+    dataset: LabeledDataset, config: ForestConfig, entropy_base: str = "nats"
+) -> ProtocolResult:
+    """Leave-one-out cross-validation; one forest per held-out instance."""
+    return _prediction_records(dataset, _loo_posteriors(dataset, config), entropy_base)
 
 
 def inter_corpus(
@@ -349,7 +353,8 @@ def window_sweep(
             log.warning("window sweep: no usable traces at %d minutes, point skipped", minutes)
             continue
         if traces_b is None:
-            points.append((minutes, loo_cv(datasets[0], config).accuracy.overall))
+            predicted = _loo_posteriors(datasets[0], config).argmax(axis=1)
+            points.append((minutes, per_class_accuracy(datasets[0].labels, predicted).overall))
             continue
         dataset, dataset_b = datasets
         fold = (np.arange(len(dataset)), np.arange(len(dataset_b)),

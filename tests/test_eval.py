@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_trace, reference_subset_search
-from sensorclass import seeding
+from sensorclass import evaluate, seeding
 from sensorclass.errors import DataError, DegenerateFraction, SchemaMismatch
 from sensorclass.evaluate import (
     FULL_COLUMN,
@@ -338,6 +338,17 @@ def test_window_sweep_transfer_is_the_mean_of_fold_accuracies():
     fold_mean = float(np.mean([hits[rows].mean() for rows in folds if len(rows)]))
     assert got == fold_mean
     assert abs(fold_mean - hits.mean()) > 0.01  # the fold mean is not the pooled accuracy
+
+
+def test_window_sweep_scores_loo_without_prediction_records(monkeypatch):
+    cfg = ForestConfig(n_trees=5, seed=3)
+    expected = loo_cv(build_dataset(mislabeled_sweep_corpus(), 900.0), cfg).accuracy.overall
+
+    def no_records(*args):
+        raise AssertionError("window_sweep built a Prediction record")
+
+    monkeypatch.setattr(evaluate, "make_prediction", no_records)
+    assert window_sweep(mislabeled_sweep_corpus(), (15,), config=cfg) == [(15, expected)]
 
 
 def test_window_sweep_deterministic():
