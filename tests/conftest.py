@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from sensorclass.evaluate import build_dataset
 from sensorclass.synth import CorpusSpec, generate_corpus, preset_spec
+
+# Tests with no max_examples of their own (the fuzz gate) run 40 examples;
+# `pytest tests/test_fuzz.py --hypothesis-profile=deep` runs 1,000.
+settings.register_profile("default", max_examples=40, deadline=None)
+settings.register_profile("deep", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

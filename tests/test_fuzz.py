@@ -1,10 +1,16 @@
 """Fuzz gate: a corrupted input file ends in an exit code, never a traceback.
 
-Copies of the golden feature matrix, model and predictions, and of the
-manifest of a small synthesized corpus, are mutated (a flipped byte, a
-truncation, a dropped or repeated line, or one cell set to nan, 1e309, ""
+Copies of the golden feature matrix, model and predictions, of the manifest
+of a small synthesized corpus, of a corpus spec and of a relabel answers
+file are mutated (a flipped byte, a truncation, a dropped or repeated line,
+or one cell or JSON scalar set to nan, NaN, 1e309, -1, 0, null, true, ""
 or subset:zz) and handed to the commands that read them, in process
-through cli.main. Each run must return 0, 2, 3 or 4; any exception fails.
+through cli.main. A spec is configuration, so synth must exit 0 or 2;
+relabel must exit 0, 2 or 3, and the other commands 0, 2, 3 or 4. Any
+exception fails.
+
+The number of examples per file comes from the hypothesis profile (see
+conftest.py): 40 by default, 1,000 with --hypothesis-profile=deep.
 """
 
 import json
@@ -12,16 +18,31 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from sensorclass.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_UNDEFINED, main
 
 GOLDEN = Path(__file__).parent / "golden"
 SPEC = {"name": "fuzz", "seed": 5, "traces_per_type": 1, "duration_s": 86400}
-CELL_VALUES = (b"nan", b"1e309", b"", b"subset:zz")
+# One day and one trace per type, so no single mutation makes synth slow.
+FUZZ_SPEC = dict(
+    SPEC,
+    preset="overlap",
+    interval_s=60.0,
+    climate_shift={"co2": {"offset": 60.0, "scale": 1.15}, "air_volume": {"scale": 1.1}},
+    profiles={
+        "setpoint": {"step_rate_per_day": 2.0, "step_levels": [55.0, 58.0, 61.0]},
+        "air_volume": {"high_level": 1100.0, "clamp": [0.0, 1600.0]},
+        "other_temp": {"band_split": True, "high_level": None, "period_days": 1.5},
+    },
+)
+ANSWERS = "\nkeep\nhumidity\nco2\ny\nq\n"
+CELL_VALUES = (b"nan", b"NaN", b"1e309", b"-1", b"0", b"null", b"true", b"", b"subset:zz")
 CELL = re.compile(rb'[^,\s"=\[\]{}]+')  # a CSV cell, a metadata value or a JSON scalar
 HEAD_LINES = 24  # metadata, header and the model's config live at the top of a file
+ANY_EXIT = (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_UNDEFINED)
+EXITS = {"spec": (EXIT_OK, EXIT_CONFIG), "answers": (EXIT_OK, EXIT_CONFIG, EXIT_DATA)}
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +51,18 @@ def work(tmp_path_factory):
     spec = root / "spec.json"
     spec.write_text(json.dumps(SPEC))
     assert main(["synth", "--spec", str(spec), "--out", str(root / "corpus")]) == EXIT_OK
+    (root / "fuzz_spec.json").write_text(json.dumps(FUZZ_SPEC, indent=1) + "\n")
+    (root / "answers.txt").write_text(ANSWERS)
+    steps = [
+        ["features", "--manifest", str(root / "corpus" / "manifest.csv"),
+         "--out", str(root / "features.csv")],
+        ["train", "--features", str(root / "features.csv"), "--trees", "2",
+         "--out", str(root / "model.json")],
+        ["classify", "--model", str(root / "model.json"), "--features",
+         str(root / "features.csv"), "--out", str(root / "preds.csv")],
+    ]
+    for argv in steps:
+        assert main(argv) == EXIT_OK, argv
     return root
 
 
@@ -46,6 +79,12 @@ def commands(artifact: str, path: Path, work: Path) -> list[list[str]]:
                    "--out", out]],
         "predictions": [["flag", "--predictions", str(path), "--out", out]],
         "manifest": [["features", "--manifest", str(path), "--out", out]],
+        "spec": [["synth", "--spec", str(path), "--out", str(work / "out_corpus")]],
+        "answers": [["relabel", "--predictions", str(work / "preds.csv"),
+                     "--manifest", str(work / "corpus" / "manifest.csv"),
+                     "--features", str(work / "features.csv"), "--model", str(work / "model.json"),
+                     "--answers", str(path), "--out-manifest", out,
+                     "--out-model", str(work / "out_model")]],
     }[artifact]
 
 
@@ -55,6 +94,8 @@ def source(artifact: str, work: Path) -> Path:
         "model": GOLDEN / "model.json",
         "predictions": GOLDEN / "preds_paper.csv",
         "manifest": work / "corpus" / "manifest.csv",
+        "spec": work / "fuzz_spec.json",
+        "answers": work / "answers.txt",
     }[artifact]
 
 
@@ -83,12 +124,13 @@ def mutated(draw, data: bytes) -> bytes:
     return b"".join(lines[:i + 1] + lines[i:])  # line i twice
 
 
-@pytest.mark.parametrize("artifact", ["features", "model", "predictions", "manifest"])
-@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize(
+    "artifact", ["features", "model", "predictions", "manifest", "spec", "answers"]
+)
 @given(data=st.data())
 def test_corrupted_input_exits_cleanly(work, artifact, data):
     original = source(artifact, work)
     path = work / "corpus" / f"fuzzed{original.suffix}"  # where manifest paths resolve
     path.write_bytes(data.draw(mutated(original.read_bytes())))
     for argv in commands(artifact, path, work):
-        assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_UNDEFINED), argv
+        assert main(argv) in EXITS.get(artifact, ANY_EXIT), argv
