@@ -3,7 +3,7 @@
 The discriminative signal lives in how a sensor's windowed behaviour is
 distributed over days, not in any single reading. For each trace we take
 the per-window median and population variance, then summarize each of the
-two resulting vectors with four order statistics. Eight numbers total:
+two resulting vectors with four statistics. Eight numbers total:
 
     index 0  min  of window medians        "min_wmed"
     index 1  max  of window medians        "max_wmed"
@@ -17,7 +17,9 @@ two resulting vectors with four order statistics. Eight numbers total:
 The baseline scheme keeps only the whole-trace median and population
 variance; it is deliberately blind to sample order, which is exactly what
 the windowed scheme fixes. Subset schemas select rich8 entries by bitmask
-(bit i selects index i) for feature-importance sweeps.
+(bit i selects index i) for feature-importance sweeps. Every median and
+variance here, of a window, of a whole trace or of the two windowed
+vectors, comes from trace.window_stats.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, EmptyMask
-from .trace import SensorTrace, _readonly, population_var, window_spans, window_stats
+from .trace import SensorTrace, _readonly, window_spans, window_stats
 
 RICH8 = "rich8"
 BASELINE2 = "baseline2"
@@ -84,21 +86,6 @@ def schema_length(schema: str) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class MedVarVectors:
-    """Per-window medians and variances, one entry per non-empty window."""
-
-    med: np.ndarray
-    var: np.ndarray
-    window_len: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "med", _readonly(self.med))
-        object.__setattr__(self, "var", _readonly(self.var))
-        if len(self.med) != len(self.var) or len(self.med) == 0:
-            raise DataError("windowed median/variance vectors must be non-empty and aligned")
-
-
-@dataclass(frozen=True, eq=False)
 class FeatureVector:
     """A feature vector plus the schema that gives its entries meaning."""
 
@@ -119,8 +106,8 @@ class FeatureVector:
         return len(self.values)
 
 
-def extract_med_var(trace: SensorTrace, window_len: float) -> MedVarVectors:
-    """Windowed median/variance vectors for a trace.
+def extract_med_var(trace: SensorTrace, window_len: float) -> tuple[np.ndarray, np.ndarray]:
+    """(medians, variances) of a trace's non-empty windows, one entry each.
 
     Deterministic, and independent of a constant shift of all timestamps
     (windows are anchored at the first timestamp, not at an epoch).
@@ -141,45 +128,23 @@ def extract_med_var(trace: SensorTrace, window_len: float) -> MedVarVectors:
         else:
             block = values[lo[:, None] + np.arange(n)]
         med[rows], var[rows] = window_stats(block)
-    return MedVarVectors(med, var, float(window_len))
-
-
-def summarize(mv: MedVarVectors) -> FeatureVector:
-    """Collapse windowed vectors into the 8-entry rich feature vector."""
-    med, var = mv.med, mv.var
-    values = np.array([
-        np.min(med), np.max(med), np.median(med), population_var(med),
-        np.min(var), np.max(var), np.median(var), population_var(var),
-    ])
-    return FeatureVector(values, RICH8)
-
-
-def extract_rich(trace: SensorTrace, window_len: float) -> FeatureVector:
-    """extract_med_var followed by summarize."""
-    return summarize(extract_med_var(trace, window_len))
-
-
-def extract_baseline(trace: SensorTrace) -> FeatureVector:
-    """Whole-trace median and population variance, ignoring windows."""
-    v = trace.values
-    return FeatureVector(np.array([np.median(v), population_var(v)]), BASELINE2)
-
-
-def project(fv: FeatureVector, mask: int) -> FeatureVector:
-    """Select rich8 entries by bitmask, preserving index order."""
-    if fv.schema != RICH8:
-        raise DataError(f"can only project rich8 vectors, got schema {fv.schema!r}")
-    idx = mask_indices(mask)  # raises EmptyMask for mask 0
-    return FeatureVector(fv.values[idx], subset_schema(mask))
+    return med, var
 
 
 def extract(trace: SensorTrace, window_len: float, schema: str) -> FeatureVector:
-    """Extract features under any schema name."""
-    if schema == RICH8:
-        return extract_rich(trace, window_len)
+    """The trace's feature vector under a schema: rich8, baseline2 or subset:<mask>.
+
+    baseline2 is window_stats of the whole trace. rich8 is the min and max
+    of the window medians and of the window variances, and window_stats of
+    the two vectors; a subset schema selects rich8 entries by its mask.
+    """
     if schema == BASELINE2:
-        return extract_baseline(trace)
-    mask = parse_subset_mask(schema)
-    if mask is not None:
-        return project(extract_rich(trace, window_len), mask)
-    raise DataError(f"unknown feature schema {schema!r}")
+        med, var = window_stats(trace.values[None, :])
+        return FeatureVector(np.concatenate([med, var]), schema)
+    mask = FULL_MASK if schema == RICH8 else parse_subset_mask(schema)
+    if mask is None:
+        raise DataError(f"unknown feature schema {schema!r}")
+    stack = np.stack(extract_med_var(trace, window_len))
+    med, var = window_stats(stack)
+    values = np.column_stack([stack.min(axis=1), stack.max(axis=1), med, var]).ravel()
+    return FeatureVector(values[mask_indices(mask)], schema)

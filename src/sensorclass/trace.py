@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import DataError, EmptyTrace, NoWindows, NonFiniteValue
 
-DEFAULT_WINDOW_LEN = 2700.0  # seconds; 45 minutes
-
 
 class SensorType(enum.IntEnum):
     """The six sensor types the classifier distinguishes.
@@ -83,9 +81,6 @@ class SensorTrace:
         """Elapsed seconds between first and last sample."""
         return float(self.timestamps[-1] - self.timestamps[0])
 
-    def samples(self) -> Iterable[tuple[float, float]]:
-        return zip(self.timestamps.tolist(), self.values.tolist())
-
 
 def _from_arrays(
     trace_id: str,
@@ -137,7 +132,7 @@ def validate_trace(
 
 
 def window_spans(
-    trace: SensorTrace, window_len: float = DEFAULT_WINDOW_LEN
+    trace: SensorTrace, window_len: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(start time, first sample index, sample count) of each non-empty window.
 
@@ -163,25 +158,13 @@ def window_spans(
     return edges[:-1][keep], bounds[:-1][keep], counts[keep]
 
 
-def population_var(values: np.ndarray) -> float:
-    """Population variance (divide by N), exactly 0.0 for a constant vector.
-
-    np.var on a constant array leaves ~1e-28 of accumulation noise; the
-    all-zero variance block of a flat trace is a meaningful signature, so
-    constants short-circuit to an exact zero.
-    """
-    v = np.asarray(values, dtype=float)
-    if v[0] == v[-1] and (v == v[0]).all():
-        return 0.0
-    return float(np.var(v))
-
-
 def window_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(median, population variance) of each row of a (windows, samples) block.
+    """(median, population variance) of each row of a (rows, samples) block.
 
     Median of an even count is the mean of the two middle values; variance
-    divides by N, not N-1, and is exactly 0.0 for a constant row, as in
-    population_var.
+    divides by N, not N-1, and is exactly 0.0 for a constant row: np.var
+    leaves ~1e-28 of accumulation noise there, and the all-zero variance
+    block of a flat trace is a meaningful signature.
     """
     med = np.median(block, axis=1)
     var = np.var(block, axis=1)

@@ -28,10 +28,8 @@ from sensorclass.forest import (
 )
 from sensorclass.trace import (
     CLASS_COUNT,
-    DEFAULT_WINDOW_LEN,
     TRACE_HEADER,
     SensorType,
-    population_var,
     validate_trace,
     window_spans,
 )
@@ -90,7 +88,7 @@ class Window:
     values: np.ndarray = field(repr=False)
 
 
-def segment_windows(trace, window_len=DEFAULT_WINDOW_LEN):
+def segment_windows(trace, window_len):
     """The non-empty windows of window_spans, each with its sample values."""
     starts, firsts, counts = window_spans(trace, window_len)
     return [
@@ -99,11 +97,16 @@ def segment_windows(trace, window_len=DEFAULT_WINDOW_LEN):
     ]
 
 
+def reference_var(values):
+    """np.var of a 1-d vector, exactly 0.0 when every entry is equal."""
+    return 0.0 if (values == values[0]).all() else float(np.var(values))
+
+
 def reference_med_var(trace, window_len):
     """Per-window (medians, variances) from Window objects, one window at a time."""
     windows = segment_windows(trace, window_len)
     med = np.array([float(np.median(w.values)) for w in windows])
-    var = np.array([population_var(w.values) for w in windows])
+    var = np.array([reference_var(w.values) for w in windows])
     return med, var
 
 

@@ -79,7 +79,7 @@ def test_validate_nonfinite_timestamp_rejected():
 
 def test_validate_idempotent():
     tr = validate_trace("t", [(60.0, 2.0), (0.0, 1.0), (0.0, 4.0)])
-    again = validate_trace(tr.trace_id, tr.samples(), tr.label)
+    again = validate_trace(tr.trace_id, zip(tr.timestamps, tr.values), tr.label)
     assert again.timestamps.tolist() == tr.timestamps.tolist()
     assert again.values.tolist() == tr.values.tolist()
 
