@@ -312,30 +312,10 @@ def _class_counts(labels: np.ndarray) -> np.ndarray:
     return np.bincount(labels, minlength=CLASS_COUNT).astype(float)
 
 
-def best_split(
-    features: np.ndarray, labels: np.ndarray, candidates: Sequence[int]
-) -> tuple[int, float] | None:
-    """Highest-information-gain split over the candidate features.
-
-    Returns (feature, threshold): go left when value[feature] <= threshold.
-    Thresholds are midpoints of consecutive distinct sorted values, so a
-    split never produces an empty side. Returns None when no candidate has
-    two distinct values or when the best achievable gain is not positive.
-    Ties break toward the lowest feature index, then the smallest threshold.
-    """
-    cand = np.array(sorted(set(int(c) for c in candidates)), dtype=np.intp)
-    if cand.size == 0:
-        return None
-    rows = np.arange(len(labels))
-    feature, threshold = _best_splits(features, labels, _column_ranks(features), [rows],
-                                      _class_counts(labels)[None], [cand])
-    return None if feature[0] < 0 else (int(feature[0]), float(threshold[0]))
-
-
 def split_table(features: np.ndarray, labels: np.ndarray) -> list[tuple[float, float] | None]:
     """(gain, threshold) of the best cut of every feature column of a node's
-    rows, None for a constant column. table_split picks from it as
-    best_split would, so a node shared by many candidate sets is scored once."""
+    rows, None for a constant column. table_split picks a candidate set's
+    split from it, so a node shared by many candidate sets is scored once."""
     rows = np.arange(len(labels))
     gain, threshold = _segment_scores(features, labels, _column_ranks(features), [rows],
                                       _class_counts(labels)[None], [np.arange(features.shape[1])])
@@ -345,8 +325,10 @@ def split_table(features: np.ndarray, labels: np.ndarray) -> list[tuple[float, f
 def table_split(
     table: Sequence[tuple[float, float] | None], candidates: Sequence[int]
 ) -> tuple[int, float] | None:
-    """best_split over ascending, distinct candidates, from the node's
-    split_table: the first candidate with the strictly highest positive gain."""
+    """(feature, threshold) of a node's split over ascending, distinct
+    candidates, from its split_table: the first candidate with the strictly
+    highest positive gain, or None. Rows go left when value[feature] <=
+    threshold."""
     best: tuple[int, float] | None = None
     best_gain = 0.0
     for f in candidates:

@@ -32,7 +32,6 @@ from sensorclass.forest import (
     ForestConfig,
     LabeledDataset,
     RandomForest,
-    best_split,
     classify,
     entropy_impurity,
     load_model,
@@ -40,6 +39,7 @@ from sensorclass.forest import (
     predict_matrix,
     save_model,
     split_table,
+    table_split,
     train_forest,
     train_forests,
     train_tree,
@@ -80,39 +80,39 @@ def test_entropy_empty_counts_rejected():
         entropy_impurity([0, 0, 0])
 
 
-# --- best_split -----------------------------------------------------------------
+# --- best split of a node: table_split over split_table ------------------------
 
 
 def test_best_split_two_points():
     x = np.array([[1.0], [3.0]])
     y = np.array([0, 1])
-    split = best_split(x, y, [0])
+    split = table_split(split_table(x, y), [0])
     assert split == (0, 2.0)
 
 
 def test_best_split_pure_labels_returns_none():
     x = np.array([[1.0], [3.0], [9.0]])
     y = np.array([2, 2, 2])
-    assert best_split(x, y, [0]) is None
+    assert table_split(split_table(x, y), [0]) is None
 
 
 def test_best_split_constant_feature_returns_none():
     x = np.array([[5.0], [5.0], [5.0]])
     y = np.array([0, 1, 0])
-    assert best_split(x, y, [0]) is None
+    assert table_split(split_table(x, y), [0]) is None
 
 
 def test_best_split_ignores_non_candidate_features():
     x = np.array([[1.0, 10.0], [3.0, 20.0]])
     y = np.array([0, 1])
-    assert best_split(x, y, [1]) == (1, 15.0)
+    assert table_split(split_table(x, y), [1]) == (1, 15.0)
 
 
 def test_best_split_tie_prefers_lowest_feature():
     # both columns separate the labels identically; feature 0 must win
     x = np.array([[1.0, 100.0], [3.0, 300.0]])
     y = np.array([0, 1])
-    assert best_split(x, y, [0, 1])[0] == 0
+    assert table_split(split_table(x, y), [0, 1])[0] == 0
 
 
 def test_best_split_tie_prefers_smallest_threshold():
@@ -122,20 +122,20 @@ def test_best_split_tie_prefers_smallest_threshold():
     # use symmetric labels A B around 1, 3 with a duplicate pair.
     x = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 1, 1])
-    split = best_split(x, y, [0])
+    split = table_split(split_table(x, y), [0])
     assert split == (0, 2.5)
     # symmetric two-cut tie: values 1,2,3 with labels A,B,A; the cuts at 1.5
     # and 2.5 have equal gain, so the smaller threshold wins
     x2 = np.array([[1.0], [2.0], [3.0]])
     y2 = np.array([0, 1, 0])
-    split2 = best_split(x2, y2, [0])
+    split2 = table_split(split_table(x2, y2), [0])
     assert split2 == (0, 1.5)
 
 
 def test_best_split_matches_oracle_on_random_fixtures():
     for seed in range(60):
         ds = int_dataset(seed, n=2 + seed % 11, d=2, classes=3)
-        got = best_split(ds.features, ds.labels, [0, 1])
+        got = table_split(split_table(ds.features, ds.labels), [0, 1])
         expected = oracle_best_split(ds.features, ds.labels)
         assert got == expected
 
@@ -259,7 +259,8 @@ def test_grower_equals_recursive_reference(dataset, m_try, identity, seed, index
 
     x, y = dataset.features, dataset.labels
     candidates = data.draw(st.lists(st.integers(0, d - 1), max_size=d))
-    assert best_split(x, y, candidates) == reference_best_split(x, y, candidates)
+    split = table_split(split_table(x, y), sorted(set(candidates)))
+    assert split == reference_best_split(x, y, candidates)
     counts = np.bincount(y, minlength=CLASS_COUNT).astype(float)
     parent = entropy_impurity(counts)
     assert split_table(x, y) == [reference_column_split(x[:, f], y, counts, parent)
