@@ -150,6 +150,9 @@ def read_manifest(
     """Entries with paths resolved against the manifest's directory."""
     path = Path(path)
     entries, meta = parse_manifest(path)
+    for tid, rel, _ in entries:
+        if "\0" in rel:  # Path.resolve raises ValueError on it
+            raise DataError(f"{path}: trace {tid!r}: file path holds a NUL byte")
     return [(tid, (path.parent / rel).resolve(), lab) for tid, rel, lab in entries], meta
 
 

@@ -623,10 +623,15 @@ def _missing_manifest(tmp_path):
     return tmp_path / "nowhere.csv"
 
 
+def _nul_in_trace_path(tmp_path):
+    return _manifest_naming(tmp_path, "t\x00.csv")
+
+
 @pytest.mark.parametrize("make_manifest", [
     _missing_trace, _directory_as_trace, _latin1_trace, _latin1_manifest, _missing_manifest,
+    _nul_in_trace_path,
 ], ids=["missing-trace", "directory-trace", "non-utf8-trace", "non-utf8-manifest",
-        "missing-manifest"])
+        "missing-manifest", "nul-in-trace-path"])
 def test_unreadable_input_file_exits_data(tmp_path, capsys, make_manifest):
     manifest = make_manifest(tmp_path)
     capsys.readouterr()

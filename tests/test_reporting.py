@@ -95,6 +95,13 @@ def test_manifest_header_and_row_checks(tmp_path):
         read_manifest(bad2)
 
 
+def test_manifest_path_with_nul_byte_is_a_data_error(tmp_path):
+    path = tmp_path / "m.csv"
+    write_manifest(path, [("t1", "traces/t1.csv", None), ("t2", "traces/t\x002.csv", None)])
+    with pytest.raises(DataError, match=r"m\.csv: trace 't2': file path holds a NUL byte"):
+        read_manifest(path)
+
+
 def test_load_manifest_traces(tmp_path):
     (tmp_path / "traces").mkdir()
     tr = make_trace("t1", [0.0, 1.0, 2.0], [5.0, 6.0, 7.0], SensorType.HUMIDITY)
