@@ -123,10 +123,10 @@ def cmd_synth(args) -> int:
     else:
         spec = preset_spec(args.preset, seed=_seed(args),
                            traces_per_type=args.traces_per_type)
+    traces = generate_corpus(spec)
     out = Path(args.out)
     trace_dir = out / "traces"
     trace_dir.mkdir(parents=True, exist_ok=True)
-    traces = generate_corpus(spec)
     entries = []
     for tr in traces:
         rel = f"traces/{tr.trace_id}.csv"

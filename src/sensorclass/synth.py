@@ -23,7 +23,8 @@ A corpus spec is a JSON document with these keys, all optional:
                      "_", "." or "-")
     seed             master seed, an integer >= 0
     traces_per_type  an integer >= 1
-    duration_s       trace length in seconds, > 0 and >= interval_s
+    duration_s       trace length in seconds, > 0 and >= interval_s, at
+                     most MAX_SAMPLES_PER_TRACE samples a trace
     interval_s       sampling interval in seconds, > 0
     climate_shift    {"<type>": {"offset": x, "scale": y}, ...}; replaces
                      the preset's shift as a whole
@@ -37,7 +38,10 @@ Every value must have its field's type (an integer, a number, a string,
 true/false, a number or null, or a list of numbers); numbers must be
 finite (only a clamp bound may be infinite); rates, noise, jitter and
 burst_minutes must be >= 0 and period_days > 0; a clamp (low, high) must
-be ordered. Anything else raises InvalidSpec naming the key.
+be ordered. Anything else raises InvalidSpec naming the key, and so does
+a profile whose values overflow or that numpy cannot draw from (a
+level_jitter of 1e308, a burst_rate_per_day of 1e300), when the corpus
+is generated.
 """
 
 from __future__ import annotations
@@ -57,6 +61,9 @@ from .errors import DataError, InvalidSpec
 from .trace import SensorTrace, SensorType, _from_arrays, read_utf8
 
 DAY_S = 86400.0
+# duration_s // interval_s + 1, the samples of one trace; a year at 1 s
+# sampling is 3.2 times this. Generation holds every trace in memory.
+MAX_SAMPLES_PER_TRACE = 10_000_000
 _CORPUS_TAG = 301
 
 
@@ -254,16 +261,24 @@ def generate_trace(
 
 
 def generate_corpus(spec: CorpusSpec) -> list[SensorTrace]:
-    """All traces of a corpus, grouped by type, ids '<name>-<type>-<idx>'."""
+    """All traces of a corpus, grouped by type, ids '<name>-<type>-<idx>'.
+
+    Raises InvalidSpec naming profiles.<type> when a profile's values
+    overflow a float or are out of range for a numpy draw.
+    """
     traces = []
     for profile in effective_profiles(spec):
         code = int(profile.sensor_type)
         for index in range(spec.traces_per_type):
             ss = seeding.seed_sequence(spec.seed, _CORPUS_TAG, code, index)
             tid = f"{spec.name}-{profile.sensor_type.label}-{index:03d}"
-            traces.append(
-                generate_trace(profile, spec.duration_s, spec.interval_s, ss, tid)
-            )
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    trace = generate_trace(profile, spec.duration_s, spec.interval_s, ss, tid)
+            except (ArithmeticError, ValueError, DataError) as exc:
+                raise InvalidSpec(f"profiles.{profile.sensor_type.label}",
+                                  f"cannot generate {tid}: {exc}") from None
+            traces.append(trace)
     return traces
 
 
@@ -411,6 +426,9 @@ def _check_ranges(spec, prefix: str) -> None:
             raise InvalidSpec(prefix + "name", "expected letters, digits, '_', '.' or '-'")
         if spec.duration_s < spec.interval_s:
             raise InvalidSpec(prefix + "duration_s", "must cover at least one interval_s")
+        if spec.duration_s // spec.interval_s + 1 > MAX_SAMPLES_PER_TRACE:
+            raise InvalidSpec(prefix + "duration_s",
+                              f"more than {MAX_SAMPLES_PER_TRACE:,} samples per trace")
 
 
 def preset_spec(name: str, seed: int = 0, traces_per_type: int = 20) -> CorpusSpec:

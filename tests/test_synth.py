@@ -13,6 +13,7 @@ from sensorclass.errors import InvalidSpec
 from sensorclass.features import extract
 from sensorclass.synth import (
     DEFAULT_PROFILES,
+    MAX_SAMPLES_PER_TRACE,
     PRESET_NAMES,
     PRESETS,
     CorpusSpec,
@@ -389,6 +390,36 @@ def test_spec_value_out_of_type_or_range(tmp_path, key, doc):
     with pytest.raises(InvalidSpec) as info:
         load_corpus_spec(write_spec(tmp_path, doc))
     assert info.value.key == key
+
+
+# Finite values the reader accepts one by one but generation cannot use:
+# a draw numpy refuses, a sum that overflows, 16.7 billion samples a trace.
+HUGE_SPECS = [
+    ("profiles.co2", {"profiles": {"co2": {"level_jitter": 1e308}}}),
+    ("profiles.co2", {"profiles": {"co2": {"burst_rate_per_day": 1e300}}}),
+    ("profiles.humidity", {"profiles": {"humidity": {
+        "base_level": 1.7e308, "daily_amplitude": 1e308, "clamp": [-math.inf, math.inf]}}}),
+    ("duration_s", {"duration_s": 1e12}),
+]
+
+
+@pytest.mark.parametrize("key,doc", HUGE_SPECS, ids=[json.dumps(d) for _, d in HUGE_SPECS])
+def test_huge_spec_value_exits_config_naming_its_key(tmp_path, capsys, key, doc):
+    spec = write_spec(tmp_path, {"traces_per_type": 1, "duration_s": 86400, **doc})
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: corpus spec key '{key}': ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_spec_sample_cap_is_inclusive():
+    at_cap = {"interval_s": 1.0, "duration_s": MAX_SAMPLES_PER_TRACE - 1.0}
+    assert corpus_spec(at_cap).duration_s == MAX_SAMPLES_PER_TRACE - 1.0
+    with pytest.raises(InvalidSpec) as info:
+        corpus_spec(dict(at_cap, duration_s=float(MAX_SAMPLES_PER_TRACE)))
+    assert info.value.key == "duration_s"
 
 
 def test_spec_clamp_may_be_infinite(tmp_path):
