@@ -1,13 +1,13 @@
 """Fuzz gate: a corrupted input file ends in an exit code, never a traceback.
 
 Copies of the golden feature matrix, model and predictions, of the manifest
-of a small synthesized corpus, of a corpus spec and of a relabel answers
-file are mutated (a flipped byte, a truncation, a dropped or repeated line,
-or one cell or JSON scalar set to nan, NaN, 1e309, -1, 0, null, true, ""
-or subset:zz) and handed to the commands that read them, in process
-through cli.main. A spec is configuration, so synth must exit 0 or 2;
-relabel must exit 0, 2 or 3, and the other commands 0, 2, 3 or 4. Any
-exception fails.
+and of one trace file of a small synthesized corpus, of a corpus spec and
+of a relabel answers file are mutated (a flipped byte, a truncation, a
+dropped or repeated line, or one cell or JSON scalar set to nan, NaN,
+1e309, -1, 0, null, true, "" or subset:zz) and handed to the commands that
+read them, in process through cli.main. A spec is configuration, so synth
+must exit 0 or 2; features on a corrupted trace must exit 0 or 3, relabel
+0, 2 or 3, and the other commands 0, 2, 3 or 4. Any exception fails.
 
 The number of examples per file comes from the hypothesis profile (see
 conftest.py): 40 by default, 1,000 with --hypothesis-profile=deep.
@@ -42,7 +42,12 @@ CELL_VALUES = (b"nan", b"NaN", b"1e309", b"-1", b"0", b"null", b"true", b"", b"s
 CELL = re.compile(rb'[^,\s"=\[\]{}]+')  # a CSV cell, a metadata value or a JSON scalar
 HEAD_LINES = 24  # metadata, header and the model's config live at the top of a file
 ANY_EXIT = (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_UNDEFINED)
-EXITS = {"spec": (EXIT_OK, EXIT_CONFIG), "answers": (EXIT_OK, EXIT_CONFIG, EXIT_DATA)}
+EXITS = {
+    "spec": (EXIT_OK, EXIT_CONFIG),
+    "answers": (EXIT_OK, EXIT_CONFIG, EXIT_DATA),
+    "trace": (EXIT_OK, EXIT_DATA),
+}
+FUZZED_TRACE = "fuzz-co2-000"  # the trace whose file is mutated
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +68,11 @@ def work(tmp_path_factory):
     ]
     for argv in steps:
         assert main(argv) == EXIT_OK, argv
+    # the corpus manifest, with the fuzzed file in place of one trace's
+    manifest = (root / "corpus" / "manifest.csv").read_text()
+    assert f"traces/{FUZZED_TRACE}.csv" in manifest
+    (root / "corpus" / "trace_manifest.csv").write_text(
+        manifest.replace(f"traces/{FUZZED_TRACE}.csv", "fuzzed.csv"))
     return root
 
 
@@ -79,6 +89,8 @@ def commands(artifact: str, path: Path, work: Path) -> list[list[str]]:
                    "--out", out]],
         "predictions": [["flag", "--predictions", str(path), "--out", out]],
         "manifest": [["features", "--manifest", str(path), "--out", out]],
+        "trace": [["features", "--manifest", str(work / "corpus" / "trace_manifest.csv"),
+                   "--out", out]],
         "spec": [["synth", "--spec", str(path), "--out", str(work / "out_corpus")]],
         "answers": [["relabel", "--predictions", str(work / "preds.csv"),
                      "--manifest", str(work / "corpus" / "manifest.csv"),
@@ -94,6 +106,7 @@ def source(artifact: str, work: Path) -> Path:
         "model": GOLDEN / "model.json",
         "predictions": GOLDEN / "preds_paper.csv",
         "manifest": work / "corpus" / "manifest.csv",
+        "trace": work / "corpus" / "traces" / f"{FUZZED_TRACE}.csv",
         "spec": work / "fuzz_spec.json",
         "answers": work / "answers.txt",
     }[artifact]
@@ -125,7 +138,7 @@ def mutated(draw, data: bytes) -> bytes:
 
 
 @pytest.mark.parametrize(
-    "artifact", ["features", "model", "predictions", "manifest", "spec", "answers"]
+    "artifact", ["features", "model", "predictions", "manifest", "trace", "spec", "answers"]
 )
 @given(data=st.data())
 def test_corrupted_input_exits_cleanly(work, artifact, data):
