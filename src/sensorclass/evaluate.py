@@ -8,7 +8,8 @@ or rerunning a repeat never disturbs the others.
 Every protocol runs its (training rows, test rows, config) folds through
 one loop, _fold_posteriors, which grows all their forests in one
 train_forests call; each forest's posteriors on its test rows are scored
-by row index. Only loo_cv and inter's full-training-set run build
+by row index. The percentage protocol grows its LOO folds in that same
+call. Only the LOO runs and inter's full-training-set run build
 Prediction records, with entropies: theirs are the predictions eval writes.
 
 Accuracy bookkeeping follows the reporting layout: one row per sensor
@@ -247,30 +248,42 @@ def fraction_splits(
 
 def percentage_protocol(
     dataset: LabeledDataset, fractions: Sequence[float], config: ForestConfig
-) -> AccuracyTable:
-    """Stratified train fractions, each repeated round(1/fraction) times.
+) -> tuple[AccuracyTable, ProtocolResult]:
+    """Stratified train fractions, each repeated round(1/fraction) times,
+    then leave-one-out: (the table, with the LOO column last, and the LOO
+    result as loo_cv gives it, entropies in nats).
 
     Small fractions are noisier, so they get proportionally more repeats;
-    every cell is the mean over the repeats where it was defined.
+    every cell is the mean over the repeats where it was defined. The
+    forests of every fold, fractions and LOO alike, grow in one
+    train_forests call.
     """
     table = new_table()
     splits = [list(fraction_splits(dataset, fraction, config, _TAG_PERCENTAGE, fi))
               for fi, fraction in enumerate(fractions)]
-    posteriors = _fold_posteriors(dataset, dataset, [fold for folds in splits for fold in folds])
+    loo_folds = _loo_folds(dataset, config)
+    posteriors = _fold_posteriors(dataset, dataset,
+                                  [fold for folds in splits for fold in folds] + loo_folds)
     for fraction, folds in zip(fractions, splits):
         results = [per_class_accuracy(dataset.labels[te], next(posteriors).argmax(axis=1))
                    for _, te, _ in folds]
         add_column(table, fraction_column_name(fraction), accuracy_column(results))
-    return table
+    loo = _prediction_records(dataset, np.concatenate(list(posteriors)), "nats")
+    add_column(table, LOO_COLUMN, accuracy_column([loo.accuracy]))
+    return table, loo
 
 
-def _loo_posteriors(dataset: LabeledDataset, config: ForestConfig) -> np.ndarray:
-    """Each row's posteriors from a forest grown without it, seeded at (seed, 202, row)."""
+def _loo_folds(dataset: LabeledDataset, config: ForestConfig) -> list[tuple]:
+    """The fold of each row: trained without it, seeded at (seed, 202, row)."""
     n = len(dataset)
     if n < 2:
         raise DataError("leave-one-out needs at least two instances")
-    folds = [(np.delete(np.arange(n), i), [i], _fold_config(config, _TAG_LOO, i)) for i in range(n)]
-    return np.concatenate(list(_fold_posteriors(dataset, dataset, folds)))
+    return [(np.delete(np.arange(n), i), [i], _fold_config(config, _TAG_LOO, i)) for i in range(n)]
+
+
+def _loo_posteriors(dataset: LabeledDataset, config: ForestConfig) -> np.ndarray:
+    """Each row's posteriors from a forest grown without it."""
+    return np.concatenate(list(_fold_posteriors(dataset, dataset, _loo_folds(dataset, config))))
 
 
 def loo_cv(

@@ -26,9 +26,14 @@ evaluation protocol, grow together, and at each step every one of them
 splits its next impure node. One segmented kernel scores all those
 (node, candidate feature) pairs at once: a stable sort by (segment,
 value), a running count of classes, and one entropy call over every cut.
-Trees hold row indices into the shared feature matrix, not copies, and
-the trees growing at once and the entries per kernel call are capped, so
-memory stays bounded however many folds a protocol has.
+The growing trees are arrays, one row per tree, in the node and sample
+layout of Louppe, Understanding Random Forests (arXiv:1407.7502), ch. 5:
+a tree's bootstrap rows are one array of row indices into the shared
+feature matrix, and a node is a slice of it that a split partitions in
+place. Stacks and preorder outputs are arrays too, so no Python runs per
+node but its draw of candidate features. The trees growing at once and
+the entries per kernel call are capped, so memory stays bounded however
+many folds a protocol has.
 
 Determinism: every tree's RNG derives from (config.seed, tree index), and
 its draws happen in its own preorder (the bootstrap, then one feature
@@ -50,7 +55,7 @@ import numpy as np
 from . import seeding
 from .errors import DataError, InvalidConfig, SchemaMismatch
 from .features import FeatureVector, schema_length
-from .trace import CLASS_COUNT, SensorType, read_utf8
+from .trace import CLASS_COUNT, SensorType, read_utf8, run_starts
 
 MODEL_FORMAT = "sensorclass-forest-v1"
 
@@ -61,11 +66,12 @@ _TREE_TAG = 101
 
 # Bounds on the memory of one lockstep grow, whatever its number of folds:
 # trees growing at once, and (row, candidate feature) entries per kernel call.
-_TREES_IN_FLIGHT = 32
-_KERNEL_ENTRIES = 2048
+_TREES_IN_FLIGHT = 256
+_KERNEL_ENTRIES = 4096
 
 _NO_POSTERIOR = np.zeros(CLASS_COUNT)  # value row of a split node
-_ONE_HOT = np.eye(CLASS_COUNT)  # row c is the one-hot vector of class c
+_CLASSES = np.arange(CLASS_COUNT)[:, None]
+_ONE_HOT = np.eye(CLASS_COUNT)  # row c is the leaf posterior of a node whose rows are all class c
 
 
 @dataclass(frozen=True)
@@ -179,23 +185,16 @@ class RandomForest:
     feature_schema: str
 
 
-def entropy_impurity(counts: np.ndarray | Sequence[float]) -> float:
-    """Shannon entropy of a count vector, in nats. Zero counts contribute 0."""
-    c = np.asarray(counts, dtype=float)
-    total = c.sum()
-    if total <= 0:
-        raise DataError("entropy of an empty count vector is undefined")
-    return float(_entropy_rows(c[None, :], np.array([total]))[0])
-
-
-def _entropy_rows(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Row-wise entropy of count matrices; shared by parent and child paths
-    so that identical distributions produce bit-identical values."""
-    p = counts / totals[:, None]
-    plogp = np.where(counts > 0, p, 1.0)  # log(1) = 0: a zero count adds 0 * 0
+def _entropy(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Entropy of every column of a (classes, k) count matrix; shared by
+    parent and child paths so that identical distributions produce
+    bit-identical values. Class-major, so every step runs over contiguous
+    rows of k; the column sums still add the classes in order."""
+    p = counts / totals
+    plogp = p + (counts == 0)  # log(1) = 0: a zero count adds 0 * 0
     np.log(plogp, out=plogp)
     plogp *= p
-    return -plogp.sum(axis=1)
+    return -plogp.sum(axis=0)
 
 
 def _column_ranks(x: np.ndarray) -> np.ndarray:
@@ -210,37 +209,32 @@ def _column_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _run_starts(a: np.ndarray) -> np.ndarray:
-    """Index of the first element of each run of equal values in a."""
-    new = np.ones(len(a), dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=new[1:])
-    return np.flatnonzero(new)
-
-
 def _segment_scores(
     x: np.ndarray,
     y: np.ndarray,
     ranks: np.ndarray,
-    rows: Sequence[np.ndarray],
+    rows: np.ndarray,
+    n_rows: np.ndarray,
     counts: np.ndarray,
-    candidates: Sequence[np.ndarray],
+    candidates: np.ndarray,
+    n_cand: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(gain, threshold) of the best cut of every (node, candidate) segment.
 
-    Node k holds rows[k] of x and y, with class counts counts[k] (floats),
-    and is scored on the features candidates[k]; ranks is _column_ranks(x).
-    Segments are node-major, candidates in the given order. A segment whose
-    column is constant has gain -inf. Within a segment the first of equal
+    Node k holds the next n_rows[k] entries of rows (indices into x and
+    y), has class counts counts[k] (floats) and is scored on the next
+    n_cand[k] features of candidates; ranks is _column_ranks(x). Segments
+    are node-major, candidates in the given order. A segment whose column
+    is constant has gain -inf. Within a segment the first of equal
     gains, the smallest threshold, wins. Segments are scored in calls of at
     most _KERNEL_ENTRIES entries (one segment alone may exceed it).
     """
-    n_rows = np.array([len(r) for r in rows])
-    seg_node = np.repeat(np.arange(len(rows)), [len(c) for c in candidates])
-    seg_feature = np.concatenate(candidates)
+    seg_node = np.repeat(np.arange(len(n_rows)), n_cand)
+    seg_feature = candidates
     seg_len = n_rows[seg_node]
-    seg_row0 = (np.cumsum(n_rows) - n_rows)[seg_node]  # the node's first entry in all_rows
-    all_rows = np.concatenate(rows)
-    parent = _entropy_rows(counts, n_rows.astype(float))
+    seg_row0 = (np.cumsum(n_rows) - n_rows)[seg_node]  # the node's first entry in rows
+    counts = np.ascontiguousarray(counts.T)  # class-major
+    parent = _entropy(counts, n_rows.astype(float))
     gain = np.full(len(seg_node), -np.inf)
     threshold = np.zeros(len(seg_node))
     n_ranks = int(ranks.max()) + 1
@@ -252,7 +246,7 @@ def _segment_scores(
         lens = seg_len[a:b]
         seg = np.repeat(np.arange(b - a), lens)  # chunk-local segment of each entry
         first = np.cumsum(lens) - lens
-        entry_rows = all_rows[seg_row0[a:b][seg] + np.arange(ends[b - 1] - done) - first[seg]]
+        entry_rows = rows[seg_row0[a:b][seg] + np.arange(ends[b - 1] - done) - first[seg]]
         entry_features = seg_feature[a:b][seg]
         # sort by (segment, value): a value's column rank orders it in its
         # segment. Equal values may come in any order, since cuts fall only
@@ -265,22 +259,23 @@ def _segment_scores(
             # cum[c, i]: entries of class c among the first i, as exact counts
             labels = y[entry_rows[order]]
             cum = np.zeros((CLASS_COUNT, len(seg) + 1), dtype=np.int32)
-            for c in range(CLASS_COUNT):
-                np.cumsum(labels == c, out=cum[c, 1:])
+            np.cumsum(labels == _CLASSES, axis=1, out=cum[:, 1:])
             cs = seg[cut]
-            left = (cum[:, cut + 1] - cum[:, first[cs]]).T.astype(float, order="C")
+            left = cum.take(cut + 1, axis=1)
+            left -= cum.take(first[cs], axis=1)
+            left = left.astype(float)
             node = seg_node[a:b][cs]
             n = lens[cs].astype(float)
             n_left = (cut - first[cs] + 1).astype(float)
             n_right = n - n_left
-            h_left = _entropy_rows(left, n_left)
-            h_right = _entropy_rows(counts[node] - left, n_right)
+            h_left = _entropy(left, n_left)
+            h_right = _entropy(counts.take(node, axis=1) - left, n_right)
             gains = parent[node] - (n_left * h_left + n_right * h_right) / n
-            starts = _run_starts(cs)
+            starts = run_starts(cs)
             scored = a + cs[starts]  # the segments with a cut
             gain[scored] = np.maximum.reduceat(gains, starts)
             hit = np.flatnonzero(gains == gain[a + cs])
-            at = cut[hit[_run_starts(cs[hit])]]  # the first best cut of each segment
+            at = cut[hit[run_starts(cs[hit])]]  # the first best cut of each segment
             lo, hi = order[at], order[at + 1]  # the entries either side of it
             threshold[scored] = (x[entry_rows[lo], entry_features[lo]]
                                  + x[entry_rows[hi], entry_features[hi]]) / 2.0
@@ -292,33 +287,32 @@ def _best_splits(
     x: np.ndarray,
     y: np.ndarray,
     ranks: np.ndarray,
-    rows: Sequence[np.ndarray],
+    rows: np.ndarray,
+    n_rows: np.ndarray,
     counts: np.ndarray,
-    candidates: Sequence[np.ndarray],
+    candidates: np.ndarray,
+    n_cand: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(feature, threshold) of each node's split, feature -1 for none: the
-    first ascending candidate with the strictly highest positive gain."""
-    gain, threshold = _segment_scores(x, y, ranks, rows, counts, candidates)
-    n_cand = np.array([len(c) for c in candidates])
-    seg_node = np.repeat(np.arange(len(rows)), n_cand)
+    first ascending candidate with the strictly highest positive gain.
+    Arguments as for _segment_scores."""
+    gain, threshold = _segment_scores(x, y, ranks, rows, n_rows, counts, candidates, n_cand)
+    seg_node = np.repeat(np.arange(len(n_rows)), n_cand)
     top = np.maximum.reduceat(gain, np.cumsum(n_cand) - n_cand)
     hit = np.flatnonzero(gain == top[seg_node])  # -inf == -inf: every node has a hit
-    pick = hit[_run_starts(seg_node[hit])]
-    feature = np.where(top > 0, np.concatenate(candidates)[pick], -1)
+    pick = hit[run_starts(seg_node[hit])]
+    feature = np.where(top > 0, candidates[pick], -1)
     return feature, threshold[pick]
-
-
-def _class_counts(labels: np.ndarray) -> np.ndarray:
-    return np.bincount(labels, minlength=CLASS_COUNT).astype(float)
 
 
 def split_table(features: np.ndarray, labels: np.ndarray) -> list[tuple[float, float] | None]:
     """(gain, threshold) of the best cut of every feature column of a node's
     rows, None for a constant column. table_split picks a candidate set's
     split from it, so a node shared by many candidate sets is scored once."""
-    rows = np.arange(len(labels))
-    gain, threshold = _segment_scores(features, labels, _column_ranks(features), [rows],
-                                      _class_counts(labels)[None], [np.arange(features.shape[1])])
+    n, d = features.shape
+    counts = np.bincount(labels, minlength=CLASS_COUNT).astype(float)
+    gain, threshold = _segment_scores(features, labels, _column_ranks(features), np.arange(n),
+                                      np.array([n]), counts[None], np.arange(d), np.array([d]))
     return [None if g == -np.inf else (float(g), float(t)) for g, t in zip(gain, threshold)]
 
 
@@ -340,56 +334,17 @@ def table_split(
     return best
 
 
-class _Growing:
-    """One tree in a lockstep grow: its generator, its preorder node lists
-    so far, and a stack of nodes still to grow. A stack entry is (rows,
-    class counts, leaf posterior if the node is pure else None, the split
-    node whose right child it is or -1)."""
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The indices starts[k], ..., starts[k] + lens[k] - 1 of every k, end to end."""
+    offsets = np.cumsum(lens) - lens
+    return np.repeat(starts - offsets, lens) + np.arange(offsets[-1] + lens[-1])
 
-    __slots__ = ("rng", "m_try", "feature", "threshold", "right", "value", "stack")
 
-    def __init__(self, y: np.ndarray, rows: np.ndarray, config: ForestConfig, index: int,
-                 identity_bootstrap: bool, feature_count: int):
-        self.rng = seeding.generator(config.seed, _TREE_TAG, index)
-        self.m_try = config.resolve_m_try(feature_count)
-        if not identity_bootstrap:
-            rows = rows[self.rng.integers(0, len(rows), size=len(rows))]
-        counts = _class_counts(y[rows])
-        leaf = counts / len(rows) if counts.max() == len(rows) else None
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.right: list[int] = []
-        self.value: list[np.ndarray] = []
-        self.stack = [(rows, counts, leaf, -1)]
-
-    def emit(self, feature: int, threshold: float, value: np.ndarray, parent: int) -> int:
-        """Append the next node in preorder; returns its index."""
-        if parent >= 0:
-            self.right[parent] = len(self.feature)
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.right.append(-1)
-        self.value.append(value)
-        return len(self.feature) - 1
-
-    def next_impure(self, feature_count: int):
-        """Pop nodes, emitting pure ones as leaves, up to the next impure
-        node: (rows, counts, parent, candidates), its candidates drawn
-        here. None once the stack is empty."""
-        while self.stack:
-            rows, counts, leaf, parent = self.stack.pop()
-            if leaf is None:
-                if self.m_try == feature_count:
-                    cand = np.arange(feature_count)
-                else:
-                    cand = self.rng.choice(feature_count, size=self.m_try, replace=False)
-                    cand.sort(kind="stable")  # the default sort maps in a large SIMD library
-                return rows, counts, parent, cand
-            self.emit(-1, 0.0, leaf, parent)
-        return None
-
-    def tree(self) -> DecisionTree:
-        return DecisionTree(self.feature, self.threshold, self.right, self.value)
+def _widen(a: np.ndarray, cols: int) -> np.ndarray:
+    """a with its second axis zero-padded to cols entries."""
+    out = np.zeros((a.shape[0], cols, *a.shape[2:]), dtype=a.dtype)
+    out[:, :a.shape[1]] = a
+    return out
 
 
 def _grow(
@@ -398,62 +353,129 @@ def _grow(
     """Grow the tree of each (rows, config, tree index, identity bootstrap)
     job in lockstep; yield the trees in job order.
 
-    At most _TREES_IN_FLIGHT trees grow at once. At each step every one of
-    them pops its next impure node, and one _best_splits call splits all
-    those nodes. Each tree draws from its own generator in its own
-    preorder, so it does not depend on the trees it grows beside.
+    At most _TREES_IN_FLIGHT trees grow at once, tree s in row s of every
+    array below. Node [lo, hi) of a tree holds rows[s, lo:hi], and a split
+    partitions that slice stably in place, left rows first. A stack entry
+    is (lo, hi, the split node whose right child it is or -1, the node's
+    class if it is pure or -1). Stacks and outputs double when outgrown.
+
+    At each step every tree emits the pure nodes on top of its stack as
+    leaves, then pops its next impure node; one _best_splits call and one
+    partition split all those nodes. Each tree draws from its own generator
+    in its own preorder, so it does not depend on the trees it grows beside.
     """
     d = x.shape[1]
     ranks = _column_ranks(x)
+    all_features = np.arange(d)
     queue = enumerate(jobs)
-    growing: list[tuple[int, _Growing]] = []
+    cap = _TREES_IN_FLIGHT
+    job = np.full(cap, -1)  # the position of each slot's job; -1 for a free slot
+    rngs: list[np.random.Generator | None] = [None] * cap
+    m_try = np.zeros(cap, dtype=np.intp)
+    sp = np.zeros(cap, dtype=np.intp)  # stack sizes
+    size = np.zeros(cap, dtype=np.intp)  # nodes emitted
+    rows = np.zeros((cap, 0), dtype=np.intp)
+    stack = np.zeros((cap, 1, 4), dtype=np.intp)
+    feature = np.zeros((cap, 0), dtype=np.intp)
+    threshold = np.zeros((cap, 0))
+    right = np.zeros((cap, 0), dtype=np.intp)
+    value = np.zeros((cap, 0, CLASS_COUNT))
     finished: dict[int, DecisionTree] = {}
     next_out = 0
+
+    def emit(s, f, t, v, parent):
+        """Write node (f, t, v) next in the preorder of each slot in s, as
+        the right child of parent where parent >= 0; returns the indices."""
+        at = size[s]
+        feature[s, at] = f
+        threshold[s, at] = t
+        right[s, at] = -1
+        value[s, at] = v
+        up = parent >= 0
+        right[s[up], parent[up]] = at[up]
+        size[s] += 1
+        return at
+
     while True:
-        while len(growing) < _TREES_IN_FLIGHT and (job := next(queue, None)) is not None:
-            pos, (rows, config, index, identity) = job
-            growing.append((pos, _Growing(y, rows, config, index, identity, d)))
-        if not growing:
+        for s in np.flatnonzero(job < 0).tolist():
+            if (item := next(queue, None)) is None:
+                break
+            pos, (fold_rows, config, index, identity) = item
+            rngs[s] = seeding.generator(config.seed, _TREE_TAG, index)
+            n = len(fold_rows)
+            if not identity:
+                fold_rows = fold_rows[rngs[s].integers(0, n, size=n)]
+            if n > rows.shape[1]:
+                rows = _widen(rows, n)
+            rows[s, :n] = fold_rows
+            counts = np.bincount(y[fold_rows], minlength=CLASS_COUNT)
+            stack[s, 0] = (0, n, -1, counts.argmax() if counts.max() == n else -1)
+            job[s], m_try[s], sp[s], size[s] = pos, config.resolve_m_try(d), 1, 0
+        live = np.flatnonzero(job >= 0)
+        if not live.size:
             return
-        active, nodes = [], []  # the trees still growing, and the node each pops
-        for pos, tree in growing:
-            node = tree.next_impure(d)
-            if node is None:
-                finished[pos] = tree.tree()
-            else:
-                active.append((pos, tree))
-                nodes.append(node)
-        growing = active
+        # a step pops at most the whole stack and pushes one more entry
+        if (need := int(sp.max()) + 1) > stack.shape[1]:
+            stack = _widen(stack, 2 * need)
+        if (need := int((size + sp).max())) > feature.shape[1]:
+            feature, threshold, right, value = (
+                _widen(a, 2 * need) for a in (feature, threshold, right, value))
+        while True:  # every pure node on top of a stack becomes a leaf
+            s = live[sp[live] > 0]
+            top = stack[s, sp[s] - 1]
+            leaf = top[:, 3] >= 0
+            if not leaf.any():
+                break
+            s, top = s[leaf], top[leaf]
+            emit(s, -1, 0.0, _ONE_HOT[top[:, 3]], top[:, 2])
+            sp[s] -= 1
+        for s in live[sp[live] == 0].tolist():
+            m = size[s]
+            finished[int(job[s])] = DecisionTree(feature[s, :m].copy(), threshold[s, :m].copy(),
+                                                 right[s, :m].copy(), value[s, :m].copy())
+            job[s], rngs[s] = -1, None
         while next_out in finished:
             yield finished.pop(next_out)
             next_out += 1
-        if not nodes:
+        s = live[sp[live] > 0]
+        if not s.size:
             continue
-        rows, counts, parents, cands = zip(*nodes)
-        counts = np.array(counts)
-        n_rows = np.array([len(r) for r in rows])
-        feature, threshold = _best_splits(x, y, ranks, rows, counts, cands)
-        leaves = counts / n_rows[:, None]
-        # rows of node k partitioned into child 2k (left) and 2k + 1 (right), in row order
-        row_node = np.repeat(np.arange(len(rows)), n_rows)
-        all_rows = np.concatenate(rows)
-        child = 2 * row_node + (x[all_rows, np.maximum(feature, 0)[row_node]] > threshold[row_node])
-        child_rows = all_rows[np.argsort(child, kind="stable")]
-        sizes = np.bincount(child, minlength=2 * len(rows))
-        bounds = [0] + np.cumsum(sizes).tolist()  # child j is child_rows[bounds[j]:bounds[j + 1]]
-        child_counts = np.bincount(
-            child * CLASS_COUNT + y[all_rows], minlength=2 * len(rows) * CLASS_COUNT
-        ).reshape(-1, CLASS_COUNT).astype(float)
-        child_leaves = child_counts / np.maximum(sizes, 1)[:, None]
-        pure = (child_counts.max(axis=1) == sizes).tolist()
-        for k, ((_, tree), f, t) in enumerate(zip(active, feature.tolist(), threshold.tolist())):
-            if f < 0:
-                tree.emit(-1, 0.0, leaves[k], parents[k])
-                continue
-            at = tree.emit(f, t, _NO_POSTERIOR, parents[k])
-            for j, parent in ((2 * k + 1, at), (2 * k, -1)):  # right first: left pops first
-                tree.stack.append((child_rows[bounds[j]:bounds[j + 1]], child_counts[j],
-                                   child_leaves[j] if pure[j] else None, parent))
+        # pop each tree's impure top and draw its candidates, in the tree's preorder
+        sp[s] -= 1
+        top = sp[s]
+        lo, hi, parent, _ = stack[s, top].T
+        n = hi - lo
+        n_cand = m_try[s]
+        draws = [all_features if m == d else rngs[t].choice(d, size=m, replace=False)
+                 for t, m in zip(s.tolist(), n_cand.tolist())]
+        shift = np.repeat(np.arange(len(s)) * d, n_cand)
+        # each node's candidates ascending; the default sort maps in a large SIMD library
+        cand = np.sort(np.concatenate(draws) + shift, kind="stable") - shift
+        at_rows = _ranges(s * rows.shape[1] + lo, n)
+        node_rows = rows.reshape(-1)[at_rows]
+        entry = np.repeat(np.arange(len(s)), n)
+        counts = np.bincount(entry * CLASS_COUNT + y[node_rows],
+                             minlength=len(s) * CLASS_COUNT).reshape(-1, CLASS_COUNT).astype(float)
+        f, t = _best_splits(x, y, ranks, node_rows, n, counts, cand, n_cand)
+        split = f >= 0
+        at = emit(s, f, np.where(split, t, 0.0),
+                  np.where(split[:, None], 0.0, counts / n[:, None]), parent)
+        # partition each split node's slice: left rows, then right rows, each in slice order
+        child = 2 * entry + ((x[node_rows, np.maximum(f, 0)[entry]] > t[entry]) & split[entry])
+        order = np.argsort(child.astype(np.min_scalar_type(2 * len(s))), kind="stable")
+        rows.reshape(-1)[at_rows] = node_rows[order]
+        sizes = np.bincount(child, minlength=2 * len(s))
+        child_counts = np.bincount(child * CLASS_COUNT + y[node_rows],
+                                   minlength=2 * len(s) * CLASS_COUNT).reshape(-1, CLASS_COUNT)
+        pure = np.where(child_counts.max(axis=1) == sizes, child_counts.argmax(axis=1),
+                        -1).reshape(-1, 2)
+        sizes = sizes.reshape(-1, 2)
+        s, top, lo, hi, at, sizes, pure = (a[split] for a in (s, top, lo, hi, at, sizes, pure))
+        mid = lo + sizes[:, 0]
+        # the right child goes below the left one, so the left subtree pops first
+        stack[s, top] = np.stack([mid, hi, at, pure[:, 1]], axis=1)
+        stack[s, top + 1] = np.stack([lo, mid, np.full_like(lo, -1), pure[:, 0]], axis=1)
+        sp[s] += 2
 
 
 def train_tree(

@@ -80,12 +80,6 @@ def _read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[tuple
     return meta, rows[0][1], rows[1:]
 
 
-def read_csv(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """(metadata, header, rows) of an artifact CSV."""
-    meta, header, rows = _read_table(path)
-    return meta, header, [row for _, row in rows]
-
-
 def read_rows(
     path: str | Path,
     header: Sequence[str] | Callable[[dict[str, str]], Sequence[str]],

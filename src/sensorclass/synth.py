@@ -24,7 +24,9 @@ A corpus spec is a JSON document with these keys, all optional:
     seed             master seed, an integer >= 0
     traces_per_type  an integer >= 1
     duration_s       trace length in seconds, > 0 and >= interval_s, at
-                     most MAX_SAMPLES_PER_TRACE samples a trace
+                     most MAX_SAMPLES_PER_TRACE samples a trace, and at
+                     most MAX_EVENTS_PER_TRACE expected bursts, steps or
+                     switches a trace (rate x days)
     interval_s       sampling interval in seconds, > 0
     climate_shift    {"<type>": {"offset": x, "scale": y}, ...}; replaces
                      the preset's shift as a whole
@@ -40,8 +42,7 @@ finite (only a clamp bound may be infinite); rates, noise, jitter and
 burst_minutes must be >= 0 and period_days > 0; a clamp (low, high) must
 be ordered. Anything else raises InvalidSpec naming the key, and so does
 a profile whose values overflow or that numpy cannot draw from (a
-level_jitter of 1e308, a burst_rate_per_day of 1e300), when the corpus
-is generated.
+level_jitter of 1e308), when the corpus is generated.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ DAY_S = 86400.0
 # duration_s // interval_s + 1, the samples of one trace; a year at 1 s
 # sampling is 3.2 times this. Generation holds every trace in memory.
 MAX_SAMPLES_PER_TRACE = 10_000_000
+# rate x days, the expected bursts, steps or switches of one trace; each
+# event is drawn and applied on its own.
+MAX_EVENTS_PER_TRACE = 100_000
+_EVENT_RATES = ("burst_rate_per_day", "step_rate_per_day", "switch_rate_per_day")
 _CORPUS_TAG = 301
 
 
@@ -235,8 +240,11 @@ def generate_trace(
         starts = rng.uniform(0.0, duration_s, count)
         lengths = profile.burst_minutes * 60.0 * rng.uniform(0.5, 2.0, count)
         heights = profile.burst_height * rng.uniform(0.6, 1.4, count)
-        for s, ln, h in zip(starts, lengths, heights):
-            values = values + np.where((t >= s) & (t < s + ln), h, 0.0)
+        # burst b covers the samples with starts[b] <= t < starts[b] + lengths[b]
+        lo = np.searchsorted(t, starts, side="left")
+        hi = np.searchsorted(t, starts + lengths, side="left")
+        for a, b, h in zip(lo.tolist(), hi.tolist(), heights.tolist()):
+            values[a:b] += h
 
     if profile.step_levels:
         count = int(rng.poisson(profile.step_rate_per_day * days))
@@ -429,6 +437,14 @@ def _check_ranges(spec, prefix: str) -> None:
         if spec.duration_s // spec.interval_s + 1 > MAX_SAMPLES_PER_TRACE:
             raise InvalidSpec(prefix + "duration_s",
                               f"more than {MAX_SAMPLES_PER_TRACE:,} samples per trace")
+        days = spec.duration_s / DAY_S
+        for profile in spec.profiles:
+            for rate in _EVENT_RATES:
+                if getattr(profile, rate) * days > MAX_EVENTS_PER_TRACE:
+                    raise InvalidSpec(
+                        f"{prefix}profiles.{profile.sensor_type.label}.{rate}",
+                        f"{getattr(profile, rate):g} a day over {days:g} days is more than "
+                        f"{MAX_EVENTS_PER_TRACE:,} events per trace")
 
 
 def preset_spec(name: str, seed: int = 0, traces_per_type: int = 20) -> CorpusSpec:

@@ -131,6 +131,13 @@ def validate_trace(
     return _from_arrays(trace_id, arr[:, 0], arr[:, 1], label)
 
 
+def run_starts(a: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in a."""
+    new = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
 def window_spans(
     trace: SensorTrace, window_len: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -142,20 +149,42 @@ def window_spans(
     with no samples (gaps) are omitted. A sample belongs to the window whose
     half-open interval [start, start + window_len) contains its timestamp.
 
-    Raises NoWindows when the span is shorter than a single window.
+    Window j starts at t0 + j * window_len, computed in exactly that form,
+    and a sample on an edge starts the window. Memory grows with the
+    samples, not with the number of windows the span holds.
+
+    Raises NoWindows when the span is shorter than a single window, and
+    DataError when it holds 2**53 windows or more, beyond exact indexing.
     """
     if not (window_len > 0) or not math.isfinite(window_len):
         raise DataError(f"window length must be positive and finite, got {window_len!r}")
     ts = trace.timestamps
     t0 = ts[0]
-    k = int((ts[-1] - t0) // window_len)
+    k = (ts[-1] - t0) // window_len  # whole windows in the span, a float
     if k == 0:
         raise NoWindows(trace.trace_id, trace.span, window_len)
-    edges = t0 + np.arange(k + 1) * window_len
-    bounds = np.searchsorted(ts, edges, side="left")
-    counts = np.diff(bounds)
-    keep = counts > 0
-    return edges[:-1][keep], bounds[:-1][keep], counts[keep]
+    if k >= 2.0**53:
+        raise DataError(f"trace {trace.trace_id!r}: span {trace.span:g} s holds {k:g} "
+                        f"windows of {window_len:g} s, more than can be indexed exactly")
+    ts = ts[:np.searchsorted(ts, t0 + k * window_len, side="left")]  # the tiled samples
+    # each sample's window by floor division. A rounding error can put a
+    # sample next to an edge in the neighbouring window; then the windows
+    # named do not hold exactly the samples between their edges, and every
+    # sample is placed by bisecting for the last edge at or below it.
+    w = np.minimum(np.floor((ts - t0) / window_len), k - 1)
+    firsts = run_starts(w)
+    j = w[firsts]
+    if not (np.array_equal(np.searchsorted(ts, t0 + j * window_len, side="left"), firsts)
+            and np.array_equal(np.searchsorted(ts, t0 + (j + 1) * window_len, side="left"),
+                               np.append(firsts[1:], len(ts)))):
+        lo, hi = np.zeros(len(ts), dtype=np.int64), np.full(len(ts), int(k) - 1)
+        while (lo < hi).any():
+            mid = (lo + hi + 1) // 2
+            below = t0 + mid * window_len <= ts
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid - 1)
+        w = lo
+        firsts = run_starts(w)
+    return t0 + w[firsts] * window_len, firsts, np.diff(firsts, append=len(ts))
 
 
 def window_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

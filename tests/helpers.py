@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from sensorclass import seeding
-from sensorclass.errors import DataError
+from sensorclass.errors import DataError, NoWindows
 from sensorclass.features import mask_indices, subset_schema
 from sensorclass.forest import (
     _TREE_TAG,
@@ -24,8 +24,10 @@ from sensorclass.forest import (
     ForestConfig,
     LabeledDataset,
     RandomForest,
+    _entropy,
     predict_matrix,
 )
+from sensorclass.reporting import _read_table
 from sensorclass.trace import (
     CLASS_COUNT,
     TRACE_HEADER,
@@ -37,6 +39,23 @@ from sensorclass.trace import (
 # Hand-computed rich8 vector for the two-window fixture with window values
 # {1,2,3} and {10,10,16}: MED = {2, 10}, VAR = {2/3, 8}.
 F_ORACLE = (2.0, 10.0, 6.0, 16.0, 2.0 / 3.0, 8.0, 13.0 / 3.0, 121.0 / 9.0)
+
+
+def entropy_impurity(counts):
+    """Shannon entropy of a count vector, in nats, by the split kernel's own
+    rule, so it is bit-identical to the kernel's parent entropy. Zero counts
+    contribute 0."""
+    c = np.asarray(counts, dtype=float)
+    total = c.sum()
+    if total <= 0:
+        raise DataError("entropy of an empty count vector is undefined")
+    return float(_entropy(c[:, None], np.array([total]))[0])
+
+
+def read_csv(path):
+    """(metadata, header, rows) of an artifact CSV."""
+    meta, header, rows = _read_table(path)
+    return meta, header, [row for _, row in rows]
 
 
 def make_trace(trace_id, timestamps, values, label=None):
@@ -86,6 +105,23 @@ class Window:
     start: float
     length: float
     values: np.ndarray = field(repr=False)
+
+
+def reference_window_spans(trace, window_len):
+    """window_spans from the edge array of the whole span: edge j is
+    t0 + j * window_len, and each window's samples run from the searchsorted
+    (side left) position of its start edge to that of its end edge. Memory
+    grows with the number of windows in the span."""
+    ts = trace.timestamps
+    t0 = ts[0]
+    k = int((ts[-1] - t0) // window_len)
+    if k == 0:
+        raise NoWindows(trace.trace_id, trace.span, window_len)
+    edges = t0 + np.arange(k + 1) * window_len
+    bounds = np.searchsorted(ts, edges, side="left")
+    counts = np.diff(bounds)
+    keep = counts > 0
+    return edges[:-1][keep], bounds[:-1][keep], counts[keep]
 
 
 def segment_windows(trace, window_len):

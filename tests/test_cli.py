@@ -9,7 +9,6 @@ import pytest
 
 from sensorclass.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_UNDEFINED, main
 from sensorclass.reporting import (
-    read_csv,
     read_feature_matrix,
     read_manifest,
     read_predictions,
@@ -17,7 +16,7 @@ from sensorclass.reporting import (
 )
 from sensorclass.trace import SensorType, write_trace_csv
 from sensorclass.uncertainty import rank_by_uncertainty
-from tests.helpers import make_trace
+from tests.helpers import make_trace, read_csv
 
 MINI_SPEC = {"name": "mini", "seed": 11, "traces_per_type": 3, "duration_s": 172800}
 

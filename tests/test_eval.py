@@ -172,8 +172,8 @@ def test_fraction_column_names():
 
 def test_percentage_table_shape_and_repeats(small_dataset):
     config = ForestConfig(n_trees=8, seed=5)
-    table = percentage_protocol(small_dataset, (0.33, 0.5), config)
-    assert table.columns == ["33%", "50%"]
+    table, _ = percentage_protocol(small_dataset, (0.33, 0.5), config)
+    assert table.columns == ["33%", "50%", "loo"]
     assert set(table.rows) == set(AccuracyTable.row_names())
     for name in ("33%", "50%"):
         cell = table.rows["overall"][name]
@@ -185,9 +185,25 @@ def test_percentage_table_shape_and_repeats(small_dataset):
 
 def test_percentage_deterministic(small_dataset):
     config = ForestConfig(n_trees=6, seed=9)
-    a = percentage_protocol(small_dataset, (0.5,), config)
-    b = percentage_protocol(small_dataset, (0.5,), config)
+    a, _ = percentage_protocol(small_dataset, (0.5,), config)
+    b, _ = percentage_protocol(small_dataset, (0.5,), config)
     assert a == b
+
+
+def test_percentage_protocol_ends_with_the_loo_run(small_dataset):
+    # the fraction folds and the LOO folds grow in one call; the LOO column
+    # and records are those loo_cv gives
+    config = ForestConfig(n_trees=4, seed=12)
+    table, loo = percentage_protocol(small_dataset, (0.33, 0.5), config)
+    expected = loo_cv(small_dataset, config)
+    assert [(p.trace_id, p.predicted, p.entropy, p.probs.tolist()) for p in loo.predictions] == [
+        (p.trace_id, p.predicted, p.entropy, p.probs.tolist()) for p in expected.predictions]
+    assert loo.truth == expected.truth
+    assert {name: table.rows[name]["loo"] for name in table.rows} == accuracy_column(
+        [expected.accuracy])
+    alone, _ = percentage_protocol(small_dataset, (0.33,), config)
+    assert {name: table.rows[name]["33%"] for name in table.rows} == {
+        name: alone.rows[name]["33%"] for name in alone.rows}
 
 
 def test_fraction_splits_follow_the_seed_path(small_dataset):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     assert_tree_matches_oracle,
+    entropy_impurity,
     int_dataset,
     oracle_best_split,
     oracle_fully_separates,
@@ -33,7 +34,6 @@ from sensorclass.forest import (
     LabeledDataset,
     RandomForest,
     classify,
-    entropy_impurity,
     load_model,
     model_document,
     predict_matrix,

@@ -3,11 +3,13 @@
 Copies of the golden feature matrix, model and predictions, of the manifest
 and of one trace file of a small synthesized corpus, of a corpus spec and
 of a relabel answers file are mutated (a flipped byte, a truncation, a
-dropped or repeated line, or one cell or JSON scalar set to nan, NaN,
-1e309, -1, 0, null, true, "" or subset:zz) and handed to the commands that
-read them, in process through cli.main. A spec is configuration, so synth
-must exit 0 or 2; features on a corrupted trace must exit 0 or 3, relabel
-0, 2 or 3, and the other commands 0, 2, 3 or 4. Any exception fails.
+dropped or repeated line, one cell or JSON scalar set to nan, NaN, 1e309,
+-1, 0, null, true, "" or subset:zz, or one number set to 1e12 or 1e15,
+such as a timestamp decades or millennia away or an event rate of a
+trillion a day) and handed to the commands that read them, in process
+through cli.main. A spec is configuration, so synth must exit 0 or 2;
+features on a corrupted trace must exit 0 or 3, relabel 0, 2 or 3, and
+the other commands 0, 2, 3 or 4. Any exception fails.
 
 The number of examples per file comes from the hypothesis profile (see
 conftest.py): 40 by default, 1,000 with --hypothesis-profile=deep.
@@ -32,14 +34,17 @@ FUZZ_SPEC = dict(
     interval_s=60.0,
     climate_shift={"co2": {"offset": 60.0, "scale": 1.15}, "air_volume": {"scale": 1.1}},
     profiles={
+        "co2": {"burst_rate_per_day": 5.0},
         "setpoint": {"step_rate_per_day": 2.0, "step_levels": [55.0, 58.0, 61.0]},
-        "air_volume": {"high_level": 1100.0, "clamp": [0.0, 1600.0]},
+        "air_volume": {"high_level": 1100.0, "switch_rate_per_day": 4.0, "clamp": [0.0, 1600.0]},
         "other_temp": {"band_split": True, "high_level": None, "period_days": 1.5},
     },
 )
 ANSWERS = "\nkeep\nhumidity\nco2\ny\nq\n"
 CELL_VALUES = (b"nan", b"NaN", b"1e309", b"-1", b"0", b"null", b"true", b"", b"subset:zz")
 CELL = re.compile(rb'[^,\s"=\[\]{}]+')  # a CSV cell, a metadata value or a JSON scalar
+NUMBER = re.compile(rb"(?<![\w.])-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+HUGE_VALUES = (b"1e12", b"1e15")
 HEAD_LINES = 24  # metadata, header and the model's config live at the top of a file
 ANY_EXIT = (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_UNDEFINED)
 EXITS = {
@@ -115,7 +120,13 @@ def source(artifact: str, work: Path) -> Path:
 @st.composite
 def mutated(draw, data: bytes) -> bytes:
     lines = data.splitlines(keepends=True)
-    kind = draw(st.sampled_from(["flip", "truncate", "drop", "repeat", "cell"]))
+    kind = draw(st.sampled_from(["flip", "truncate", "drop", "repeat", "cell", "huge"]))
+    if kind == "huge":
+        numbers = list(NUMBER.finditer(data))
+        if not numbers:
+            return data
+        m = draw(st.sampled_from(numbers))
+        return data[:m.start()] + draw(st.sampled_from(HUGE_VALUES)) + data[m.end():]
     if kind == "flip":
         i = draw(st.integers(0, len(data) - 1))
         return data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1:]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_trace
+from helpers import make_trace, read_csv
 from sensorclass.errors import DataError
 from sensorclass.reporting import (
     FLAG_HEADER,
@@ -11,7 +11,6 @@ from sensorclass.reporting import (
     PREDICTION_HEADER,
     fmt,
     load_manifest_traces,
-    read_csv,
     read_feature_matrix,
     read_manifest,
     read_predictions,

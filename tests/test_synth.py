@@ -13,6 +13,7 @@ from sensorclass.errors import InvalidSpec
 from sensorclass.features import extract
 from sensorclass.synth import (
     DEFAULT_PROFILES,
+    MAX_EVENTS_PER_TRACE,
     MAX_SAMPLES_PER_TRACE,
     PRESET_NAMES,
     PRESETS,
@@ -392,11 +393,15 @@ def test_spec_value_out_of_type_or_range(tmp_path, key, doc):
     assert info.value.key == key
 
 
-# Finite values the reader accepts one by one but generation cannot use:
-# a draw numpy refuses, a sum that overflows, 16.7 billion samples a trace.
+# Finite values generation cannot use: a draw numpy refuses, a sum that
+# overflows, 16.7 billion samples or a trillion events a trace.
 HUGE_SPECS = [
     ("profiles.co2", {"profiles": {"co2": {"level_jitter": 1e308}}}),
-    ("profiles.co2", {"profiles": {"co2": {"burst_rate_per_day": 1e300}}}),
+    ("profiles.co2.burst_rate_per_day", {"profiles": {"co2": {"burst_rate_per_day": 1e300}}}),
+    ("profiles.co2.burst_rate_per_day", {"profiles": {"co2": {"burst_rate_per_day": 1e12}}}),
+    ("profiles.setpoint.step_rate_per_day", {"profiles": {"setpoint": {"step_rate_per_day": 1e12}}}),
+    ("profiles.air_volume.switch_rate_per_day",
+     {"profiles": {"air_volume": {"switch_rate_per_day": 1e12}}}),
     ("profiles.humidity", {"profiles": {"humidity": {
         "base_level": 1.7e308, "daily_amplitude": 1e308, "clamp": [-math.inf, math.inf]}}}),
     ("duration_s", {"duration_s": 1e12}),
@@ -420,6 +425,16 @@ def test_spec_sample_cap_is_inclusive():
     with pytest.raises(InvalidSpec) as info:
         corpus_spec(dict(at_cap, duration_s=float(MAX_SAMPLES_PER_TRACE)))
     assert info.value.key == "duration_s"
+
+
+def test_spec_event_cap_is_inclusive():
+    # two days: the expected events of a trace are twice the daily rate
+    at_cap = {"duration_s": 2 * 86400.0,
+              "profiles": {"co2": {"burst_rate_per_day": MAX_EVENTS_PER_TRACE / 2}}}
+    assert corpus_spec(at_cap).duration_s == 2 * 86400.0
+    with pytest.raises(InvalidSpec) as info:
+        corpus_spec(dict(at_cap, duration_s=2 * 86400.0 + 1.0))
+    assert info.value.key == "profiles.co2.burst_rate_per_day"
 
 
 def test_spec_clamp_may_be_infinite(tmp_path):

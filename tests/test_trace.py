@@ -5,15 +5,16 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_trace, reference_read_trace_csv, segment_windows
+from helpers import make_trace, reference_read_trace_csv, reference_window_spans, segment_windows
 from sensorclass.errors import DataError, EmptyTrace, NonFiniteValue, NoWindows
 from sensorclass.trace import (
     SensorType,
     read_trace_csv,
     validate_trace,
+    window_spans,
     window_stats,
     write_trace_csv,
 )
@@ -176,6 +177,54 @@ def test_each_sample_lands_in_at_most_one_window(ts, window_len):
         for v in w.values:
             t = ts[int(v)]
             assert w.start <= t < w.start + window_len
+
+
+@st.composite
+def edge_traces(draw):
+    """(trace, window_len): an irregular trace with gaps, whose timestamps
+    sit on window edges t0 + j * window_len, one ulp either side of them,
+    or between them, at offsets where the edges round."""
+    t0 = draw(st.sampled_from([0.0, -3600.0, 0.1, 1.7e9, 1e12, 1e15])
+              | st.floats(-1e10, 1e10, allow_nan=False))
+    window_len = draw(st.sampled_from([2700.0, 0.1, 1 / 3, 7.0, 1e-3])
+                      | st.floats(1e-3, 1e4, allow_nan=False))
+    picks = draw(st.lists(st.tuples(st.integers(0, 40),
+                                    st.sampled_from(["on", "below", "above", "inside"])),
+                          min_size=1, max_size=40))
+    ts = [t0]
+    for j, where in picks:
+        edge = t0 + np.float64(j) * window_len
+        ts.append({"on": edge, "below": np.nextafter(edge, -np.inf),
+                   "above": np.nextafter(edge, np.inf),
+                   "inside": t0 + (j + draw(st.floats(0.0, 1.0))) * window_len}[where])
+    ts = [t for t in ts if t >= t0]
+    assume(len(set(ts)) > 1)
+    return make_trace("edges", ts, list(range(len(ts)))), window_len
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_traces())
+def test_window_spans_equal_the_edge_array_version(case):
+    trace, window_len = case
+    try:
+        expected = reference_window_spans(trace, window_len)
+    except NoWindows:
+        with pytest.raises(NoWindows):
+            window_spans(trace, window_len)
+        return
+    got = window_spans(trace, window_len)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_window_spans_memory_follows_the_samples_not_the_span():
+    # the span holds 3.7e11 windows of 45 minutes: an edge per window would
+    # ask for terabytes; the far sample sits past the tiled end
+    tr = make_trace("far", [0.0, 60.0, 1e15], [1.0, 2.0, 3.0])
+    starts, firsts, counts = window_spans(tr, 2700.0)
+    assert starts.tolist() == [0.0] and firsts.tolist() == [0] and counts.tolist() == [2]
+    with pytest.raises(DataError, match="indexed exactly"):
+        window_spans(make_trace("farther", [0.0, 60.0, 1e300], [1.0, 2.0, 3.0]), 2700.0)
 
 
 # --- window_stats -------------------------------------------------------------
