@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -244,12 +243,8 @@ def cmd_flag(args) -> int:
 def read_preds_rebase(path, base: str):
     """Load predictions, recomputing entropy in the requested base."""
     raw, meta = reporting.read_predictions(path)
-    return _rebase(raw, base), meta
-
-
-def _rebase(preds, base: str):
-    """The predictions with their entropy recomputed in the given base."""
-    return [make_prediction(p.trace_id, p.predicted, p.probs, base) for p in preds]
+    preds = [make_prediction(p.trace_id, p.predicted, p.probs, base) for p in raw]
+    return preds, meta
 
 
 # --- eval ----------------------------------------------------------------------
@@ -357,8 +352,7 @@ def cmd_eval(args) -> int:
             dataset_b = evaluate.build_dataset(traces_b, window_len, scheme)
             table, result = evaluate.inter_corpus(dataset, dataset_b, fractions, config, base)
         else:
-            table, result = evaluate.percentage_protocol(dataset, fractions, config)
-            result = replace(result, predictions=_rebase(result.predictions, base))
+            table, result = evaluate.percentage_protocol(dataset, fractions, config, base)
         _write_result_artifacts(out_dir, scheme, result, base, meta)
         meta.update(evaluate.table_repeat_meta(table))
         header, rows = evaluate.table_csv_rows(table)

@@ -247,11 +247,14 @@ def fraction_splits(
 
 
 def percentage_protocol(
-    dataset: LabeledDataset, fractions: Sequence[float], config: ForestConfig
+    dataset: LabeledDataset,
+    fractions: Sequence[float],
+    config: ForestConfig,
+    entropy_base: str = "nats",
 ) -> tuple[AccuracyTable, ProtocolResult]:
     """Stratified train fractions, each repeated round(1/fraction) times,
     then leave-one-out: (the table, with the LOO column last, and the LOO
-    result as loo_cv gives it, entropies in nats).
+    result as loo_cv gives it).
 
     Small fractions are noisier, so they get proportionally more repeats;
     every cell is the mean over the repeats where it was defined. The
@@ -268,7 +271,7 @@ def percentage_protocol(
         results = [per_class_accuracy(dataset.labels[te], next(posteriors).argmax(axis=1))
                    for _, te, _ in folds]
         add_column(table, fraction_column_name(fraction), accuracy_column(results))
-    loo = _prediction_records(dataset, np.concatenate(list(posteriors)), "nats")
+    loo = _prediction_records(dataset, np.concatenate(list(posteriors)), entropy_base)
     add_column(table, LOO_COLUMN, accuracy_column([loo.accuracy]))
     return table, loo
 

@@ -79,7 +79,7 @@ class SensorTrace:
     @property
     def span(self) -> float:
         """Elapsed seconds between first and last sample."""
-        return float(self.timestamps[-1] - self.timestamps[0])
+        return float(self.timestamps[-1]) - float(self.timestamps[0])  # inf on overflow
 
 
 def _from_arrays(
@@ -150,40 +150,32 @@ def window_spans(
     half-open interval [start, start + window_len) contains its timestamp.
 
     Window j starts at t0 + j * window_len, computed in exactly that form,
-    and a sample on an edge starts the window. Memory grows with the
-    samples, not with the number of windows the span holds.
+    and each sample goes to the last window whose start is at or below it, so
+    a sample on an edge starts the window. Memory grows with the samples, not
+    with the number of windows the span holds.
 
     Raises NoWindows when the span is shorter than a single window, and
-    DataError when it holds 2**53 windows or more, beyond exact indexing.
+    DataError when it holds 2**53 windows or more (or overflows), beyond
+    exact indexing.
     """
     if not (window_len > 0) or not math.isfinite(window_len):
         raise DataError(f"window length must be positive and finite, got {window_len!r}")
     ts = trace.timestamps
     t0 = ts[0]
-    k = (ts[-1] - t0) // window_len  # whole windows in the span, a float
+    k = trace.span // window_len  # whole windows in the span, a float
     if k == 0:
         raise NoWindows(trace.trace_id, trace.span, window_len)
-    if k >= 2.0**53:
-        raise DataError(f"trace {trace.trace_id!r}: span {trace.span:g} s holds {k:g} "
-                        f"windows of {window_len:g} s, more than can be indexed exactly")
+    if not k < 2.0**53:
+        raise DataError(f"trace {trace.trace_id!r}: span {trace.span:g} s holds more "
+                        f"windows of {window_len:g} s than can be indexed exactly")
     ts = ts[:np.searchsorted(ts, t0 + k * window_len, side="left")]  # the tiled samples
-    # each sample's window by floor division. A rounding error can put a
-    # sample next to an edge in the neighbouring window; then the windows
-    # named do not hold exactly the samples between their edges, and every
-    # sample is placed by bisecting for the last edge at or below it.
-    w = np.minimum(np.floor((ts - t0) / window_len), k - 1)
+    # bisect each sample for the last window start at or below it
+    w, hi = np.zeros(len(ts), dtype=np.int64), np.full(len(ts), int(k) - 1)
+    while (w < hi).any():
+        mid = (w + hi + 1) // 2
+        below = t0 + mid * window_len <= ts
+        w, hi = np.where(below, mid, w), np.where(below, hi, mid - 1)
     firsts = run_starts(w)
-    j = w[firsts]
-    if not (np.array_equal(np.searchsorted(ts, t0 + j * window_len, side="left"), firsts)
-            and np.array_equal(np.searchsorted(ts, t0 + (j + 1) * window_len, side="left"),
-                               np.append(firsts[1:], len(ts)))):
-        lo, hi = np.zeros(len(ts), dtype=np.int64), np.full(len(ts), int(k) - 1)
-        while (lo < hi).any():
-            mid = (lo + hi + 1) // 2
-            below = t0 + mid * window_len <= ts
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid - 1)
-        w = lo
-        firsts = run_starts(w)
     return t0 + w[firsts] * window_len, firsts, np.diff(firsts, append=len(ts))
 
 

@@ -192,10 +192,10 @@ def test_percentage_deterministic(small_dataset):
 
 def test_percentage_protocol_ends_with_the_loo_run(small_dataset):
     # the fraction folds and the LOO folds grow in one call; the LOO column
-    # and records are those loo_cv gives
+    # and records are those loo_cv gives, in the same entropy base
     config = ForestConfig(n_trees=4, seed=12)
-    table, loo = percentage_protocol(small_dataset, (0.33, 0.5), config)
-    expected = loo_cv(small_dataset, config)
+    table, loo = percentage_protocol(small_dataset, (0.33, 0.5), config, "bits")
+    expected = loo_cv(small_dataset, config, "bits")
     assert [(p.trace_id, p.predicted, p.entropy, p.probs.tolist()) for p in loo.predictions] == [
         (p.trace_id, p.predicted, p.entropy, p.probs.tolist()) for p in expected.predictions]
     assert loo.truth == expected.truth

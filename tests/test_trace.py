@@ -225,6 +225,9 @@ def test_window_spans_memory_follows_the_samples_not_the_span():
     assert starts.tolist() == [0.0] and firsts.tolist() == [0] and counts.tolist() == [2]
     with pytest.raises(DataError, match="indexed exactly"):
         window_spans(make_trace("farther", [0.0, 60.0, 1e300], [1.0, 2.0, 3.0]), 2700.0)
+    # finite timestamps whose span overflows to inf
+    with pytest.raises(DataError, match="'overflow'.*indexed exactly"):
+        window_spans(make_trace("overflow", [-1e308, 0.0, 1e308], [1.0, 2.0, 3.0]), 2700.0)
 
 
 # --- window_stats -------------------------------------------------------------
