@@ -264,9 +264,8 @@ def percentage_protocol(
     table = new_table()
     splits = [list(fraction_splits(dataset, fraction, config, _TAG_PERCENTAGE, fi))
               for fi, fraction in enumerate(fractions)]
-    loo_folds = _loo_folds(dataset, config)
-    posteriors = _fold_posteriors(dataset, dataset,
-                                  [fold for folds in splits for fold in folds] + loo_folds)
+    posteriors = _fold_posteriors(dataset, dataset, [fold for folds in splits for fold in folds]
+                                  + _loo_folds(dataset, config))
     for fraction, folds in zip(fractions, splits):
         results = [per_class_accuracy(dataset.labels[te], next(posteriors).argmax(axis=1))
                    for _, te, _ in folds]

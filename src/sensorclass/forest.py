@@ -284,20 +284,12 @@ def _segment_scores(
 
 
 def _best_splits(
-    x: np.ndarray,
-    y: np.ndarray,
-    ranks: np.ndarray,
-    rows: np.ndarray,
-    n_rows: np.ndarray,
-    counts: np.ndarray,
-    candidates: np.ndarray,
-    n_cand: np.ndarray,
+    gain: np.ndarray, threshold: np.ndarray, candidates: np.ndarray, n_cand: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(feature, threshold) of each node's split, feature -1 for none: the
-    first ascending candidate with the strictly highest positive gain.
-    Arguments as for _segment_scores."""
-    gain, threshold = _segment_scores(x, y, ranks, rows, n_rows, counts, candidates, n_cand)
-    seg_node = np.repeat(np.arange(len(n_rows)), n_cand)
+    first ascending candidate with the strictly highest positive gain, from
+    the _segment_scores of node k's next n_cand[k] candidates."""
+    seg_node = np.repeat(np.arange(len(n_cand)), n_cand)
     top = np.maximum.reduceat(gain, np.cumsum(n_cand) - n_cand)
     hit = np.flatnonzero(gain == top[seg_node])  # -inf == -inf: every node has a hit
     pick = hit[run_starts(seg_node[hit])]
@@ -360,7 +352,7 @@ def _grow(
     class if it is pure or -1). Stacks and outputs double when outgrown.
 
     At each step every tree emits the pure nodes on top of its stack as
-    leaves, then pops its next impure node; one _best_splits call and one
+    leaves, then pops its next impure node; one _segment_scores call and one
     partition split all those nodes. Each tree draws from its own generator
     in its own preorder, so it does not depend on the trees it grows beside.
     """
@@ -456,7 +448,8 @@ def _grow(
         entry = np.repeat(np.arange(len(s)), n)
         counts = np.bincount(entry * CLASS_COUNT + y[node_rows],
                              minlength=len(s) * CLASS_COUNT).reshape(-1, CLASS_COUNT).astype(float)
-        f, t = _best_splits(x, y, ranks, node_rows, n, counts, cand, n_cand)
+        f, t = _best_splits(*_segment_scores(x, y, ranks, node_rows, n, counts, cand, n_cand),
+                            cand, n_cand)
         split = f >= 0
         at = emit(s, f, np.where(split, t, 0.0),
                   np.where(split[:, None], 0.0, counts / n[:, None]), parent)
