@@ -169,8 +169,12 @@ def window_spans(
         raise DataError(f"trace {trace.trace_id!r}: span {trace.span:g} s holds more "
                         f"windows of {window_len:g} s than can be indexed exactly")
     ts = ts[:np.searchsorted(ts, t0 + k * window_len, side="left")]  # the tiled samples
-    # bisect each sample for the last window start at or below it
-    w, hi = np.zeros(len(ts), dtype=np.int64), np.full(len(ts), int(k) - 1)
+    # bisect each sample for the last window start at or below it. Its
+    # index by floor division bounds the search on each side it is
+    # confirmed by the edges, so a sample off by rounding is bisected alone.
+    guess = np.minimum(np.floor((ts - t0) / window_len), k - 1).astype(np.int64)
+    w = np.where(t0 + guess * window_len <= ts, guess, 0)
+    hi = np.where(t0 + (guess + 1) * window_len > ts, guess, int(k) - 1)
     while (w < hi).any():
         mid = (w + hi + 1) // 2
         below = t0 + mid * window_len <= ts
