@@ -33,9 +33,8 @@ from .features import RICH8, extract, mask_indices
 from .forest import (
     ForestConfig,
     LabeledDataset,
+    node_splits,
     predict_matrix,
-    split_table,
-    table_split,
     train_forests,
 )
 from .trace import CLASS_COUNT, SensorTrace, SensorType
@@ -388,7 +387,7 @@ class _PathNode:
 
     rows: np.ndarray  # the training rows at the node, ascending
     majority: int  # most frequent class, lowest code on ties
-    table: list | None  # forest.split_table of the rows; None at a pure node
+    table: list  # per mask, (split feature, threshold); feature -1 makes the node a leaf
     children: dict  # (split feature, held-out row goes left) -> _PathNode
 
 
@@ -402,9 +401,10 @@ def feature_subset_search(dataset: LabeledDataset) -> list[tuple[int, float]]:
 
     With no resampling and no feature sampling, a node's split is a pure
     function of its rows and the mask: the lowest mask feature with the
-    strictly highest positive gain. So each distinct row set is scored once,
-    on all eight columns, and every (mask, fold) follows only the held-out
-    row's path, taking its split from that table. The prediction is the
+    strictly highest positive gain. So each distinct impure row set makes
+    one forest.node_splits call, whose eight columns are scored once and
+    whose splits cover all 255 masks, and every (mask, fold) follows only
+    the held-out row's path through those tables. The prediction is the
     leaf's most frequent class, lowest code on ties: the argmax of the leaf
     posterior that train_tree(..., identity_bootstrap=True) would hold.
     """
@@ -415,24 +415,29 @@ def feature_subset_search(dataset: LabeledDataset) -> list[tuple[int, float]]:
         raise DataError("leave-one-out needs at least two instances")
     x, y = dataset.features, dataset.labels
     xs, ys = x.tolist(), y.tolist()
+    masks = range(1, 256)
+    candidates = [mask_indices(mask) for mask in masks]
+    cand, n_cand = np.concatenate(candidates), np.array([len(c) for c in candidates])
     nodes: dict[bytes, _PathNode] = {}  # by row set: ascending row indices as bytes
 
     def node(rows: np.ndarray) -> _PathNode:
         key = rows.tobytes()
         if key not in nodes:
             counts = np.bincount(y[rows], minlength=CLASS_COUNT)
-            table = None if counts.max() == len(rows) else split_table(x[rows], y[rows])
+            table = [(-1, 0.0)] * len(masks)
+            if counts.max() < len(rows):
+                f, t = node_splits(x[rows], y[rows], cand, n_cand)
+                table = list(zip(f.tolist(), t.tolist()))
             nodes[key] = _PathNode(rows, int(np.argmax(counts)), table, {})
         return nodes[key]
 
     roots = [node(np.delete(np.arange(n), i)) for i in range(n)]
     results = []
-    for mask in range(1, 256):
-        features = mask_indices(mask)
+    for k, mask in enumerate(masks):
         correct = 0
         for i, at in enumerate(roots):
-            while at.table is not None and (split := table_split(at.table, features)) is not None:
-                f, t = split
+            while (f := at.table[k][0]) >= 0:
+                t = at.table[k][1]
                 step = (f, xs[i][f] <= t)
                 if step not in at.children:
                     side = x[at.rows, f] <= t

@@ -24,16 +24,16 @@ predict_matrix is the one path that routes feature rows through them.
 Trees grow in lockstep: the trees of a forest, or of every fold of an
 evaluation protocol, grow together, and at each step every one of them
 splits its next impure node. One segmented kernel scores all those
-(node, candidate feature) pairs at once: a stable sort by (segment,
-value), a running count of classes, and one entropy call over every cut.
-The growing trees are arrays, one row per tree, in the node and sample
-layout of Louppe, Understanding Random Forests (arXiv:1407.7502), ch. 5:
-a tree's bootstrap rows are one array of row indices into the shared
-feature matrix, and a node is a slice of it that a split partitions in
-place. Stacks and preorder outputs are arrays too, so no Python runs per
-node but its draw of candidate features. The trees growing at once and
-the entries per kernel call are capped, so memory stays bounded however
-many folds a protocol has.
+(node, candidate feature) pairs at once (a stable sort by (segment,
+value), a running count of classes, one entropy call over every cut),
+and _best_splits applies the one split rule; node_splits applies it to
+one node under many candidate sets. The growing trees are arrays in the
+node and sample layout of Louppe, Understanding Random Forests
+(arXiv:1407.7502), ch. 5: a node is a slice of its tree's bootstrap row
+indices that a split partitions in place, so no Python runs per node but
+its draw of candidate features. The trees growing at once and the
+entries per kernel call are capped, so the grower's memory stays bounded
+however many folds a protocol has.
 
 Determinism: every tree's RNG derives from (config.seed, tree index), and
 its draws happen in its own preorder (the bootstrap, then one feature
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -297,33 +296,17 @@ def _best_splits(
     return feature, threshold[pick]
 
 
-def split_table(features: np.ndarray, labels: np.ndarray) -> list[tuple[float, float] | None]:
-    """(gain, threshold) of the best cut of every feature column of a node's
-    rows, None for a constant column. table_split picks a candidate set's
-    split from it, so a node shared by many candidate sets is scored once."""
+def node_splits(
+    features: np.ndarray, labels: np.ndarray, candidates: np.ndarray, n_cand: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(feature, threshold) of a node's split under each candidate set, by
+    _best_splits: set k is the next n_cand[k] >= 1 candidates, ascending and
+    distinct. The node's columns are scored once, however many sets share them."""
     n, d = features.shape
     counts = np.bincount(labels, minlength=CLASS_COUNT).astype(float)
     gain, threshold = _segment_scores(features, labels, _column_ranks(features), np.arange(n),
                                       np.array([n]), counts[None], np.arange(d), np.array([d]))
-    return [None if g == -np.inf else (float(g), float(t)) for g, t in zip(gain, threshold)]
-
-
-def table_split(
-    table: Sequence[tuple[float, float] | None], candidates: Sequence[int]
-) -> tuple[int, float] | None:
-    """(feature, threshold) of a node's split over ascending, distinct
-    candidates, from its split_table: the first candidate with the strictly
-    highest positive gain, or None. Rows go left when value[feature] <=
-    threshold."""
-    best: tuple[int, float] | None = None
-    best_gain = 0.0
-    for f in candidates:
-        score = table[f]
-        if score is None or score[0] <= best_gain:
-            continue
-        best_gain, threshold = score
-        best = (f, threshold)
-    return best
+    return _best_splits(gain[candidates], threshold[candidates], candidates, n_cand)
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -491,31 +474,23 @@ def train_tree(
 
 
 def train_forests(
-    dataset: LabeledDataset, folds: Iterable[tuple[np.ndarray, ForestConfig]]
+    dataset: LabeledDataset, folds: Sequence[tuple[np.ndarray, ForestConfig]]
 ) -> Iterator[RandomForest]:
     """The forest of each (training rows, config) fold, in fold order.
 
     Tree k of a fold's forest is train_tree(dataset.subset(rows), config,
     k): its bootstrap draws from the fold's rows. The trees of all folds
-    grow in lockstep. Folds are read and forests yielded as the growing
-    goes, so only the folds in flight and the forests not yet consumed
-    are held.
+    grow in lockstep, and each forest is yielded once its last tree is out.
     """
-    configs: deque[ForestConfig] = deque()  # of the folds read, whose forests are not out
-
-    def jobs():
-        for rows, config in folds:
-            if len(rows) == 0:
-                raise DataError("a fold has no training rows")
-            config = replace(config, m_try=config.resolve_m_try(dataset.feature_count))
-            configs.append(config)
-            rows = np.asarray(rows, dtype=np.intp)
-            yield from ((rows, config, k, False) for k in range(config.n_trees))
-
-    trees = _grow(dataset.features, dataset.labels, jobs())
-    for first in trees:  # a fold's first tree comes out after its config went in
-        config = configs.popleft()
-        forest = (first, *itertools.islice(trees, config.n_trees - 1))
+    if any(len(rows) == 0 for rows, _ in folds):
+        raise DataError("a fold has no training rows")
+    d = dataset.feature_count
+    folds = [(np.asarray(rows, dtype=np.intp), replace(config, m_try=config.resolve_m_try(d)))
+             for rows, config in folds]
+    jobs = ((rows, config, k, False) for rows, config in folds for k in range(config.n_trees))
+    trees = _grow(dataset.features, dataset.labels, jobs)
+    for _, config in folds:
+        forest = tuple(itertools.islice(trees, config.n_trees))
         yield RandomForest(forest, config, tuple(SensorType), dataset.schema)
 
 

@@ -27,7 +27,7 @@ from helpers import (
 )
 from sensorclass import forest as forest_module
 from sensorclass.errors import DataError, InvalidConfig, SchemaMismatch
-from sensorclass.features import FeatureVector, subset_schema
+from sensorclass.features import FeatureVector, mask_indices, subset_schema
 from sensorclass.forest import (
     DecisionTree,
     ForestConfig,
@@ -36,10 +36,9 @@ from sensorclass.forest import (
     classify,
     load_model,
     model_document,
+    node_splits,
     predict_matrix,
     save_model,
-    split_table,
-    table_split,
     train_forest,
     train_forests,
     train_tree,
@@ -80,39 +79,45 @@ def test_entropy_empty_counts_rejected():
         entropy_impurity([0, 0, 0])
 
 
-# --- best split of a node: table_split over split_table ------------------------
+# --- best split of a node: node_splits under one candidate set -----------------
+
+
+def best_split(x, y, candidates):
+    """node_splits of one ascending candidate set: (feature, threshold) or None."""
+    f, t = node_splits(x, y, np.array(candidates), np.array([len(candidates)]))
+    return None if f[0] < 0 else (int(f[0]), float(t[0]))
 
 
 def test_best_split_two_points():
     x = np.array([[1.0], [3.0]])
     y = np.array([0, 1])
-    split = table_split(split_table(x, y), [0])
+    split = best_split(x, y, [0])
     assert split == (0, 2.0)
 
 
 def test_best_split_pure_labels_returns_none():
     x = np.array([[1.0], [3.0], [9.0]])
     y = np.array([2, 2, 2])
-    assert table_split(split_table(x, y), [0]) is None
+    assert best_split(x, y, [0]) is None
 
 
 def test_best_split_constant_feature_returns_none():
     x = np.array([[5.0], [5.0], [5.0]])
     y = np.array([0, 1, 0])
-    assert table_split(split_table(x, y), [0]) is None
+    assert best_split(x, y, [0]) is None
 
 
 def test_best_split_ignores_non_candidate_features():
     x = np.array([[1.0, 10.0], [3.0, 20.0]])
     y = np.array([0, 1])
-    assert table_split(split_table(x, y), [1]) == (1, 15.0)
+    assert best_split(x, y, [1]) == (1, 15.0)
 
 
 def test_best_split_tie_prefers_lowest_feature():
     # both columns separate the labels identically; feature 0 must win
     x = np.array([[1.0, 100.0], [3.0, 300.0]])
     y = np.array([0, 1])
-    assert table_split(split_table(x, y), [0, 1])[0] == 0
+    assert best_split(x, y, [0, 1])[0] == 0
 
 
 def test_best_split_tie_prefers_smallest_threshold():
@@ -122,20 +127,20 @@ def test_best_split_tie_prefers_smallest_threshold():
     # use symmetric labels A B around 1, 3 with a duplicate pair.
     x = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 1, 1])
-    split = table_split(split_table(x, y), [0])
+    split = best_split(x, y, [0])
     assert split == (0, 2.5)
     # symmetric two-cut tie: values 1,2,3 with labels A,B,A; the cuts at 1.5
     # and 2.5 have equal gain, so the smaller threshold wins
     x2 = np.array([[1.0], [2.0], [3.0]])
     y2 = np.array([0, 1, 0])
-    split2 = table_split(split_table(x2, y2), [0])
+    split2 = best_split(x2, y2, [0])
     assert split2 == (0, 1.5)
 
 
 def test_best_split_matches_oracle_on_random_fixtures():
     for seed in range(60):
         ds = int_dataset(seed, n=2 + seed % 11, d=2, classes=3)
-        got = table_split(split_table(ds.features, ds.labels), [0, 1])
+        got = best_split(ds.features, ds.labels, [0, 1])
         expected = oracle_best_split(ds.features, ds.labels)
         assert got == expected
 
@@ -230,11 +235,11 @@ def test_bootstrap_trees_vary_with_index():
 
 
 @st.composite
-def small_int_datasets(draw):
-    """1-15 rows of 1, 2, 3 or 8 small-integer features: gains tie across
-    features and thresholds, some columns are constant, duplicate rows are
-    likely and classes absent."""
-    d = draw(st.sampled_from([1, 2, 3, 8]))
+def small_int_datasets(draw, d=None):
+    """1-15 rows of d (else 1, 2, 3 or 8) small-integer features: gains tie
+    across features and thresholds, some columns are constant, duplicate
+    rows are likely and classes absent."""
+    d = d or draw(st.sampled_from([1, 2, 3, 8]))
     n = draw(st.integers(1, 15))
     classes = draw(st.integers(1, CLASS_COUNT))
     cells = st.integers(0, draw(st.integers(1, 3)))
@@ -258,13 +263,28 @@ def test_grower_equals_recursive_reference(dataset, m_try, identity, seed, index
     assert tree_bytes(tree) == tree_bytes(expected)
 
     x, y = dataset.features, dataset.labels
-    candidates = data.draw(st.lists(st.integers(0, d - 1), max_size=d))
-    split = table_split(split_table(x, y), sorted(set(candidates)))
+    candidates = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d))
+    split = best_split(x, y, sorted(set(candidates)))
     assert split == reference_best_split(x, y, candidates)
+    n = len(y)
     counts = np.bincount(y, minlength=CLASS_COUNT).astype(float)
+    gain, threshold = forest_module._segment_scores(
+        x, y, forest_module._column_ranks(x), np.arange(n), np.array([n]), counts[None],
+        np.arange(d), np.array([d]))
     parent = entropy_impurity(counts)
-    assert split_table(x, y) == [reference_column_split(x[:, f], y, counts, parent)
-                                 for f in range(d)]
+    assert [None if g == -np.inf else (float(g), float(t)) for g, t in zip(gain, threshold)] \
+        == [reference_column_split(x[:, f], y, counts, parent) for f in range(d)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_int_datasets(d=8))
+def test_node_splits_of_every_mask_equal_the_reference(dataset):
+    # all 255 candidate sets of eight columns at once, as the subset search asks
+    x, y = dataset.features, dataset.labels
+    sets = [mask_indices(mask) for mask in range(1, 256)]
+    f, t = node_splits(x, y, np.concatenate(sets), np.array([len(c) for c in sets]))
+    got = [None if fk < 0 else (fk, tk) for fk, tk in zip(f.tolist(), t.tolist())]
+    assert got == [reference_best_split(x, y, c) for c in sets]
 
 
 def batch_jobs():
