@@ -26,6 +26,7 @@ from . import __version__, evaluate, reporting
 from .errors import (
     ConfigError,
     DataError,
+    DegenerateFraction,
     NonInteractiveWithoutAnswers,
     NoWindows,
     SensorClassError,
@@ -252,8 +253,9 @@ def read_preds_rebase(path, base: str):
 
 def _window_len(args) -> float:
     """--window-mins in seconds; a bad value is a flag error (exit 2), not a data error."""
-    if not (args.window_mins > 0 and np.isfinite(args.window_mins)):
-        raise ConfigError(f"--window-mins must be positive and finite, got {args.window_mins}")
+    if not 1.0 <= args.window_mins * 60.0 < np.inf:
+        raise ConfigError(f"--window-mins must be finite and at least 1/60 (one second), "
+                          f"got {args.window_mins}")
     return args.window_mins * 60.0
 
 
@@ -284,6 +286,12 @@ def _parse_fractions(text: str, protocol: str) -> list[float]:
     if bad:
         allowed = "(0, 1) or 1.0" if full_ok else "(0, 1)"
         raise ConfigError(f"--fractions takes numbers in {allowed}, got {bad[0]:g}")
+    try:
+        for v in values:
+            if v < 1.0:
+                evaluate.repeats_for_fraction(v)
+    except DegenerateFraction as exc:
+        raise ConfigError(f"--fractions: {exc}") from None
     return values
 
 

@@ -46,6 +46,7 @@ DEFAULT_FRACTIONS = (0.05, 0.10, 0.20, 0.33, 0.50)
 WINDOW_SWEEP_MINUTES = (15, 30, 45, 60, 90, 120)
 LOO_COLUMN = "loo"
 FULL_COLUMN = "100%"
+MAX_REPEATS = 1000  # of one fraction: round(1 / fraction), so a fraction is at least 1 / 1000.5
 
 # seed derivation tags, one per protocol
 _TAG_PERCENTAGE = 201
@@ -59,10 +60,13 @@ def _round_half_up(x: float) -> int:
 
 
 def repeats_for_fraction(fraction: float) -> int:
-    """round(1 / fraction) evaluation repeats, e.g. 20 at 5%, 2 at 50%."""
+    """round(1 / fraction) evaluation repeats, e.g. 20 at 5%, 2 at 50%, at most MAX_REPEATS."""
     if not 0.0 < fraction < 1.0:
         raise DegenerateFraction(f"fraction must be in (0, 1), got {fraction}")
-    return _round_half_up(1.0 / fraction)
+    if (repeats := np.floor(1.0 / fraction + 0.5)) > MAX_REPEATS:  # inf for a subnormal fraction
+        raise DegenerateFraction(f"fraction {fraction:g} would need {repeats:g} repeats, "
+                                 f"more than {MAX_REPEATS}")
+    return int(repeats)
 
 
 def build_dataset(

@@ -113,21 +113,15 @@ def extract_med_var(trace: SensorTrace, window_len: float) -> tuple[np.ndarray, 
     (windows are anchored at the first timestamp, not at an epoch).
     Raises NoWindows when the trace is shorter than one window.
 
-    Windows with the same sample count form one (windows, count) block: a
-    view when they lie back to back, as on a regular grid, else one gather.
+    Windows with the same sample count are gathered into one (windows,
+    count) block.
     """
     _, firsts, counts = window_spans(trace, window_len)
     med = np.empty(len(counts))
     var = np.empty(len(counts))
-    values = trace.values
     for n in np.unique(counts).tolist():
         rows = np.flatnonzero(counts == n)
-        lo = firsts[rows]
-        if lo[-1] - lo[0] == n * (len(rows) - 1):
-            block = values[lo[0]:lo[0] + n * len(rows)].reshape(len(rows), n)
-        else:
-            block = values[lo[:, None] + np.arange(n)]
-        med[rows], var[rows] = window_stats(block)
+        med[rows], var[rows] = window_stats(trace.values[firsts[rows][:, None] + np.arange(n)])
     return med, var
 
 

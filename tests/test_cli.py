@@ -540,7 +540,7 @@ def test_relabel_negative_budget_exits_config(ws, tmp_path):
     assert rc == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("value", ["0", "-5", "nan"])
+@pytest.mark.parametrize("value", ["0", "-5", "nan", "1e-300"])
 @pytest.mark.parametrize("command", ["features", "eval"])
 def test_bad_window_mins_exits_config(ws, tmp_path, capsys, command, value):
     out = ["--out", str(tmp_path / "f.csv")] if command == "features" else [
@@ -648,6 +648,7 @@ def test_unreadable_input_file_exits_data(tmp_path, capsys, make_manifest):
     ("loo", "-0.2"),
     ("inter", "0.2,1.5"),
     ("inter", "nan"),
+    ("percentage", "1e-9"),
 ])
 def test_eval_fractions_out_of_range_exit_config_before_reading(tmp_path, capsys,
                                                                  protocol, fractions):

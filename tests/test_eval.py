@@ -161,6 +161,14 @@ def test_repeats_rejects_degenerate():
             repeats_for_fraction(bad)
 
 
+def test_repeats_are_capped():
+    assert repeats_for_fraction(1 / 1000) == 1000
+    assert repeats_for_fraction(1 / 1000.4) == 1000
+    for bad in (1 / 1000.6, 1e-9, 5e-324):
+        with pytest.raises(DegenerateFraction):
+            repeats_for_fraction(bad)
+
+
 def test_fraction_column_names():
     assert fraction_column_name(0.05) == "5%"
     assert fraction_column_name(0.33) == "33%"
