@@ -46,7 +46,7 @@ DEFAULT_FRACTIONS = (0.05, 0.10, 0.20, 0.33, 0.50)
 WINDOW_SWEEP_MINUTES = (15, 30, 45, 60, 90, 120)
 LOO_COLUMN = "loo"
 FULL_COLUMN = "100%"
-MAX_REPEATS = 1000  # of one fraction: round(1 / fraction), so a fraction is at least 1 / 1000.5
+MAX_REPEATS = 1000  # of one fraction: round(1 / fraction), so a fraction must exceed 1 / 1000.5
 
 # seed derivation tags, one per protocol
 _TAG_PERCENTAGE = 201
