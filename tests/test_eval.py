@@ -153,18 +153,11 @@ def test_repeats_examples():
     assert repeats_for_fraction(0.5) == 2
     assert repeats_for_fraction(0.33) == 3
     assert repeats_for_fraction(0.1) == 10
+    assert repeats_for_fraction(1 / 1000.4) == 1000  # the cap is inclusive
 
 
 def test_repeats_rejects_degenerate():
-    for bad in (0.0, 1.0, -1.0):
-        with pytest.raises(DegenerateFraction):
-            repeats_for_fraction(bad)
-
-
-def test_repeats_are_capped():
-    assert repeats_for_fraction(1 / 1000) == 1000
-    assert repeats_for_fraction(1 / 1000.4) == 1000
-    for bad in (1 / 1000.6, 1e-9, 5e-324):
+    for bad in (0.0, 1.0, -1.0, 1 / 1000.6, 1e-9, 5e-324):  # the last three exceed 1,000 repeats
         with pytest.raises(DegenerateFraction):
             repeats_for_fraction(bad)
 
