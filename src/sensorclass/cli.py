@@ -29,11 +29,10 @@ from .errors import (
     DegenerateFraction,
     NonInteractiveWithoutAnswers,
     NoWindows,
-    SensorClassError,
 )
 from .features import BASELINE2, RICH8, extract, feature_names, mask_indices
 from .forest import ForestConfig, LabeledDataset, load_model, predict_matrix, save_model, train_forest
-from .synth import PRESET_NAMES, corpus_spec, generate_corpus, load_corpus_spec, preset_spec
+from .synth import PRESET_NAMES, corpus_spec, generate_corpus, load_corpus_spec
 from .trace import SensorType, read_utf8, write_trace_csv
 from .uncertainty import (
     DEFAULT_THRESHOLD,
@@ -117,13 +116,9 @@ def _run_meta(args, **extra) -> dict:
 
 
 def cmd_synth(args) -> int:
-    if args.spec:
-        spec = load_corpus_spec(args.spec)
-        if args.seed is not None:
-            spec = corpus_spec({"seed": args.seed}, spec)
-    else:
-        spec = preset_spec(args.preset, seed=_seed(args),
-                           traces_per_type=args.traces_per_type)
+    spec = load_corpus_spec(args.spec) if args.spec else corpus_spec({"preset": args.preset})
+    flags = {"seed": args.seed, "traces_per_type": args.traces_per_type}
+    spec = corpus_spec({k: v for k, v in flags.items() if v is not None}, spec)
     traces = generate_corpus(spec)
     out = Path(args.out)
     trace_dir = out / "traces"
@@ -173,27 +168,24 @@ def cmd_features(args) -> int:
     return EXIT_OK
 
 
-def _dataset_from_matrix(path) -> tuple[LabeledDataset, dict]:
-    ids, labels, feats, schema, meta = reporting.read_feature_matrix(path)
+def _training_set(path, ids, labels, feats, schema) -> LabeledDataset:
+    """The rows of the feature matrix read from path that labels (one per
+    row, None where unlabeled) gives a type."""
     keep = [i for i, lab in enumerate(labels) if lab is not None]
     if not keep:
         raise DataError(f"{path}: no labeled rows to train on")
     if len(keep) < len(ids):
         log.info("ignoring %d unlabeled rows", len(ids) - len(keep))
-    ds = LabeledDataset(
-        tuple(ids[i] for i in keep),
-        feats[keep],
-        np.array([int(labels[i]) for i in keep]),
-        schema,
-    )
-    return ds, meta
+    codes = np.array([int(labels[i]) for i in keep])
+    return LabeledDataset(tuple(ids[i] for i in keep), feats[keep], codes, schema)
 
 
 # --- train / classify ----------------------------------------------------------
 
 
 def cmd_train(args) -> int:
-    dataset, _ = _dataset_from_matrix(args.features)
+    ids, labels, feats, schema, _ = reporting.read_feature_matrix(args.features)
+    dataset = _training_set(args.features, ids, labels, feats, schema)
     config = _forest_config(args)
     forest = train_forest(dataset, config)
     run = _run_meta(args, scheme=dataset.schema)
@@ -438,11 +430,8 @@ def cmd_relabel(args) -> int:
 
     forest, run = load_model(args.model)
     ids, _labels, feats, schema, _fmeta = reporting.read_feature_matrix(args.features)
-    keep = [i for i, tid in enumerate(ids) if label_by_id.get(tid) is not None]
-    if not keep:
-        raise DataError("no labeled instances left to retrain on")
-    codes = np.array([int(label_by_id[ids[i]]) for i in keep])
-    dataset = LabeledDataset(tuple(ids[i] for i in keep), feats[keep], codes, schema)
+    labels = [label_by_id.get(tid) for tid in ids]
+    dataset = _training_set(args.features, ids, labels, feats, schema)
     retrained = train_forest(dataset, forest.config)
     save_model(retrained, args.out_model, run)
     print(
@@ -465,9 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     _shared_flags(p)
-    p.add_argument("--preset", choices=PRESET_NAMES, default="default")
-    p.add_argument("--spec", help="JSON corpus spec file (overrides --preset)")
-    p.add_argument("--traces-per-type", type=int, default=20)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=PRESET_NAMES, default="default")
+    source.add_argument("--spec", help="JSON corpus spec file")
+    p.add_argument("--traces-per-type", type=int,
+                   help="replaces the preset's or spec's count (a preset's is 20)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
@@ -539,9 +530,6 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except SensorClassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

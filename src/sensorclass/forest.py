@@ -54,7 +54,7 @@ import numpy as np
 from . import seeding
 from .errors import DataError, InvalidConfig, SchemaMismatch
 from .features import FeatureVector, schema_length
-from .trace import CLASS_COUNT, SensorType, read_utf8, run_starts
+from .trace import CLASS_COUNT, CLASS_LABELS, SensorType, read_utf8, run_starts
 
 MODEL_FORMAT = "sensorclass-forest-v1"
 
@@ -180,7 +180,6 @@ class DecisionTree:
 class RandomForest:
     trees: tuple[DecisionTree, ...]
     config: ForestConfig  # m_try resolved to a concrete value
-    class_labels: tuple[SensorType, ...]
     feature_schema: str
 
 
@@ -491,7 +490,7 @@ def train_forests(
     trees = _grow(dataset.features, dataset.labels, jobs)
     for _, config in folds:
         forest = tuple(itertools.islice(trees, config.n_trees))
-        yield RandomForest(forest, config, tuple(SensorType), dataset.schema)
+        yield RandomForest(forest, config, dataset.schema)
 
 
 def train_forest(dataset: LabeledDataset, config: ForestConfig) -> RandomForest:
@@ -601,7 +600,7 @@ def model_document(forest: RandomForest, run_meta: dict | None = None) -> dict:
     doc = {
         "format": MODEL_FORMAT,
         "config": asdict(forest.config),
-        "class_labels": [t.label for t in forest.class_labels],
+        "class_labels": list(CLASS_LABELS),
         "feature_schema": forest.feature_schema,
     }
     if run_meta:
@@ -635,7 +634,8 @@ def load_model(path: str | Path) -> tuple[RandomForest, dict]:
             if type(cfg[key]) is not int:
                 raise DataError(f"config {key} must be an integer, got {cfg[key]!r}")
         config = ForestConfig(**{f.name: cfg[f.name] for f in fields(ForestConfig)})
-        labels = tuple(SensorType.from_label(s) for s in doc["class_labels"])
+        if doc["class_labels"] != list(CLASS_LABELS):
+            raise DataError(f"class_labels must be {list(CLASS_LABELS)}")
         schema = str(doc["feature_schema"])
         feature_count = schema_length(schema)
         config.resolve_m_try(feature_count)
@@ -647,4 +647,4 @@ def load_model(path: str | Path) -> tuple[RandomForest, dict]:
         raise DataError(f"model file {path}: {exc}") from None
     if len(trees) != config.n_trees:
         raise DataError(f"model file {path}: tree count does not match config")
-    return RandomForest(trees, config, labels, schema), run
+    return RandomForest(trees, config, schema), run

@@ -95,12 +95,6 @@ def rank_by_uncertainty(predictions: Iterable[Prediction]) -> list[Prediction]:
     return sorted(predictions, key=lambda p: (-p.entropy, p.trace_id))
 
 
-class Metrics(NamedTuple):
-    tpr: float | None
-    fpr: float | None
-    ppv: float | None
-
-
 @dataclass(frozen=True)
 class FlagReport:
     """Which instances crossed the threshold, plus metrics when truth exists."""
@@ -111,6 +105,15 @@ class FlagReport:
     tpr: float | None = None
     fpr: float | None = None
     ppv: float | None = None
+
+
+class RocPoint(NamedTuple):
+    """A flag report's metrics at its threshold."""
+
+    threshold: float
+    tpr: float | None
+    fpr: float | None
+    ppv: float | None
 
 
 def flag_above_threshold(
@@ -125,7 +128,7 @@ def flag_above_threshold(
 
 def misclassification_metrics(
     report: FlagReport, correctness: Mapping[str, bool]
-) -> Metrics:
+) -> RocPoint:
     """tpr/fpr/ppv of a flag report against ground-truth correctness.
 
     correctness maps every predicted trace_id to whether the prediction was
@@ -144,19 +147,12 @@ def misclassification_metrics(
     tpr = s2 / len(wrong) if wrong else None
     fpr = s3 / len(correct) if correct else None
     ppv = s2 / s1 if s1 else None
-    return Metrics(tpr, fpr, ppv)
+    return RocPoint(report.threshold, tpr, fpr, ppv)
 
 
 def attach_metrics(report: FlagReport, correctness: Mapping[str, bool]) -> FlagReport:
     m = misclassification_metrics(report, correctness)
     return replace(report, tpr=m.tpr, fpr=m.fpr, ppv=m.ppv)
-
-
-class RocPoint(NamedTuple):
-    threshold: float
-    tpr: float | None
-    fpr: float | None
-    ppv: float | None
 
 
 def roc_sweep(
@@ -169,11 +165,10 @@ def roc_sweep(
     Raising the threshold can only unflag instances, so tpr and fpr are
     non-increasing along the sorted grid.
     """
-    out = []
-    for thr in sorted(float(t) for t in thresholds):
-        m = misclassification_metrics(flag_above_threshold(predictions, thr), correctness)
-        out.append(RocPoint(thr, m.tpr, m.fpr, m.ppv))
-    return out
+    return [
+        misclassification_metrics(flag_above_threshold(predictions, thr), correctness)
+        for thr in sorted(float(t) for t in thresholds)
+    ]
 
 
 def entropy_cdf(

@@ -173,7 +173,7 @@ def reference_subset_search(dataset, masks=range(1, 256)):
         for i in range(n):
             rest = np.delete(np.arange(n), i)
             tree = reference_train_tree(sub.subset(rest), config, 0, identity_bootstrap=True)
-            forest = RandomForest((tree,), config, tuple(SensorType), sub.schema)
+            forest = RandomForest((tree,), config, sub.schema)
             probs = predict_matrix(forest, sub.features[i : i + 1], sub.schema, "standard")
             correct += int(np.argmax(probs[0])) == int(sub.labels[i])
         results.append((mask, correct / n))

@@ -210,7 +210,7 @@ def test_tree_leaf_posteriors_are_class_fractions():
 
 
 def wrap_tree(tree, config, schema):
-    return RandomForest((tree,), config, tuple(SensorType), schema)
+    return RandomForest((tree,), config, schema)
 
 
 def test_identity_bootstrap_ignores_tree_index():
@@ -342,7 +342,7 @@ def test_train_forests_rejects_a_fold_without_rows(small_dataset):
 
 def one_tree_forest(tree, schema="baseline2"):
     config = ForestConfig(n_trees=1, m_try=1, seed=0, averaging_mode="standard")
-    return RandomForest((tree,), config, tuple(SensorType), schema)
+    return RandomForest((tree,), config, schema)
 
 
 def manual_tree():
@@ -411,7 +411,7 @@ def leaf_tree(posterior):
 def leaf_forest(posteriors, mode="paper"):
     trees = tuple(leaf_tree(p) for p in posteriors)
     config = ForestConfig(n_trees=len(trees), m_try=1, seed=0, averaging_mode=mode)
-    return RandomForest(trees, config, None, "baseline2")
+    return RandomForest(trees, config, "baseline2")
 
 
 def posterior(forest, fv, mode=None):
@@ -507,8 +507,8 @@ def test_forest_tree_k_equals_train_tree_k(small_dataset):
     forest = train_forest(small_dataset, config)
     for k in (0, 2, 4):
         solo = train_tree(small_dataset, config, k)
-        lone = RandomForest((solo,), config, forest.class_labels, small_dataset.schema)
-        wrapped = RandomForest((forest.trees[k],), config, forest.class_labels, small_dataset.schema)
+        lone = RandomForest((solo,), config, small_dataset.schema)
+        wrapped = RandomForest((forest.trees[k],), config, small_dataset.schema)
         assert model_document(lone) == model_document(wrapped)
 
 
