@@ -95,6 +95,17 @@ def _forest_config(args) -> ForestConfig:
     )
 
 
+def _check_shared_flags(args) -> None:
+    """Every command's shared flags, checked before any input is read: a bad
+    value is a flag error (exit 2). synth's --seed is the spec reader's."""
+    if not 1.0 <= args.window_mins * 60.0 < np.inf:
+        raise ConfigError(f"--window-mins must be finite and at least 1/60 (one second), "
+                          f"got {args.window_mins}")
+    if not np.isfinite(args.threshold):
+        raise ConfigError(f"--threshold must be finite, got {args.threshold}")
+    ForestConfig(args.trees, args.mtry, DEFAULT_SEED if args.command == "synth" else _seed(args))
+
+
 def _run_meta(args, **extra) -> dict:
     meta = {
         "tool": "sensorclass",
@@ -145,14 +156,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_features(args) -> int:
-    window_len = _window_len(args)
-    traces = reporting.load_manifest_traces(args.manifest)
     if args.scheme == "both":
         raise ConfigError("features writes a single matrix; pick --scheme rich8 or baseline2")
+    traces = reporting.load_manifest_traces(args.manifest)
     ids, labels, rows = [], [], []
     for tr in traces:
         try:
-            fv = extract(tr, window_len, args.scheme)
+            fv = extract(tr, args.window_mins * 60.0, args.scheme)
         except NoWindows:
             log.warning("trace %s is shorter than one window, row skipped", tr.trace_id)
             continue
@@ -243,14 +253,6 @@ def read_preds_rebase(path, base: str):
 # --- eval ----------------------------------------------------------------------
 
 
-def _window_len(args) -> float:
-    """--window-mins in seconds; a bad value is a flag error (exit 2), not a data error."""
-    if not 1.0 <= args.window_mins * 60.0 < np.inf:
-        raise ConfigError(f"--window-mins must be finite and at least 1/60 (one second), "
-                          f"got {args.window_mins}")
-    return args.window_mins * 60.0
-
-
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
         values = [float(x) for x in text.split(",") if x.strip()]
@@ -296,7 +298,7 @@ def _write_result_artifacts(out_dir: Path, stem: str, result, base: str, meta: d
 
 
 def cmd_eval(args) -> int:
-    window_len = _window_len(args)
+    window_len = args.window_mins * 60.0
     if args.protocol == "window-sweep":
         minutes = _parse_minutes(args.windows)
     elif args.protocol != "subset-search":
@@ -523,6 +525,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_shared_flags(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

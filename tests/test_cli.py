@@ -74,6 +74,17 @@ def test_features_rejects_scheme_both(ws, tmp_path):
     assert rc == EXIT_CONFIG
 
 
+def test_features_rejects_scheme_both_before_reading(tmp_path, capsys):
+    manifest = _missing_trace(tmp_path)
+    capsys.readouterr()
+    rc = main(["features", "--manifest", str(manifest), "--scheme", "both",
+               "--out", str(tmp_path / "f.csv")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: features writes a single matrix") and err.count("\n") == 1
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_features_skips_short_trace_with_warning(ws, tmp_path, caplog):
     tiny = make_trace("tiny", [0.0, 60.0, 120.0], [1.0, 2.0, 3.0], SensorType.CO2)
     write_trace_csv(tiny, tmp_path / "tiny.csv")
@@ -419,6 +430,14 @@ def _leaf(posterior):
     return mutate
 
 
+def _reversed_class_labels(doc):
+    doc["class_labels"].reverse()
+
+
+def _one_class_label(doc):
+    doc["class_labels"] = doc["class_labels"][:1]
+
+
 @pytest.mark.parametrize("mutate", [
     _drop_config_seed,
     _config("n_trees", float("inf")),
@@ -437,11 +456,13 @@ def _leaf(posterior):
     _leaf([5.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
     _leaf([1.5, -0.5, 0.0, 0.0, 0.0, 0.0]),
     _leaf([float("nan"), 1.0, 0.0, 0.0, 0.0, 0.0]),
+    _reversed_class_labels,
+    _one_class_label,
 ], ids=["missing-config-key", "n-trees-inf", "m-try-inf", "seed-inf",
         "n-trees-float", "m-try-bool", "seed-float", "seed-negative", "m-try-above-features",
         "empty-tree", "truncated-tree", "split-feature-99",
         "split-feature-minus-1", "split-threshold-nan", "leaf-sums-to-5", "leaf-negative",
-        "leaf-nan"])
+        "leaf-nan", "class-labels-reversed", "class-labels-one"])
 def test_classify_malformed_model_exits_data(ws, tmp_path, capsys, mutate):
     doc = json.loads(ws.model.read_text())
     mutate(doc)
@@ -550,6 +571,61 @@ def test_bad_window_mins_exits_config(ws, tmp_path, capsys, command, value):
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: --window-mins") and err.count("\n") == 1, err
+
+
+def _command_reading_nothing(command, tmp_path):
+    """argv for command whose every input file is missing, and its output path."""
+    missing, out = str(tmp_path / "missing"), tmp_path / "out"
+    inputs = {
+        "synth": ["--traces-per-type", "1"],
+        "features": ["--manifest", missing],
+        "train": ["--features", missing],
+        "classify": ["--model", missing, "--features", missing],
+        "flag": ["--predictions", missing, "--manifest", missing],
+        "eval": ["--protocol", "loo", "--manifest", missing],
+        "relabel": ["--predictions", missing, "--manifest", missing, "--features", missing,
+                    "--model", missing, "--answers", missing,
+                    "--out-model", str(tmp_path / "out_model")],
+    }[command]
+    out_flag = {"eval": "--out-dir", "relabel": "--out-manifest"}.get(command, "--out")
+    return [command, *inputs, out_flag, str(out)], out
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--window-mins", "nan", "--window-mins"),
+    ("--window-mins", "-1", "--window-mins"),
+    ("--threshold", "inf", "--threshold"),
+    ("--threshold", "nan", "--threshold"),
+    ("--trees", "0", "n_trees"),
+    ("--mtry", "-5", "m_try"),
+    ("--seed", "-1", "seed"),
+])
+@pytest.mark.parametrize("command", [
+    "synth", "features", "train", "classify", "flag", "eval", "relabel",
+])
+def test_bad_shared_flag_exits_config_before_reading(tmp_path, capsys, command, flag, value,
+                                                     named):
+    # the input files do not exist, so only a check made before any input is
+    # read can give exit 2
+    argv, out = _command_reading_nothing(command, tmp_path)
+    capsys.readouterr()
+    assert main(argv + [flag, value]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1, err
+    assert not out.exists() and not (tmp_path / "out_model").exists()
+
+
+def test_trained_model_is_strict_json(ws, tmp_path):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    json.loads(ws.model.read_text(), parse_constant=reject)
+    out = tmp_path / "m.json"
+    rc = main(["train", "--features", str(ws.features), "--trees", "2",
+               "--window-mins", "nan", "--threshold", "inf", "--out", str(out)])
+    if out.exists():
+        json.loads(out.read_text(), parse_constant=reject)
+    assert rc == EXIT_CONFIG and not out.exists()
 
 
 @pytest.mark.parametrize("windows", ["45.7", "0.5", "0", "-30", "nan", "30,inf"])

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sensorclass.cli import EXIT_CONFIG, main
+from sensorclass.cli import EXIT_CONFIG, EXIT_OK, main
 from sensorclass.errors import InvalidSpec
 from sensorclass.features import extract
 from sensorclass.synth import (
@@ -27,6 +27,7 @@ from sensorclass.synth import (
     load_corpus_spec,
     preset_spec,
 )
+from sensorclass.reporting import read_manifest
 from sensorclass.trace import SensorType
 
 TWO_DAYS = 2 * 86400.0
@@ -449,3 +450,23 @@ def test_synth_seed_flag_is_checked_like_a_spec_seed(tmp_path, capsys):
     rc = main(["synth", "--spec", str(spec), "--seed", "-1", "--out", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: corpus spec key 'seed': ")
+
+
+def test_synth_flags_layer_over_a_spec(tmp_path):
+    spec = write_spec(tmp_path, {"name": "layered", "traces_per_type": 1, "duration_s": 3600})
+    out = tmp_path / "o"
+    assert main(["synth", "--spec", str(spec), "--traces-per-type", "3", "--seed", "4",
+                 "--out", str(out)]) == EXIT_OK
+    entries, meta = read_manifest(out / "manifest.csv")
+    assert Counter(label for _, _, label in entries) == {t: 3 for t in SensorType}
+    assert (meta["corpus"], meta["traces_per_type"], meta["seed"]) == ("layered", "3", "4")
+
+
+def test_synth_preset_and_spec_are_exclusive(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"traces_per_type": 1, "duration_s": 3600})
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--preset", "building-b", "--spec", str(spec),
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
