@@ -97,7 +97,7 @@ def _forest_config(args) -> ForestConfig:
 
 def _check_shared_flags(args) -> None:
     """Every command's shared flags, checked before any input is read: a bad
-    value is a flag error (exit 2). synth's --seed is the spec reader's."""
+    value is a flag error (exit 2). synth's --seed is left to the spec reader."""
     if not 1.0 <= args.window_mins * 60.0 < np.inf:
         raise ConfigError(f"--window-mins must be finite and at least 1/60 (one second), "
                           f"got {args.window_mins}")

@@ -68,14 +68,8 @@ def test_features_matrix_shape(ws):
     assert all(lab is not None for lab in labels)
 
 
-def test_features_rejects_scheme_both(ws, tmp_path):
-    rc = main(["features", "--manifest", str(ws.manifest), "--scheme", "both",
-               "--out", str(tmp_path / "f.csv")])
-    assert rc == EXIT_CONFIG
-
-
-def test_features_rejects_scheme_both_before_reading(tmp_path, capsys):
-    manifest = _missing_trace(tmp_path)
+def test_features_rejects_scheme_both(tmp_path, capsys):
+    manifest = _missing_trace(tmp_path)  # so only a check before reading gives exit 2
     capsys.readouterr()
     rc = main(["features", "--manifest", str(manifest), "--scheme", "both",
                "--out", str(tmp_path / "f.csv")])
