@@ -27,6 +27,7 @@ from .errors import (
     ConfigError,
     DataError,
     DegenerateFraction,
+    InvalidConfig,
     NonInteractiveWithoutAnswers,
     NoWindows,
 )
@@ -52,22 +53,21 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_UNDEFINED = 4
 
-DEFAULT_SEED = 0
 DEFAULT_WINDOW_MINS = 45.0
-DEFAULT_TREES = 50
+_FLAG_OF_FIELD = {"n_trees": "--trees", "m_try": "--mtry", "seed": "--seed"}
 
 
 def _shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
-                        help=f"master seed for every random draw (default {DEFAULT_SEED})")
+                        help=f"master seed for every random draw (default {ForestConfig.seed})")
     parser.add_argument("--window-mins", type=float, default=DEFAULT_WINDOW_MINS,
                         help="segmentation window length in minutes (default 45)")
-    parser.add_argument("--trees", type=int, default=DEFAULT_TREES,
-                        help="trees per forest (default 50)")
+    parser.add_argument("--trees", type=int, default=ForestConfig.n_trees,
+                        help=f"trees per forest (default {ForestConfig.n_trees})")
     parser.add_argument("--mtry", type=int, default=None,
                         help="features tried per node (default floor(sqrt(D)))")
     parser.add_argument("--averaging", choices=["paper", "standard"], default=None,
-                        help="posterior averaging mode (default paper)")
+                        help=f"posterior averaging mode (default {ForestConfig.averaging_mode})")
     parser.add_argument("--entropy-base", choices=["nats", "bits", "normalized"],
                         default="nats", help="entropy unit (default nats)")
     parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
@@ -78,43 +78,34 @@ def _shared_flags(parser: argparse.ArgumentParser) -> None:
                         help="accepted for compatibility; has no effect")
 
 
-def _seed(args) -> int:
-    return DEFAULT_SEED if args.seed is None else args.seed
-
-
-def _averaging(args) -> str:
-    return args.averaging or "paper"
-
-
-def _forest_config(args) -> ForestConfig:
-    return ForestConfig(
-        n_trees=args.trees,
-        m_try=args.mtry,
-        seed=_seed(args),
-        averaging_mode=_averaging(args),
-    )
-
-
-def _check_shared_flags(args) -> None:
-    """Every command's shared flags, checked before any input is read: a bad
-    value is a flag error (exit 2). synth's --seed is left to the spec reader."""
+def _check_shared_flags(args) -> ForestConfig:
+    """Every command's shared flags, checked before any input is read, and the
+    forest config they give: a bad value is a flag error (exit 2). synth's
+    --seed is left to the spec reader."""
     if not 1.0 <= args.window_mins * 60.0 < np.inf:
         raise ConfigError(f"--window-mins must be finite and at least 1/60 (one second), "
                           f"got {args.window_mins}")
     if not np.isfinite(args.threshold):
         raise ConfigError(f"--threshold must be finite, got {args.threshold}")
-    ForestConfig(args.trees, args.mtry, DEFAULT_SEED if args.command == "synth" else _seed(args))
+    seed = ForestConfig.seed if args.seed is None or args.command == "synth" else args.seed
+    try:
+        return ForestConfig(args.trees, args.mtry, seed,
+                            args.averaging or ForestConfig.averaging_mode)
+    except InvalidConfig as exc:
+        field, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{_FLAG_OF_FIELD[field]} {rest}") from None
 
 
 def _run_meta(args, **extra) -> dict:
+    config = args.config
     meta = {
         "tool": "sensorclass",
         "tool_version": __version__,
-        "seed": _seed(args),
+        "seed": config.seed,
         "window_mins": args.window_mins,
-        "trees": args.trees,
-        "mtry": "auto" if args.mtry is None else args.mtry,
-        "averaging": _averaging(args),
+        "trees": config.n_trees,
+        "mtry": "auto" if config.m_try is None else config.m_try,
+        "averaging": config.averaging_mode,
         "entropy_base": args.entropy_base,
         "threshold": args.threshold,
         "scheme": args.scheme,
@@ -196,11 +187,10 @@ def _training_set(path, ids, labels, feats, schema) -> LabeledDataset:
 def cmd_train(args) -> int:
     ids, labels, feats, schema, _ = reporting.read_feature_matrix(args.features)
     dataset = _training_set(args.features, ids, labels, feats, schema)
-    config = _forest_config(args)
-    forest = train_forest(dataset, config)
+    forest = train_forest(dataset, args.config)
     run = _run_meta(args, scheme=dataset.schema)
     save_model(forest, args.out, run)
-    print(f"trained {config.n_trees} trees on {len(dataset)} instances -> {args.out}")
+    print(f"trained {args.config.n_trees} trees on {len(dataset)} instances -> {args.out}")
     return EXIT_OK
 
 
@@ -310,11 +300,10 @@ def cmd_eval(args) -> int:
     traces = reporting.load_manifest_traces(args.manifest)
     use_b = args.manifest_b and args.protocol in ("inter", "window-sweep")
     traces_b = reporting.load_manifest_traces(args.manifest_b) if use_b else None
-    config = _forest_config(args)
     base = args.entropy_base
 
     if args.protocol == "window-sweep":
-        points = evaluate.window_sweep(traces, minutes, config, traces_b)
+        points = evaluate.window_sweep(traces, minutes, args.config, traces_b)
         mode = "inter_10fold" if traces_b is not None else "intra_loo"
         meta = _run_meta(args, protocol=f"window-sweep/{mode}", scheme=RICH8)
         reporting.write_csv(
@@ -352,9 +341,9 @@ def cmd_eval(args) -> int:
         meta = _run_meta(args, scheme=scheme, protocol=args.protocol)
         if args.protocol == "inter":
             dataset_b = evaluate.build_dataset(traces_b, window_len, scheme)
-            table, result = evaluate.inter_corpus(dataset, dataset_b, fractions, config, base)
+            table, result = evaluate.inter_corpus(dataset, dataset_b, fractions, args.config, base)
         else:
-            table, result = evaluate.percentage_protocol(dataset, fractions, config, base)
+            table, result = evaluate.percentage_protocol(dataset, fractions, args.config, base)
         _write_result_artifacts(out_dir, scheme, result, base, meta)
         meta.update(evaluate.table_repeat_meta(table))
         header, rows = evaluate.table_csv_rows(table)
@@ -525,7 +514,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_shared_flags(args)
+        args.config = _check_shared_flags(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -156,16 +156,10 @@ class AccuracyCell:
     repeats: int
 
 
-@dataclass
-class AccuracyTable:
-    """rows: sensor-type labels plus 'overall'; columns: protocol columns."""
+ROW_NAMES = [t.label for t in SensorType] + ["overall"]
 
-    columns: list[str]
-    rows: dict[str, dict[str, AccuracyCell]]
-
-    @staticmethod
-    def row_names() -> list[str]:
-        return [t.label for t in SensorType] + ["overall"]
+# column name -> that column's accuracy_column cells (row name -> cell), in column order
+AccuracyTable = dict[str, dict[str, AccuracyCell]]
 
 
 def accuracy_column(results: Sequence[PerClassAccuracy]) -> dict[str, AccuracyCell]:
@@ -177,18 +171,6 @@ def accuracy_column(results: Sequence[PerClassAccuracy]) -> dict[str, AccuracyCe
     overall = [r.overall for r in results]
     cells["overall"] = AccuracyCell(float(np.mean(overall)), len(overall))
     return cells
-
-
-def new_table() -> AccuracyTable:
-    """An accuracy table with every row and no columns yet."""
-    return AccuracyTable(columns=[], rows={name: {} for name in AccuracyTable.row_names()})
-
-
-def add_column(table: AccuracyTable, name: str, cells: dict[str, AccuracyCell]) -> None:
-    """Append a column built by accuracy_column."""
-    table.columns.append(name)
-    for row_name in AccuracyTable.row_names():
-        table.rows[row_name][name] = cells[row_name]
 
 
 def fraction_column_name(fraction: float) -> str:
@@ -257,14 +239,14 @@ def percentage_protocol(
 ) -> tuple[AccuracyTable, ProtocolResult]:
     """Stratified train fractions, each repeated round(1/fraction) times,
     then leave-one-out: (the table, with the LOO column last, and the LOO
-    result as loo_cv gives it).
+    result, one Prediction per row).
 
     Small fractions are noisier, so they get proportionally more repeats;
     every cell is the mean over the repeats where it was defined. The
     forests of every fold, fractions and LOO alike, grow in one
     train_forests call.
     """
-    table = new_table()
+    table: AccuracyTable = {}
     splits = [list(fraction_splits(dataset, fraction, config, _TAG_PERCENTAGE, fi))
               for fi, fraction in enumerate(fractions)]
     posteriors = _fold_posteriors(dataset, dataset, [fold for folds in splits for fold in folds]
@@ -272,9 +254,9 @@ def percentage_protocol(
     for fraction, folds in zip(fractions, splits):
         results = [per_class_accuracy(dataset.labels[te], next(posteriors).argmax(axis=1))
                    for _, te, _ in folds]
-        add_column(table, fraction_column_name(fraction), accuracy_column(results))
+        table[fraction_column_name(fraction)] = accuracy_column(results)
     loo = _prediction_records(dataset, np.concatenate(list(posteriors)), entropy_base)
-    add_column(table, LOO_COLUMN, accuracy_column([loo.accuracy]))
+    table[LOO_COLUMN] = accuracy_column([loo.accuracy])
     return table, loo
 
 
@@ -286,16 +268,14 @@ def _loo_folds(dataset: LabeledDataset, config: ForestConfig) -> list[tuple]:
     return [(np.delete(np.arange(n), i), [i], _fold_config(config, _TAG_LOO, i)) for i in range(n)]
 
 
-def _loo_posteriors(dataset: LabeledDataset, config: ForestConfig) -> np.ndarray:
-    """Each row's posteriors from a forest grown without it."""
-    return np.concatenate(list(_fold_posteriors(dataset, dataset, _loo_folds(dataset, config))))
-
-
 def loo_cv(
     dataset: LabeledDataset, config: ForestConfig, entropy_base: str = "nats"
 ) -> ProtocolResult:
-    """Leave-one-out cross-validation; one forest per held-out instance."""
-    return _prediction_records(dataset, _loo_posteriors(dataset, config), entropy_base)
+    """Leave-one-out cross-validation; one forest per held-out instance.
+
+    The LOO result of percentage_protocol with no fractions.
+    """
+    return percentage_protocol(dataset, (), config, entropy_base)[1]
 
 
 def inter_corpus(
@@ -327,14 +307,14 @@ def inter_corpus(
             splits.append([(tr, test_rows, cfg) for tr, _, cfg in folds])
     posteriors = _fold_posteriors(train_dataset, test_dataset,
                                   [fold for folds in splits for fold in folds])
-    table = new_table()
+    table: AccuracyTable = {}
     full_result: ProtocolResult | None = None
     for fraction, folds in zip(fractions, splits):
         runs = [next(posteriors) for _ in folds]
         if fraction == 1.0:
             full_result = _prediction_records(test_dataset, runs[0], entropy_base)
         results = [per_class_accuracy(test_dataset.labels, probs.argmax(axis=1)) for probs in runs]
-        add_column(table, fraction_column_name(fraction), accuracy_column(results))
+        table[fraction_column_name(fraction)] = accuracy_column(results)
     return table, full_result
 
 
@@ -371,8 +351,9 @@ def window_sweep(
             log.warning("window sweep: no usable traces at %d minutes, point skipped", minutes)
             continue
         if traces_b is None:
-            predicted = _loo_posteriors(datasets[0], config).argmax(axis=1)
-            points.append((minutes, per_class_accuracy(datasets[0].labels, predicted).overall))
+            ds = datasets[0]
+            probs = np.concatenate(list(_fold_posteriors(ds, ds, _loo_folds(ds, config))))
+            points.append((minutes, per_class_accuracy(ds.labels, probs.argmax(axis=1)).overall))
             continue
         dataset, dataset_b = datasets
         fold = (np.arange(len(dataset)), np.arange(len(dataset_b)),
@@ -473,15 +454,10 @@ def render_table_text(
     With a second table the cell reads "main (baseline)", matching the
     usual side-by-side presentation of the two feature schemes.
     """
-    names = [n for n in AccuracyTable.row_names() if n in table.rows]
-    body: list[list[str]] = []
-    for name in names:
-        row = [name]
-        for col in table.columns:
-            b = baseline.rows[name].get(col) if baseline is not None else None
-            row.append(_cell_text(table.rows[name][col], b))
-        body.append(row)
-    header = ["type"] + table.columns
+    columns = [(cells, (baseline or {}).get(name, {})) for name, cells in table.items()]
+    body = [[row] + [_cell_text(cells[row], base.get(row)) for cells, base in columns]
+            for row in ROW_NAMES]
+    header = ["type"] + list(table)
     widths = [max(len(r[i]) for r in [header] + body) for i in range(len(header))]
     lines = []
     if title:
@@ -494,12 +470,11 @@ def render_table_text(
 
 def table_csv_rows(table: AccuracyTable) -> tuple[list[str], list[list]]:
     """(header, rows) for reporting.write_csv; cells are fractions, '' if undefined."""
-    header = ["type"] + list(table.columns)
-    rows = [[name] + [table.rows[name][c].mean for c in table.columns]
-            for name in AccuracyTable.row_names()]
+    header = ["type"] + list(table)
+    rows = [[name] + [cells[name].mean for cells in table.values()] for name in ROW_NAMES]
     return header, rows
 
 
 def table_repeat_meta(table: AccuracyTable) -> dict[str, int]:
     """Repeat counts per column (overall row), for artifact metadata."""
-    return {f"repeats.{col}": table.rows["overall"][col].repeats for col in table.columns}
+    return {f"repeats.{col}": cells["overall"].repeats for col, cells in table.items()}

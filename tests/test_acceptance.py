@@ -256,8 +256,8 @@ def test_criterion_10_stratification_and_repeats(default_dataset):
     assert repeats_for_fraction(0.05) == 20
     assert repeats_for_fraction(0.5) == 2
     table, _ = percentage_protocol(default_dataset, (0.05, 0.5), ForestConfig(n_trees=2, seed=3))
-    assert table.rows["overall"]["5%"].repeats == 20
-    assert table.rows["overall"]["50%"].repeats == 2
+    assert table["5%"]["overall"].repeats == 20
+    assert table["50%"]["overall"].repeats == 2
 
 
 def test_criterion_11_feature_subset_search(small_dataset):

@@ -14,10 +14,9 @@ from sensorclass.errors import DataError, DegenerateFraction, SchemaMismatch
 from sensorclass.evaluate import (
     FULL_COLUMN,
     LOO_COLUMN,
+    ROW_NAMES,
     AccuracyCell,
-    AccuracyTable,
     accuracy_column,
-    add_column,
     build_dataset,
     feature_subset_search,
     fraction_column_name,
@@ -174,14 +173,14 @@ def test_fraction_column_names():
 def test_percentage_table_shape_and_repeats(small_dataset):
     config = ForestConfig(n_trees=8, seed=5)
     table, _ = percentage_protocol(small_dataset, (0.33, 0.5), config)
-    assert table.columns == ["33%", "50%", "loo"]
-    assert set(table.rows) == set(AccuracyTable.row_names())
+    assert list(table) == ["33%", "50%", "loo"]
+    assert all(list(cells) == ROW_NAMES for cells in table.values())
     for name in ("33%", "50%"):
-        cell = table.rows["overall"][name]
+        cell = table[name]["overall"]
         assert isinstance(cell, AccuracyCell)
         assert cell.mean is not None and 0.0 <= cell.mean <= 1.0
-    assert table.rows["overall"]["33%"].repeats == 3
-    assert table.rows["overall"]["50%"].repeats == 2
+    assert table["33%"]["overall"].repeats == 3
+    assert table["50%"]["overall"].repeats == 2
 
 
 def test_percentage_deterministic(small_dataset):
@@ -200,11 +199,9 @@ def test_percentage_protocol_ends_with_the_loo_run(small_dataset):
     assert [(p.trace_id, p.predicted, p.entropy, p.probs.tolist()) for p in loo.predictions] == [
         (p.trace_id, p.predicted, p.entropy, p.probs.tolist()) for p in expected.predictions]
     assert loo.truth == expected.truth
-    assert {name: table.rows[name]["loo"] for name in table.rows} == accuracy_column(
-        [expected.accuracy])
+    assert table["loo"] == accuracy_column([expected.accuracy])
     alone, _ = percentage_protocol(small_dataset, (0.33,), config)
-    assert {name: table.rows[name]["33%"] for name in table.rows} == {
-        name: alone.rows[name]["33%"] for name in alone.rows}
+    assert table["33%"] == alone["33%"]
 
 
 def test_fraction_splits_follow_the_seed_path(small_dataset):
@@ -255,7 +252,7 @@ def test_loo_deterministic(small_dataset):
 def test_inter_full_fraction_returns_result(small_dataset):
     table, full = inter_corpus(small_dataset, small_dataset, (1.0,), ForestConfig(n_trees=8, seed=3))
     assert full is not None
-    assert table.columns == [FULL_COLUMN]
+    assert list(table) == [FULL_COLUMN]
     # resubstitution with a forest on its own training set is near-perfect
     assert full.accuracy.overall >= 0.9
 
@@ -263,8 +260,8 @@ def test_inter_full_fraction_returns_result(small_dataset):
 def test_inter_without_full_fraction_returns_none(small_dataset):
     table, full = inter_corpus(small_dataset, small_dataset, (0.5,), ForestConfig(n_trees=4, seed=3))
     assert full is None
-    assert table.columns == ["50%"]
-    assert table.rows["overall"]["50%"].repeats == 2
+    assert list(table) == ["50%"]
+    assert table["50%"]["overall"].repeats == 2
 
 
 def test_inter_missing_class_scores_zero(small_dataset):
@@ -507,17 +504,15 @@ def test_accuracy_column_of_one_run_is_that_run(small_dataset):
 def test_loo_column_and_render(small_dataset):
     config = ForestConfig(n_trees=6, seed=2)
     result = loo_cv(small_dataset, config)
-    table = AccuracyTable(columns=[], rows={n: {} for n in AccuracyTable.row_names()})
-    add_column(table, LOO_COLUMN, accuracy_column([result.accuracy]))
-    assert table.columns == [LOO_COLUMN]
-    cell = table.rows["overall"][LOO_COLUMN]
+    table = {LOO_COLUMN: accuracy_column([result.accuracy])}
+    cell = table[LOO_COLUMN]["overall"]
     assert cell.repeats == 1
     assert cell.mean == pytest.approx(result.accuracy.overall)
     text = render_table_text(table, title="check")
     assert "overall" in text and "loo" in text
     header, rows = table_csv_rows(table)
     assert header[0] == "type" and "loo" in header
-    assert len(rows) == len(AccuracyTable.row_names())
+    assert len(rows) == len(ROW_NAMES)
 
 
 def test_build_dataset_requires_labels():
