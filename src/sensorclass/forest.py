@@ -616,15 +616,20 @@ def save_model(forest: RandomForest, path: str | Path, run_meta: dict | None = N
         fh.write("\n")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_model(path: str | Path) -> tuple[RandomForest, dict]:
     """Read a model file back; returns (forest, run metadata dict).
 
-    A malformed document of any kind raises DataError.
+    A malformed document of any kind, NaN or Infinity anywhere in it
+    included, raises DataError.
     """
     text = read_utf8(Path(path)).decode("utf-8")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:  # a JSONDecodeError, or a constant
         raise DataError(f"model file {path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise DataError(f"model file {path}: not a {MODEL_FORMAT} document")
@@ -640,7 +645,9 @@ def load_model(path: str | Path) -> tuple[RandomForest, dict]:
         feature_count = schema_length(schema)
         config.resolve_m_try(feature_count)
         trees = tuple(_nodes_to_tree(nodes, feature_count) for nodes in doc["trees"])
-        run = dict(doc.get("run", {}))
+        run = doc.get("run", {})
+        if not isinstance(run, dict):
+            raise DataError(f"run must be a JSON object, got {type(run).__name__}")
     except (KeyError, TypeError, ValueError, OverflowError, InvalidConfig) as exc:
         raise DataError(f"model file {path}: malformed ({type(exc).__name__}: {exc})") from None
     except DataError as exc:

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from sensorclass.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_UNDEFINED, main
+from sensorclass.errors import InvalidConfig
+from sensorclass.forest import ForestConfig
 from sensorclass.reporting import (
     read_feature_matrix,
     read_manifest,
@@ -432,6 +434,14 @@ def _one_class_label(doc):
     doc["class_labels"] = doc["class_labels"][:1]
 
 
+def _run_threshold_nan(doc):
+    doc["run"]["threshold"] = float("nan")
+
+
+def _run_as_pairs(doc):
+    doc["run"] = list(doc["run"].items())
+
+
 @pytest.mark.parametrize("mutate", [
     _drop_config_seed,
     _config("n_trees", float("inf")),
@@ -452,11 +462,13 @@ def _one_class_label(doc):
     _leaf([float("nan"), 1.0, 0.0, 0.0, 0.0, 0.0]),
     _reversed_class_labels,
     _one_class_label,
+    _run_threshold_nan,
+    _run_as_pairs,
 ], ids=["missing-config-key", "n-trees-inf", "m-try-inf", "seed-inf",
         "n-trees-float", "m-try-bool", "seed-float", "seed-negative", "m-try-above-features",
         "empty-tree", "truncated-tree", "split-feature-99",
         "split-feature-minus-1", "split-threshold-nan", "leaf-sums-to-5", "leaf-negative",
-        "leaf-nan", "class-labels-reversed", "class-labels-one"])
+        "leaf-nan", "class-labels-reversed", "class-labels-one", "run-nan", "run-list"])
 def test_classify_malformed_model_exits_data(ws, tmp_path, capsys, mutate):
     doc = json.loads(ws.model.read_text())
     mutate(doc)
@@ -468,6 +480,22 @@ def test_classify_malformed_model_exits_data(ws, tmp_path, capsys, mutate):
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_relabel_non_strict_model_exits_data_and_writes_nothing(ws, tmp_path, capsys):
+    doc = json.loads(ws.model.read_text())
+    _run_threshold_nan(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out_manifest, out_model = tmp_path / "m.csv", tmp_path / "mo.json"
+    capsys.readouterr()
+    rc = main(["relabel", "--predictions", str(ws.preds), "--manifest", str(ws.manifest),
+               "--features", str(ws.features), "--model", str(bad), "--budget", "0",
+               "--out-manifest", str(out_manifest), "--out-model", str(out_model)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "NaN" in err and err.count("\n") == 1, err
+    assert not out_manifest.exists() and not out_model.exists()
 
 
 def _rewrite_first_row(path, out, edit):
@@ -585,29 +613,34 @@ def _command_reading_nothing(command, tmp_path):
     return [command, *inputs, out_flag, str(out)], out
 
 
-@pytest.mark.parametrize("flag, value, named", [
+@pytest.mark.parametrize("flag, value, bound", [
     ("--window-mins", "nan", "--window-mins"),
     ("--window-mins", "-1", "--window-mins"),
     ("--threshold", "inf", "--threshold"),
     ("--threshold", "nan", "--threshold"),
-    ("--trees", "0", "--trees"),
-    ("--mtry", "-5", "--mtry"),
-    ("--seed", "-1", "--seed"),
+    ("--trees", "0", "n_trees"),
+    ("--mtry", "-5", "m_try"),
+    ("--seed", "-1", "seed"),
 ])
 @pytest.mark.parametrize("command", [
     "synth", "features", "train", "classify", "flag", "eval", "relabel",
 ])
 def test_bad_shared_flag_exits_config_before_reading(tmp_path, capsys, command, flag, value,
-                                                     named):
+                                                     bound):
     # the input files do not exist, so only a check made before any input is
-    # read can give exit 2
+    # read can give exit 2. bound is the flag itself where the CLI holds the
+    # bound, or the ForestConfig field whose check the flag goes through; the
+    # message names the flag either way (synth checks its seed as a spec seed)
     argv, out = _command_reading_nothing(command, tmp_path)
-    if (command, flag) == ("synth", "--seed"):  # checked as a spec seed
-        named = "corpus spec key 'seed'"
+    named = "corpus spec key 'seed'" if (command, flag) == ("synth", "--seed") else flag
     capsys.readouterr()
     assert main(argv + [flag, value]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err and err.count("\n") == 1, err
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
+    if bound != flag and named == flag:
+        with pytest.raises(InvalidConfig) as exc:
+            ForestConfig(**{bound: int(value)})
+        assert err == f"error: {str(exc.value).replace(bound, flag, 1)}\n"
     assert not out.exists() and not (tmp_path / "out_model").exists()
 
 
