@@ -238,6 +238,22 @@ def test_loo_single_instance_rejected():
         loo_cv(ds, ForestConfig())
 
 
+@pytest.mark.parametrize("m_try", [1, 8], ids=["m-try-1", "m-try-D"])
+def test_loo_matches_one_forest_per_held_out_row(small_dataset, m_try):
+    # row i's posteriors are those of a forest trained on the other rows
+    # alone, seeded at (seed, 202, i), from the one-forest entry point
+    config = ForestConfig(n_trees=3, m_try=m_try, seed=23)
+    result = loo_cv(small_dataset, config, "bits")
+    n = len(small_dataset)
+    assert [p.trace_id for p in result.predictions] == list(small_dataset.ids)
+    for i, p in enumerate(result.predictions):
+        others = small_dataset.subset(np.delete(np.arange(n), i))
+        forest = train_forest(others, replace(config, seed=seeding.derive_seed(23, 202, i)))
+        want = predict_matrix(forest, small_dataset.features[[i]], small_dataset.schema)[0]
+        assert p.probs.tolist() == want.tolist(), i
+        assert p.predicted == SensorType(int(want.argmax()))
+
+
 def test_loo_deterministic(small_dataset):
     config = ForestConfig(n_trees=6, seed=2)
     a = loo_cv(small_dataset, config)
