@@ -270,6 +270,9 @@ def _parse_fractions(text: str, protocol: str) -> list[float]:
     if bad:
         allowed = "(0, 1) or 1.0" if full_ok else "(0, 1)"
         raise ConfigError(f"--fractions takes numbers in {allowed}, got {bad[0]:g}")
+    columns = set(values) | ({1.0} if full_ok else set())  # inter always runs 1.0
+    if len({evaluate.fraction_column_name(v) for v in columns}) < len(columns):
+        raise ConfigError(f"--fractions: two entries share a column name in {text!r}")
     try:
         for v in values:
             if v < 1.0:

@@ -669,6 +669,8 @@ def test_eval_windows_must_be_whole_positive_minutes(ws, tmp_path, windows):
     ("percentage", "--fractions", "0.5,0.5"),
     ("inter", "--fractions", "0.2,1.0,0.20"),
     ("window-sweep", "--windows", "30,45,30"),
+    ("percentage", "--fractions", "0.3333331,0.3333332"),  # both columns read 33.3333%
+    ("inter", "--fractions", "0.9999999"),  # reads 100%, as the 1.0 run inter adds
 ])
 def test_eval_duplicate_list_entry_exits_config(ws, tmp_path, protocol, flag, values):
     out = tmp_path / "o"
