@@ -388,6 +388,7 @@ def cmd_relabel(args) -> int:
         raise ConfigError(f"--budget must be >= 0, got {args.budget}")
     preds, _pmeta = read_preds_rebase(args.predictions, args.entropy_base)
     forest, run = load_model(args.model)
+    ids, _labels, feats, schema, _fmeta = reporting.read_feature_matrix(args.features)
     entries, manifest_meta = reporting.parse_manifest(args.manifest)
     label_by_id = {tid: lab for tid, _, lab in entries}
     unknown = [p.trace_id for p in preds if p.trace_id not in label_by_id]
@@ -420,12 +421,10 @@ def cmd_relabel(args) -> int:
                 label_by_id[p.trace_id] = new_label
                 corrected += 1
 
-    entries = [(tid, rel, label_by_id[tid]) for tid, rel, _ in entries]
-    reporting.write_manifest(args.out_manifest, entries, manifest_meta)
-
-    ids, _labels, feats, schema, _fmeta = reporting.read_feature_matrix(args.features)
     labels = [label_by_id.get(tid) for tid in ids]
     dataset = _training_set(args.features, ids, labels, feats, schema)
+    entries = [(tid, rel, label_by_id[tid]) for tid, rel, _ in entries]
+    reporting.write_manifest(args.out_manifest, entries, manifest_meta)
     retrained = train_forest(dataset, forest.config)
     save_model(retrained, args.out_model, run)
     print(

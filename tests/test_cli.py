@@ -482,19 +482,37 @@ def test_classify_malformed_model_exits_data(ws, tmp_path, capsys, mutate):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-def test_relabel_non_strict_model_exits_data_and_writes_nothing(ws, tmp_path, capsys):
+def _non_strict_model(ws, path):
     doc = json.loads(ws.model.read_text())
     _run_threshold_nan(doc)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc))
+    return {"--model": path}
+
+
+def _unlabeled_manifest(ws, path):
+    lines = [line.rsplit(",", 1)[0] + "," if line.startswith("mini-") else line
+             for line in ws.manifest.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    return {"--manifest": path}
+
+
+@pytest.mark.parametrize("make_input, named", [
+    (_non_strict_model, "NaN"),
+    (lambda ws, path: {"--features": path}, "cannot read"),
+    (_unlabeled_manifest, "no labeled rows"),
+], ids=["model-nan", "features-missing", "no-labeled-rows"])
+def test_relabel_bad_input_exits_data_and_writes_nothing(ws, tmp_path, capsys, make_input,
+                                                         named):
+    inputs = {"--predictions": ws.preds, "--manifest": ws.manifest,
+              "--features": ws.features, "--model": ws.model}
+    inputs.update(make_input(ws, tmp_path / "bad"))
     out_manifest, out_model = tmp_path / "m.csv", tmp_path / "mo.json"
     capsys.readouterr()
-    rc = main(["relabel", "--predictions", str(ws.preds), "--manifest", str(ws.manifest),
-               "--features", str(ws.features), "--model", str(bad), "--budget", "0",
+    rc = main(["relabel", *(str(x) for kv in inputs.items() for x in kv), "--budget", "0",
                "--out-manifest", str(out_manifest), "--out-model", str(out_model)])
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "NaN" in err and err.count("\n") == 1, err
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1, err
     assert not out_manifest.exists() and not out_model.exists()
 
 
