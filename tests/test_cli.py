@@ -2,6 +2,7 @@
 
 import json
 import logging
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -474,6 +475,22 @@ def test_classify_malformed_model_exits_data(ws, tmp_path, capsys, mutate):
     mutate(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["classify", "--model", str(bad), "--features", str(ws.features),
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_classify_model_with_a_huge_integer_exits_data(ws, tmp_path, capsys):
+    # past sys.get_int_max_str_digits() the JSON parser itself raises ValueError
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no integer string-conversion limit")
+    text = ws.model.read_text()
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"seed": 0', '"seed": ' + "9" * 5000, 1))
+    assert bad.read_text() != text
     capsys.readouterr()
     rc = main(["classify", "--model", str(bad), "--features", str(ws.features),
                "--out", str(tmp_path / "p.csv")])
