@@ -9,8 +9,9 @@ Every artifact embeds the resolved run configuration and tool version as
 `# key=value` header lines, and identical inputs plus the same --seed
 produce byte-identical outputs. --threads is accepted and has no effect.
 
-Exit codes: 0 success, 2 configuration error (including bad flags),
-3 data error, 4 all requested metrics came back undefined.
+Exit codes: 0 success, 2 configuration error (including bad flags and an
+output path that cannot be created or written), 3 data error, 4 all
+requested metrics came back undefined.
 """
 
 from __future__ import annotations
@@ -149,9 +150,8 @@ def cmd_synth(args) -> int:
 def cmd_features(args) -> int:
     if args.scheme == "both":
         raise ConfigError("features writes a single matrix; pick --scheme rich8 or baseline2")
-    traces = reporting.load_manifest_traces(args.manifest)
     ids, labels, rows = [], [], []
-    for tr in traces:
+    for tr in reporting.load_manifest_traces(args.manifest):
         try:
             fv = extract(tr, args.window_mins * 60.0, args.scheme)
         except NoWindows:
@@ -299,7 +299,6 @@ def cmd_eval(args) -> int:
     if args.protocol == "inter" and not args.manifest_b:
         raise ConfigError("--protocol inter needs --manifest-b")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     traces = reporting.load_manifest_traces(args.manifest)
     use_b = args.manifest_b and args.protocol in ("inter", "window-sweep")
     traces_b = reporting.load_manifest_traces(args.manifest_b) if use_b else None
@@ -309,6 +308,7 @@ def cmd_eval(args) -> int:
         points = evaluate.window_sweep(traces, minutes, args.config, traces_b)
         mode = "inter_10fold" if traces_b is not None else "intra_loo"
         meta = _run_meta(args, protocol=f"window-sweep/{mode}", scheme=RICH8)
+        out_dir.mkdir(parents=True, exist_ok=True)
         reporting.write_csv(
             out_dir / "window_sweep.csv", ["window_mins", "accuracy"], points, meta
         )
@@ -325,6 +325,7 @@ def cmd_eval(args) -> int:
             for mask, acc in results
         ]
         meta = _run_meta(args, protocol="subset-search", scheme=RICH8)
+        out_dir.mkdir(parents=True, exist_ok=True)
         reporting.write_csv(
             out_dir / "subset_search.csv", ["mask", "features", "n_features", "accuracy"],
             rows, meta,
@@ -338,12 +339,15 @@ def cmd_eval(args) -> int:
         fractions = []
     elif args.protocol == "inter" and 1.0 not in fractions:
         fractions = fractions + [1.0]
+    schemes = [RICH8, BASELINE2] if args.scheme == "both" else [args.scheme]
+    datasets = evaluate.build_dataset(traces, window_len, schemes)
+    datasets_b = (evaluate.build_dataset(traces_b, window_len, schemes)
+                  if args.protocol == "inter" else [None] * len(schemes))
+    out_dir.mkdir(parents=True, exist_ok=True)
     tables = {}
-    for scheme in [RICH8, BASELINE2] if args.scheme == "both" else [args.scheme]:
-        dataset = evaluate.build_dataset(traces, window_len, scheme)
+    for scheme, dataset, dataset_b in zip(schemes, datasets, datasets_b):
         meta = _run_meta(args, scheme=scheme, protocol=args.protocol)
-        if args.protocol == "inter":
-            dataset_b = evaluate.build_dataset(traces_b, window_len, scheme)
+        if dataset_b is not None:
             table, result = evaluate.inter_corpus(dataset, dataset_b, fractions, args.config, base)
         else:
             table, result = evaluate.percentage_protocol(dataset, fractions, args.config, base)
@@ -524,6 +528,10 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except OSError as exc:  # inputs are read through read_utf8, which raises DataError
+        print(f"error: cannot write {exc.filename or 'an output'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,17 +70,43 @@ def repeats_for_fraction(fraction: float) -> int:
 
 
 def build_dataset(
-    traces: Sequence[SensorTrace], window_len: float, schema: str = RICH8
-) -> LabeledDataset:
-    """Featurize labeled traces into a dataset ready for training."""
-    ids, rows, labels = [], [], []
+    traces: Iterable[SensorTrace],
+    window_len: float | Sequence[float],
+    schema: str | Sequence[str] = RICH8,
+    skip_short: bool = False,
+) -> LabeledDataset | list[LabeledDataset | None]:
+    """Featurize labeled traces into a dataset ready for training.
+
+    The traces are read in one pass, so a lazy load_manifest_traces stream
+    is read once and each trace can be dropped as soon as its rows are
+    extracted. window_len and schema may also be sequences: then the result
+    is a list of datasets, one per (window length, schema) pair, window
+    lengths outermost, every row of a trace extracted while it is loaded.
+    With skip_short, a trace shorter than a window length is left out of
+    that length's datasets with a warning, and a dataset left without rows
+    is None; otherwise such a trace raises NoWindows.
+    """
+    scalar = np.ndim(window_len) == 0
+    lens = [window_len] if scalar else list(window_len)
+    schemas = [schema] if isinstance(schema, str) else schema
+    views = [(w, s) for w in lens for s in schemas]
+    columns = [([], [], []) for _ in views]  # per view: ids, rows, labels
     for tr in traces:
-        if tr.label is None:
+        short = [w for w in lens if skip_short and tr.span < w]
+        for w in short:
+            log.warning("window sweep: trace %s span %.0fs < window %.0fs, skipped",
+                        tr.trace_id, tr.span, w)
+        usable = [(w, s, col) for (w, s), col in zip(views, columns) if w not in short]
+        if usable and tr.label is None:
             raise DataError(f"trace {tr.trace_id!r} has no label; cannot build a dataset")
-        ids.append(tr.trace_id)
-        rows.append(extract(tr, window_len, schema).values)
-        labels.append(int(tr.label))
-    return LabeledDataset(tuple(ids), np.asarray(rows), np.asarray(labels), schema)
+        for w, s, (ids, rows, labels) in usable:
+            ids.append(tr.trace_id)
+            rows.append(extract(tr, w, s).values)
+            labels.append(int(tr.label))
+    datasets = [LabeledDataset(tuple(ids), np.asarray(rows), np.asarray(labels), s)
+                if ids or not skip_short else None
+                for (_, s), (ids, rows, labels) in zip(views, columns)]
+    return datasets[0] if scalar and isinstance(schema, str) else datasets
 
 
 def stratified_split(
@@ -318,35 +344,27 @@ def inter_corpus(
     return table, full_result
 
 
-def _sweep_dataset(traces: Sequence[SensorTrace], window_len: float) -> LabeledDataset | None:
-    """rich8 dataset of the traces at least one window long; None if there are none."""
-    for tr in traces:
-        if tr.span < window_len:
-            log.warning("window sweep: trace %s span %.0fs < window %.0fs, skipped",
-                        tr.trace_id, tr.span, window_len)
-    usable = [tr for tr in traces if tr.span >= window_len]
-    return build_dataset(usable, window_len) if usable else None
-
-
 def window_sweep(
-    traces: Sequence[SensorTrace],
+    traces: Iterable[SensorTrace],
     window_minutes: Sequence[int] = WINDOW_SWEEP_MINUTES,
     config: ForestConfig = ForestConfig(),
-    traces_b: Sequence[SensorTrace] | None = None,
+    traces_b: Iterable[SensorTrace] | None = None,
 ) -> list[tuple[int, float]]:
     """Overall rich8 accuracy as a function of segmentation window length.
 
     Without a second corpus each point is leave-one-out accuracy on the
     given traces. With traces_b the forest trains on the full first corpus
     and the point is its accuracy averaged over ten folds of the second.
-    Traces too short for a window length are dropped with a notice; a
-    window length that leaves either corpus empty yields no curve point.
+    Each corpus is read once, every window length's rows extracted from a
+    trace while it is loaded. Traces too short for a window length are
+    dropped with a notice; a window length that leaves either corpus empty
+    yields no curve point.
     """
+    lens = [float(minutes) * 60.0 for minutes in window_minutes]
+    corpora = [traces] if traces_b is None else [traces, traces_b]
+    by_corpus = [build_dataset(corpus, lens, RICH8, skip_short=True) for corpus in corpora]
     points: list[tuple[int, float]] = []
-    for wi, minutes in enumerate(window_minutes):
-        window_len = float(minutes) * 60.0
-        corpora = [traces] if traces_b is None else [traces, traces_b]
-        datasets = [_sweep_dataset(corpus, window_len) for corpus in corpora]
+    for wi, (minutes, *datasets) in enumerate(zip(window_minutes, *by_corpus)):
         if any(ds is None for ds in datasets):
             log.warning("window sweep: no usable traces at %d minutes, point skipped", minutes)
             continue

@@ -23,13 +23,13 @@ import csv
 import io
 import math
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError
 from .features import schema_length
-from .trace import CLASS_LABELS, SensorType, read_trace_csv, read_utf8
+from .trace import CLASS_LABELS, SensorTrace, SensorType, read_trace_csv, read_utf8
 from .uncertainty import FlagReport, Prediction
 
 META_PREFIX = "# "
@@ -150,10 +150,15 @@ def read_manifest(
     return [(tid, (path.parent / rel).resolve(), lab) for tid, rel, lab in entries], meta
 
 
-def load_manifest_traces(path: str | Path):
-    """Read every trace a manifest points at. Returns list[SensorTrace]."""
+def load_manifest_traces(path: str | Path) -> Iterator[SensorTrace]:
+    """The traces a manifest points at, in manifest order, one at a time.
+
+    The manifest is read and checked now, so its errors come before any
+    trace file is opened; each trace file is read when the iterator reaches
+    it, and nothing here keeps a trace once it has been handed out.
+    """
     entries, _ = read_manifest(path)
-    return [read_trace_csv(p, trace_id=tid, label=lab) for tid, p, lab in entries]
+    return (read_trace_csv(p, trace_id=tid, label=lab) for tid, p, lab in entries)
 
 
 # --- feature matrix -----------------------------------------------------------

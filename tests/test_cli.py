@@ -3,11 +3,13 @@
 import json
 import logging
 import sys
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sensorclass import reporting
 from sensorclass.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_UNDEFINED, main
 from sensorclass.errors import InvalidConfig
 from sensorclass.forest import ForestConfig
@@ -838,3 +840,101 @@ def test_unreadable_model_spec_or_answers_file(ws, tmp_path, capsys, make_file,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_eval_failing_on_its_input_creates_no_out_dir(tmp_path, capsys):
+    out = tmp_path / "evout"
+    capsys.readouterr()
+    rc = main(["eval", "--protocol", "loo", "--manifest", str(tmp_path / "missing.csv"),
+               "--out-dir", str(out)])
+    assert rc == EXIT_DATA
+    assert "cannot read" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, out_flag, target", [
+    ("synth", "--out", "file"),
+    ("features", "--out", "missing-dir"),
+    ("train", "--out", "missing-dir"),
+    ("classify", "--out", "missing-dir"),
+    ("flag", "--out", "missing-dir"),
+    ("eval", "--out-dir", "file"),
+    ("relabel", "--out-manifest", "missing-dir"),
+    ("relabel", "--out-model", "missing-dir"),
+])
+def test_unwritable_output_exits_config(ws, tmp_path, capsys, command, out_flag, target):
+    (tmp_path / "a_file").write_text("")
+    bad = str(tmp_path / ("a_file" if target == "file" else "no_dir/x"))
+    outputs = {"--out-manifest": str(tmp_path / "m.csv"), "--out-model": str(tmp_path / "mo.json")}
+    outputs[out_flag] = bad
+    argv = {
+        "synth": ["--spec", str(ws.spec)],
+        "features": ["--manifest", str(ws.manifest)],
+        "train": ["--features", str(ws.features), "--trees", "2"],
+        "classify": ["--model", str(ws.model), "--features", str(ws.features)],
+        "flag": ["--predictions", str(ws.preds), "--manifest", str(ws.manifest)],
+        "eval": ["--protocol", "loo", "--trees", "2", "--manifest", str(ws.manifest)],
+        "relabel": ["--predictions", str(ws.preds), "--manifest", str(ws.manifest),
+                    "--features", str(ws.features), "--model", str(ws.model), "--budget", "0",
+                    *(x for kv in outputs.items() for x in kv)],
+    }[command]
+    if command != "relabel":
+        argv += [out_flag, bad]
+    capsys.readouterr()
+    assert main([command, *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {bad}") and err.count("\n") == 1, err
+
+
+@pytest.fixture
+def reads_one_trace_at_a_time(monkeypatch):
+    """Wraps reporting.read_trace_csv to fail a read while more than one
+    earlier trace is still alive; returns the ids read, in order."""
+    alive, read = weakref.WeakSet(), []
+    real = reporting.read_trace_csv
+
+    def read_trace_csv(*args, **kwargs):
+        assert len(alive) <= 1, f"{len(alive)} traces alive at read {len(read) + 1}"
+        trace = real(*args, **kwargs)
+        alive.add(trace)
+        read.append(trace.trace_id)
+        return trace
+
+    monkeypatch.setattr(reporting, "read_trace_csv", read_trace_csv)
+    return read
+
+
+@pytest.mark.parametrize("argv, corpora", [
+    (["features", "--out", "f.csv"], 1),
+    (["eval", "--protocol", "percentage", "--scheme", "both", "--fractions", "0.5",
+      "--out-dir", "o"], 1),
+    (["eval", "--protocol", "loo", "--out-dir", "o"], 1),
+    (["eval", "--protocol", "inter", "--fractions", "0.5", "--out-dir", "o", "--manifest-b"], 2),
+    (["eval", "--protocol", "subset-search", "--out-dir", "o"], 1),
+    (["eval", "--protocol", "window-sweep", "--windows", "30,60", "--out-dir", "o"], 1),
+    (["eval", "--protocol", "window-sweep", "--windows", "30,60", "--out-dir", "o",
+      "--manifest-b"], 2),
+], ids=["features", "percentage-both", "loo", "inter", "subset-search", "window-sweep",
+        "window-sweep-b"])
+def test_commands_hold_one_trace_at_a_time(ws, tmp_path, monkeypatch, reads_one_trace_at_a_time,
+                                           argv, corpora):
+    monkeypatch.chdir(tmp_path)
+    if argv[-1] == "--manifest-b":
+        argv = argv + [str(ws.manifest)]
+    assert main(argv + ["--manifest", str(ws.manifest), "--trees", "2"]) == EXIT_OK
+    ids = [tid for tid, _, _ in read_manifest(ws.manifest)[0]]
+    assert reads_one_trace_at_a_time == ids * corpora  # each corpus read once, in order
+
+
+def test_first_bad_trace_in_manifest_order_decides_the_error(tmp_path, capsys):
+    from sensorclass.reporting import write_manifest
+    full = make_trace("u", [60.0 * i for i in range(61)], [float(i) for i in range(61)])
+    write_trace_csv(full, tmp_path / "u.csv")
+    write_manifest(tmp_path / "m.csv", [("u", "u.csv", None),
+                                        ("gone", "gone.csv", SensorType.CO2)])
+    capsys.readouterr()
+    rc = main(["eval", "--protocol", "loo", "--manifest", str(tmp_path / "m.csv"),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == "error: trace 'u' has no label; cannot build a dataset\n"
+    assert not (tmp_path / "o").exists()

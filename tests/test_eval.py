@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import make_trace, reference_subset_search
 from sensorclass import evaluate, seeding
-from sensorclass.errors import DataError, DegenerateFraction, SchemaMismatch
+from sensorclass.errors import DataError, DegenerateFraction, NoWindows, SchemaMismatch
 from sensorclass.evaluate import (
     FULL_COLUMN,
     LOO_COLUMN,
@@ -543,3 +543,32 @@ def test_build_dataset_shapes(small_corpus):
     assert ds.features.shape == (len(small_corpus), 8)
     assert len(ds.ids) == len(small_corpus)
     assert sorted(set(ds.labels.tolist())) == [0, 1, 2, 3, 4, 5]
+
+
+def test_build_dataset_reads_its_traces_once_for_every_view(small_corpus):
+    views = [(w, s) for w in (1800.0, 2700.0) for s in ("rich8", "baseline2")]
+    datasets = build_dataset(iter(small_corpus), (1800.0, 2700.0), ["rich8", "baseline2"])
+    assert len(datasets) == len(views)
+    for (w, s), ds in zip(views, datasets):
+        alone = build_dataset(small_corpus, w, s)
+        assert ds.schema == s and ds.ids == alone.ids
+        assert np.array_equal(ds.features, alone.features)
+        assert np.array_equal(ds.labels, alone.labels)
+    [one] = build_dataset(iter(small_corpus), 2700.0, ["rich8"])
+    assert np.array_equal(one.features, build_dataset(small_corpus, 2700.0).features)
+
+
+def test_build_dataset_skip_short_drops_a_trace_per_window_length(caplog):
+    traces = sweep_traces()  # one hour each
+    twenty = make_trace("twenty", [60.0 * i for i in range(21)], [1.0, 2.0] * 10 + [1.0],
+                        SensorType.CO2)
+    unlabeled = make_trace("tiny", [0.0, 60.0, 120.0], [1.0, 2.0, 3.0])  # never used
+    with caplog.at_level("WARNING"):
+        by_window = build_dataset([twenty, unlabeled] + traces, (900.0, 1800.0, 5400.0),
+                                  "rich8", skip_short=True)
+    ids = tuple(t.trace_id for t in traces)
+    assert [ds and ds.ids for ds in by_window] == [("twenty",) + ids, ids, None]
+    assert "trace twenty span 1200s < window 1800s, skipped" in caplog.text
+    assert "trace tiny span 120s < window 900s, skipped" in caplog.text
+    with pytest.raises(NoWindows):
+        build_dataset([twenty], 1800.0)

@@ -106,11 +106,23 @@ def test_load_manifest_traces(tmp_path):
     tr = make_trace("t1", [0.0, 1.0, 2.0], [5.0, 6.0, 7.0], SensorType.HUMIDITY)
     write_trace_csv(tr, tmp_path / "traces" / "t1.csv")
     write_manifest(tmp_path / "m.csv", [("t1", "traces/t1.csv", SensorType.HUMIDITY)])
-    loaded = load_manifest_traces(tmp_path / "m.csv")
+    loaded = list(load_manifest_traces(tmp_path / "m.csv"))
     assert len(loaded) == 1
     assert loaded[0].trace_id == "t1"
     assert loaded[0].label is SensorType.HUMIDITY
     assert np.array_equal(loaded[0].values, tr.values)
+
+
+def test_load_manifest_traces_checks_the_manifest_now_and_reads_traces_on_demand(tmp_path):
+    with pytest.raises(DataError, match="cannot read"):
+        load_manifest_traces(tmp_path / "missing.csv")
+    tr = make_trace("t1", [0.0, 1.0, 2.0], [5.0, 6.0, 7.0])
+    write_trace_csv(tr, tmp_path / "t1.csv")
+    write_manifest(tmp_path / "m.csv", [("t1", "t1.csv", None), ("t2", "t2.csv", None)])
+    traces = load_manifest_traces(tmp_path / "m.csv")  # t2.csv does not exist
+    assert next(traces).trace_id == "t1"
+    with pytest.raises(DataError, match="t2.csv"):
+        next(traces)
 
 
 def test_feature_matrix_round_trip(tmp_path):
