@@ -17,7 +17,10 @@ requested metrics came back undefined.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -387,6 +390,30 @@ def _answer_stream(args):
     return None  # interactive
 
 
+@contextlib.contextmanager
+def _written_together(*paths: str):
+    """Temporary names beside the output paths, for the block to write; each is
+    renamed onto its path only once the block has written them all, and any
+    left are removed, so a failed write leaves none of the outputs behind. An
+    OSError on a temporary name is raised naming its output path."""
+    temps = [f"{path}.partial" for path in paths]
+    try:
+        yield temps
+        for path in paths:  # the one rename failure a write cannot show first
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except OSError as exc:
+        if exc.filename not in temps:
+            raise
+        raise OSError(exc.errno, exc.strerror, paths[temps.index(exc.filename)]) from exc
+    finally:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+
+
 def cmd_relabel(args) -> int:
     if args.budget < 0:
         raise ConfigError(f"--budget must be >= 0, got {args.budget}")
@@ -428,9 +455,10 @@ def cmd_relabel(args) -> int:
     labels = [label_by_id.get(tid) for tid in ids]
     dataset = _training_set(args.features, ids, labels, feats, schema)
     entries = [(tid, rel, label_by_id[tid]) for tid, rel, _ in entries]
-    reporting.write_manifest(args.out_manifest, entries, manifest_meta)
     retrained = train_forest(dataset, forest.config)
-    save_model(retrained, args.out_model, run)
+    with _written_together(args.out_manifest, args.out_model) as (manifest_out, model_out):
+        reporting.write_manifest(manifest_out, entries, manifest_meta)
+        save_model(retrained, model_out, run)
     print(
         f"reviewed {reviewed}, corrected {corrected}; "
         f"retrained on {len(dataset)} instances -> {args.out_model}"

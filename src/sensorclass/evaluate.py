@@ -6,10 +6,13 @@ path (seed, protocol tag, fraction index, repeat), so adding a fraction
 or rerunning a repeat never disturbs the others.
 
 Every protocol runs its (training rows, test rows, config) folds through
-one loop, _fold_posteriors, which grows all their forests in one
-train_forests call; each forest's posteriors on its test rows are scored
-by row index. The percentage protocol grows its LOO folds in that same
-call. Only the LOO runs and inter's full-training-set run build
+one loop, _fold_posteriors, which grows their forests in train_forests
+calls; each forest's posteriors on its test rows are scored by row index.
+The percentage protocol grows its LOO folds in that same loop. The folds
+are split into contiguous blocks grown at once, one per CPU in the
+process's affinity mask, in forked worker processes; a fold's forest is a
+pure function of its rows and config, so the outputs are byte-identical
+for any CPU count. Only the LOO runs and inter's full-training-set run build
 Prediction records, with entropies: theirs are the predictions eval writes.
 
 Accuracy bookkeeping follows the reporting layout: one row per sensor
@@ -22,6 +25,8 @@ from a test set is undefined for that run, not zero.
 from __future__ import annotations
 
 import logging
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -217,13 +222,95 @@ class ProtocolResult:
         return {tid: by_id[tid] == lab for tid, lab in self.truth.items()}
 
 
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask (taskset limits it); 1 where the OS cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _block_posteriors(
+    train: LabeledDataset, test: LabeledDataset, folds: Sequence[tuple]
+) -> list[np.ndarray]:
+    """The serial fold loop: one train_forests call, each forest predicted as it comes out."""
+    forests = train_forests(train, [(rows, config) for rows, _, config in folds])
+    return [predict_matrix(forest, test.features[rows], test.schema)
+            for forest, (_, rows, _) in zip(forests, folds)]
+
+
+def _send_block_posteriors(conn, train, test, folds) -> None:
+    """A forked worker's body: the block's posteriors, or the error it raised, down conn."""
+    try:
+        conn.send((None, _block_posteriors(train, test, folds)))
+    except Exception as exc:  # raised again in the parent, message unchanged
+        conn.send((exc, None))
+
+
+def _fold_blocks(folds: Sequence[tuple], blocks: int) -> list[Sequence[tuple]]:
+    """Contiguous runs of folds, at most `blocks`, of about equal (training +
+    test rows) x trees: growing a forest and predicting with it both take
+    time in proportion to their rows x trees."""
+    cost = np.cumsum([(len(rows) + len(test_rows)) * config.n_trees
+                      for rows, test_rows, config in folds])
+    cuts = [0, *(int(np.abs(cost - cost[-1] * k / blocks).argmin()) + 1
+                 for k in range(1, blocks)), len(folds)]
+    return [folds[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
+
+
 def _fold_posteriors(
     train: LabeledDataset, test: LabeledDataset, folds: Sequence[tuple]
 ) -> Iterator[np.ndarray]:
-    """Per (rows of train, rows of test, config) fold, its forest's posteriors on its test rows."""
-    forests = train_forests(train, [(rows, config) for rows, _, config in folds])
-    for forest, (_, rows, _) in zip(forests, folds):
-        yield predict_matrix(forest, test.features[rows], test.schema)
+    """Per (rows of train, rows of test, config) fold, its forest's posteriors
+    on its test rows, in fold order.
+
+    The folds are split into contiguous blocks balanced by (training + test
+    rows) x trees, one per CPU in the process's affinity mask (at most one per
+    fold), and each block runs the serial loop in a forked worker process.
+    A fold's forest depends only on its rows and config, so the posteriors
+    are byte-identical for any CPU count. The loop stays in this process
+    with one usable CPU, where "fork" is not a start method, or while
+    another thread is alive, which forking is not safe with. Every worker
+    is reaped before the first posterior is returned, and an error raised
+    in a worker is raised here, its message unchanged.
+    """
+    workers = min(len(folds), _usable_cpus())
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing  # here, so no command that stays serial pays for the import
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            return iter(_forked_posteriors(context, train, test, _fold_blocks(folds, workers)))
+    return iter(_block_posteriors(train, test, folds))
+
+
+def _forked_posteriors(context, train, test, blocks) -> list[np.ndarray]:
+    """Every block's posteriors, in block order, each block run by a worker of
+    the fork context; every worker is joined before this returns or raises."""
+    running = []  # (process, receiving end of its pipe), in block order
+    try:
+        for block in blocks:
+            receive, send = context.Pipe(duplex=False)
+            process = context.Process(target=_send_block_posteriors,
+                                      args=(send, train, test, block))
+            process.start()
+            running.append((process, receive))
+            send.close()
+        posteriors = []
+        for process, receive in running:
+            try:
+                error, block_posteriors = receive.recv()
+            except EOFError:  # the worker died without a word, killed by a signal perhaps
+                process.join()
+                raise RuntimeError(f"an eval worker exited with code {process.exitcode} "
+                                   "before sending its posteriors") from None
+            if error is not None:
+                raise error
+            posteriors += block_posteriors
+        return posteriors
+    finally:
+        for process, receive in running:
+            if process.is_alive():
+                process.terminate()
+            process.join()
+            receive.close()
 
 
 def _prediction_records(

@@ -886,6 +886,31 @@ def test_unwritable_output_exits_config(ws, tmp_path, capsys, command, out_flag,
     assert err.startswith(f"error: cannot write {bad}") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_relabel_unwritable_model_writes_no_manifest(ws, tmp_path, capsys, target):
+    (tmp_path / "a_dir").mkdir()
+    out_manifest = tmp_path / "m.csv"
+    out_model = tmp_path / ("no_dir/mo.json" if target == "missing-dir" else "a_dir")
+    capsys.readouterr()
+    rc = main(["relabel", "--predictions", str(ws.preds), "--manifest", str(ws.manifest),
+               "--features", str(ws.features), "--model", str(ws.model), "--budget", "0",
+               "--out-manifest", str(out_manifest), "--out-model", str(out_model)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out_model}") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir"]  # no temporary file either
+    assert not any((tmp_path / "a_dir").iterdir())
+
+
+def test_relabel_leaves_only_its_two_outputs(ws, tmp_path):
+    out_manifest, out_model = tmp_path / "m.csv", tmp_path / "mo.json"
+    rc = main(["relabel", "--predictions", str(ws.preds), "--manifest", str(ws.manifest),
+               "--features", str(ws.features), "--model", str(ws.model), "--budget", "0",
+               "--out-manifest", str(out_manifest), "--out-model", str(out_model)])
+    assert rc == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "mo.json"]
+
+
 @pytest.fixture
 def reads_one_trace_at_a_time(monkeypatch):
     """Wraps reporting.read_trace_csv to fail a read while more than one

@@ -1,6 +1,9 @@
 """Evaluation protocols: stratified percentage runs, leave-one-out,
 cross-corpus transfer, window sweeps, and the feature-subset search."""
 
+import multiprocessing
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -386,6 +389,142 @@ def test_window_sweep_deterministic():
     assert window_sweep(sweep_traces(), (15, 30), config=cfg) == window_sweep(
         sweep_traces(), (15, 30), config=cfg
     )
+
+
+# --- fold workers -----------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fold_workers(monkeypatch):
+    """run(cpus, fn, *args): fn(*args) with `cpus` usable CPUs; returns (fn's result, every
+    fold posterior in fold order, the worker processes started)."""
+    started = []
+    fork_start = multiprocessing.context.ForkProcess.start
+
+    def start(process):
+        started.append(process)
+        fork_start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+    fold_posteriors = evaluate._fold_posteriors
+
+    def run(cpus, fn, *args, **kwargs):
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+        posteriors, first = [], len(started)
+
+        def recording(*a):
+            block = list(fold_posteriors(*a))
+            posteriors.extend(block)
+            return iter(block)
+
+        monkeypatch.setattr(evaluate, "_fold_posteriors", recording)
+        result = fn(*args, **kwargs)
+        assert multiprocessing.active_children() == []
+        return result, posteriors, started[first:]
+
+    return run
+
+
+def assert_same_posteriors(a, b):
+    assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_percentage_protocol_is_the_same_on_one_and_two_workers(small_dataset, fold_workers):
+    config = ForestConfig(n_trees=4, seed=31)
+    (table1, loo1), probs1, started1 = fold_workers(1, percentage_protocol, small_dataset,
+                                                    (0.33, 0.5), config)
+    (table2, loo2), probs2, started2 = fold_workers(2, percentage_protocol, small_dataset,
+                                                    (0.33, 0.5), config)
+    assert (len(started1), len(started2)) == (0, 2)
+    assert table1 == table2
+    assert_same_posteriors(probs1, probs2)
+    assert_same_posteriors([p.probs for p in loo1.predictions], [p.probs for p in loo2.predictions])
+    assert [p.entropy for p in loo1.predictions] == [p.entropy for p in loo2.predictions]
+
+
+def test_inter_corpus_is_the_same_on_one_and_two_workers(small_dataset, fold_workers):
+    config = ForestConfig(n_trees=4, seed=32)
+    test = small_dataset.subset(np.arange(0, len(small_dataset), 2))
+    (table1, full1), probs1, started1 = fold_workers(1, inter_corpus, small_dataset, test,
+                                                     (0.33, 0.5, 1.0), config)
+    (table2, full2), probs2, started2 = fold_workers(2, inter_corpus, small_dataset, test,
+                                                     (0.33, 0.5, 1.0), config)
+    assert (len(started1), len(started2)) == (0, 2)
+    assert table1 == table2
+    assert_same_posteriors(probs1, probs2)
+    assert_same_posteriors([p.probs for p in full1.predictions],
+                           [p.probs for p in full2.predictions])
+
+
+def test_window_sweep_loo_is_the_same_on_one_and_two_workers(fold_workers):
+    config = ForestConfig(n_trees=4, seed=33)
+    points1, probs1, started1 = fold_workers(1, window_sweep, mislabeled_sweep_corpus(),
+                                             (15, 30), config)
+    points2, probs2, started2 = fold_workers(2, window_sweep, mislabeled_sweep_corpus(),
+                                             (15, 30), config)
+    assert (len(started1), len(started2)) == (0, 4)  # two per window length
+    assert points1 == points2
+    assert_same_posteriors(probs1, probs2)
+
+
+def test_a_worker_data_error_reaches_the_caller_unchanged(small_dataset, fold_workers):
+    config = ForestConfig(n_trees=2, seed=34)
+    folds = [(np.arange(5), [5], config), (np.array([], dtype=np.intp), [6], config)]
+    messages = []
+    for cpus in (1, 2):
+        with pytest.raises(DataError) as raised:
+            fold_workers(cpus, lambda: list(evaluate._fold_posteriors(small_dataset,
+                                                                      small_dataset, folds)))
+        assert type(raised.value) is DataError
+        messages.append(str(raised.value))
+        assert multiprocessing.active_children() == []
+    assert messages == ["a fold has no training rows"] * 2
+
+
+def test_a_worker_that_dies_unheard_is_an_error(small_dataset, fold_workers, monkeypatch):
+    parent = os.getpid()
+    block_posteriors = evaluate._block_posteriors
+
+    def dies_in_a_worker(*args):
+        if os.getpid() != parent:
+            os._exit(7)
+        return block_posteriors(*args)
+
+    monkeypatch.setattr(evaluate, "_block_posteriors", dies_in_a_worker)
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        fold_workers(2, loo_cv, small_dataset, ForestConfig(n_trees=2, seed=36))
+
+
+def test_a_second_live_thread_keeps_the_folds_in_process(small_dataset, fold_workers):
+    config = ForestConfig(n_trees=3, seed=35)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        result, probs, started = fold_workers(2, loo_cv, small_dataset, config)
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert started == []
+    _, probs_alone, started_alone = fold_workers(2, loo_cv, small_dataset, config)
+    assert len(started_alone) == 2
+    assert_same_posteriors(probs, probs_alone)
+
+
+def test_fold_blocks_are_contiguous_and_balanced_by_rows_times_trees():
+    small, big = ForestConfig(n_trees=1), ForestConfig(n_trees=10)
+    folds = [(np.arange(n), [0], cfg) for n, cfg in
+             ((10, small), (10, small), (10, small), (10, big), (5, small))]
+    assert evaluate._fold_blocks(folds, 2) == [folds[:3], folds[3:]]
+    assert evaluate._fold_blocks(folds, 1) == [folds]
+    # a fold's test rows count as its training rows do: 2 + 48 rows weigh as 49 + 1
+    fractions_then_loo = [(np.arange(2), np.arange(48), small)] * 2 + [
+        (np.arange(49), [0], small)] * 2
+    assert [len(block) for block in evaluate._fold_blocks(fractions_then_loo, 2)] == [2, 2]
+    loo = [(np.arange(9), [0], small)] * 10
+    assert [len(block) for block in evaluate._fold_blocks(loo, 2)] == [5, 5]
+    assert [len(block) for block in evaluate._fold_blocks(loo, 3)] == [3, 4, 3]
 
 
 # --- feature subset search ------------------------------------------------------------------
