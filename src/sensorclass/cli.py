@@ -22,6 +22,7 @@ import errno
 import logging
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -153,16 +154,9 @@ def cmd_synth(args) -> int:
 def cmd_features(args) -> int:
     if args.scheme == "both":
         raise ConfigError("features writes a single matrix; pick --scheme rich8 or baseline2")
-    ids, labels, rows = [], [], []
-    for tr in reporting.load_manifest_traces(args.manifest):
-        try:
-            fv = extract(tr, args.window_mins * 60.0, args.scheme)
-        except NoWindows:
-            log.warning("trace %s is shorter than one window, row skipped", tr.trace_id)
-            continue
-        ids.append(tr.trace_id)
-        labels.append(tr.label)
-        rows.append(fv.values)
+    traces = reporting.load_manifest_traces(args.manifest)
+    ids, labels, rows = evaluate.map_trace_blocks(
+        partial(_feature_columns, window_len=args.window_mins * 60.0, scheme=args.scheme), traces)
     if not rows:
         raise DataError("every trace was shorter than one window")
     reporting.write_feature_matrix(
@@ -170,6 +164,22 @@ def cmd_features(args) -> int:
     )
     print(f"wrote {len(ids)} x {len(rows[0])} feature matrix to {args.out}")
     return EXIT_OK
+
+
+def _feature_columns(traces, window_len: float, scheme: str) -> tuple[list, list, list]:
+    """The serial loop of features: the ids, labels and feature rows of the
+    traces at least one window long, each trace read as the loop reaches it."""
+    ids, labels, rows = [], [], []
+    for tr in traces:
+        try:
+            fv = extract(tr, window_len, scheme)
+        except NoWindows:
+            log.warning("trace %s is shorter than one window, row skipped", tr.trace_id)
+            continue
+        ids.append(tr.trace_id)
+        labels.append(tr.label)
+        rows.append(fv.values)
+    return ids, labels, rows
 
 
 def _training_set(path, ids, labels, feats, schema) -> LabeledDataset:

@@ -10,7 +10,22 @@ from __future__ import annotations
 
 
 class SensorClassError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    It pickles as its type, args and attributes and unpickles without calling
+    __init__, so a subclass whose __init__ takes other arguments than its
+    message still crosses a process boundary unchanged.
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls: type, args: tuple, state: dict) -> SensorClassError:
+    exc = cls.__new__(cls, *args)
+    exc.args = args
+    exc.__dict__.update(state)
+    return exc
 
 
 class ConfigError(SensorClassError):

@@ -8,12 +8,21 @@ or rerunning a repeat never disturbs the others.
 Every protocol runs its (training rows, test rows, config) folds through
 one loop, _fold_posteriors, which grows their forests in train_forests
 calls; each forest's posteriors on its test rows are scored by row index.
-The percentage protocol grows its LOO folds in that same loop. The folds
-are split into contiguous blocks grown at once, one per CPU in the
-process's affinity mask, in forked worker processes; a fold's forest is a
-pure function of its rows and config, so the outputs are byte-identical
-for any CPU count. Only the LOO runs and inter's full-training-set run build
-Prediction records, with entropies: theirs are the predictions eval writes.
+The percentage protocol grows its LOO folds in that same loop. Only the
+LOO runs and inter's full-training-set run build Prediction records, with
+entropies: theirs are the predictions eval writes.
+
+Two loops run on every CPU in the process's affinity mask, through one
+ordered fork map, _forked_map: the fold loop, and the trace loop of
+build_dataset (and of the CLI's features command, through
+map_trace_blocks). Each cuts its work into contiguous blocks of about
+equal weight, one per usable CPU (_workers, _balanced_blocks): folds by
+rows x trees, a manifest's traces by file size. Each block runs the serial
+loop in a forked worker, which reads one trace at a time, and the parent
+joins the results and the workers' log records in block order. A fold's
+forest is a pure function of its rows and config and a trace's rows of
+the trace, so the outputs, and the warnings, are the same for any CPU
+count.
 
 Accuracy bookkeeping follows the reporting layout: one row per sensor
 type plus an overall row, one column per training fraction plus the
@@ -28,7 +37,8 @@ import logging
 import os
 import threading
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +52,7 @@ from .forest import (
     predict_matrix,
     train_forests,
 )
+from .reporting import ManifestTraces
 from .trace import CLASS_COUNT, SensorTrace, SensorType
 from .uncertainty import Prediction, make_prediction
 
@@ -84,16 +95,32 @@ def build_dataset(
 
     The traces are read in one pass, so a lazy load_manifest_traces stream
     is read once and each trace can be dropped as soon as its rows are
-    extracted. window_len and schema may also be sequences: then the result
-    is a list of datasets, one per (window length, schema) pair, window
-    lengths outermost, every row of a trace extracted while it is loaded.
-    With skip_short, a trace shorter than a window length is left out of
-    that length's datasets with a warning, and a dataset left without rows
-    is None; otherwise such a trace raises NoWindows.
+    extracted; such a stream is read in blocks, one per usable CPU, by
+    map_trace_blocks. window_len and schema may also be sequences: then the
+    result is a list of datasets, one per (window length, schema) pair,
+    window lengths outermost, every row of a trace extracted while it is
+    loaded. With skip_short, a trace shorter than a window length is left
+    out of that length's datasets with a warning, and a dataset left
+    without rows is None; otherwise such a trace raises NoWindows.
     """
     scalar = np.ndim(window_len) == 0
     lens = [window_len] if scalar else list(window_len)
     schemas = [schema] if isinstance(schema, str) else schema
+    views = [(w, s) for w in lens for s in schemas]
+    columns = map_trace_blocks(partial(_view_columns, lens=lens, schemas=schemas,
+                                       skip_short=skip_short), traces)
+    datasets = [LabeledDataset(tuple(ids), np.asarray(rows), np.asarray(labels), s)
+                if ids or not skip_short else None
+                for (_, s), ids, rows, labels in zip(views, columns[0::3], columns[1::3],
+                                                     columns[2::3])]
+    return datasets[0] if scalar and isinstance(schema, str) else datasets
+
+
+def _view_columns(
+    traces: Iterable[SensorTrace], lens: Sequence[float], schemas: Sequence[str], skip_short: bool
+) -> list[list]:
+    """The serial loop of build_dataset: the ids, rows and labels of each
+    (window length, schema) view, three lists per view, in view order."""
     views = [(w, s) for w in lens for s in schemas]
     columns = [([], [], []) for _ in views]  # per view: ids, rows, labels
     for tr in traces:
@@ -108,10 +135,7 @@ def build_dataset(
             ids.append(tr.trace_id)
             rows.append(extract(tr, w, s).values)
             labels.append(int(tr.label))
-    datasets = [LabeledDataset(tuple(ids), np.asarray(rows), np.asarray(labels), s)
-                if ids or not skip_short else None
-                for (_, s), (ids, rows, labels) in zip(views, columns)]
-    return datasets[0] if scalar and isinstance(schema, str) else datasets
+    return [column for view in columns for column in view]
 
 
 def stratified_split(
@@ -227,6 +251,117 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _workers(tasks: int) -> int:
+    """How many blocks to cut `tasks` tasks into: one per usable CPU and at
+    most one per task, or one, which keeps the work in this process, where
+    "fork" is not a start method or while another thread is alive, which
+    forking is not safe with."""
+    workers = min(tasks, _usable_cpus())
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing  # here, so no command that stays serial pays for the import
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return workers
+    return 1
+
+
+def _balanced_blocks(items: Sequence, weights: Sequence[float], blocks: int) -> list[Sequence]:
+    """Contiguous runs of items, at most `blocks`, of about equal total weight."""
+    cost = np.cumsum(weights)
+    cuts = [0, *(int(np.abs(cost - cost[-1] * k / blocks).argmin()) + 1
+                 for k in range(1, blocks)), len(items)]
+    return [items[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
+
+
+def _forked_map(fn: Callable, blocks: Sequence) -> list:
+    """[fn(block) for block in blocks], in block order.
+
+    With more than one block (cut for _workers(), which gives one where
+    forking is not possible), each block runs in a worker process forked
+    from this one, so neither fn nor its block is pickled. A worker sends
+    its result, or the exception it raised, down its own pipe, with the log
+    records it made; those are handled here in block order, so each reaches
+    this process's handlers once, in the order the serial loop makes them.
+    The first block's exception is raised here, its message unchanged, after
+    the records of that block and the blocks before it. Every worker is
+    joined before this returns or raises.
+    """
+    if len(blocks) <= 1:
+        return [fn(block) for block in blocks]
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    running = []  # (process, receiving end of its pipe), in block order
+    try:
+        for block in blocks:
+            receive, send = context.Pipe(duplex=False)
+            process = context.Process(target=_send_result, args=(send, fn, block))
+            process.start()
+            running.append((process, receive))
+            send.close()
+        results = []
+        for process, receive in running:
+            try:
+                error, result, records = receive.recv()
+            except EOFError:  # the worker died without a word, killed by a signal perhaps
+                process.join()
+                raise RuntimeError(f"a worker exited with code {process.exitcode} "
+                                   "before sending its result") from None
+            for record in records:
+                logging.getLogger(record.name).handle(record)
+            if error is not None:
+                raise error
+            results.append(result)
+        return results
+    finally:
+        for process, receive in running:
+            if process.is_alive():
+                process.terminate()
+            process.join()
+            receive.close()
+
+
+def _send_result(conn, fn: Callable, block) -> None:
+    """A forked worker's body: (the error fn raised or None, fn(block) or None,
+    the log records it made) down conn. The records are kept, not handled,
+    so they reach the parent's handlers only when it handles them."""
+    import logging.handlers
+    import queue
+
+    kept = queue.SimpleQueue()
+    logging.getLogger().handlers = [logging.handlers.QueueHandler(kept)]  # this process only
+    try:
+        outcome = (None, fn(block))
+    except Exception as exc:  # raised again in the parent, message unchanged
+        outcome = (exc, None)
+    conn.send((*outcome, [kept.get() for _ in range(kept.qsize())]))
+
+
+def _trace_blocks(traces: Iterable[SensorTrace]) -> list[Iterable[SensorTrace]]:
+    """A manifest's traces in contiguous blocks of about equal file size, one
+    per worker (see _workers); any other iterable of traces is one block."""
+    workers = _workers(len(traces.entries)) if isinstance(traces, ManifestTraces) else 1
+    if workers == 1:
+        return [traces]
+    # a file that cannot be read weighs nothing: reading it raises the error, in manifest order
+    sizes = [path.stat().st_size if path.is_file() else 0 for _, path, _ in traces.entries]
+    return [ManifestTraces(block) for block in _balanced_blocks(traces.entries, sizes, workers)]
+
+
+def map_trace_blocks(fn: Callable, traces: Iterable[SensorTrace]) -> list[list]:
+    """The columns fn gives for the traces, read and featurized on every usable CPU.
+
+    fn takes an iterable of traces and returns one list per column. A
+    manifest's traces (load_manifest_traces) are cut into contiguous blocks
+    balanced by file size, at most one per usable CPU and one per trace, and
+    fn runs on each block in a forked worker (_forked_map), which reads its
+    traces one at a time; each column is joined in manifest order. Any other
+    iterable is one block, run in this process.
+    """
+    parts = _forked_map(fn, _trace_blocks(traces))
+    return [[cell for column in columns for cell in column] for columns in zip(*parts)]
+
+
 def _block_posteriors(
     train: LabeledDataset, test: LabeledDataset, folds: Sequence[tuple]
 ) -> list[np.ndarray]:
@@ -236,23 +371,12 @@ def _block_posteriors(
             for forest, (_, rows, _) in zip(forests, folds)]
 
 
-def _send_block_posteriors(conn, train, test, folds) -> None:
-    """A forked worker's body: the block's posteriors, or the error it raised, down conn."""
-    try:
-        conn.send((None, _block_posteriors(train, test, folds)))
-    except Exception as exc:  # raised again in the parent, message unchanged
-        conn.send((exc, None))
-
-
 def _fold_blocks(folds: Sequence[tuple], blocks: int) -> list[Sequence[tuple]]:
     """Contiguous runs of folds, at most `blocks`, of about equal (training +
     test rows) x trees: growing a forest and predicting with it both take
     time in proportion to their rows x trees."""
-    cost = np.cumsum([(len(rows) + len(test_rows)) * config.n_trees
-                      for rows, test_rows, config in folds])
-    cuts = [0, *(int(np.abs(cost - cost[-1] * k / blocks).argmin()) + 1
-                 for k in range(1, blocks)), len(folds)]
-    return [folds[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
+    return _balanced_blocks(folds, [(len(rows) + len(test_rows)) * config.n_trees
+                                    for rows, test_rows, config in folds], blocks)
 
 
 def _fold_posteriors(
@@ -263,54 +387,16 @@ def _fold_posteriors(
 
     The folds are split into contiguous blocks balanced by (training + test
     rows) x trees, one per CPU in the process's affinity mask (at most one per
-    fold), and each block runs the serial loop in a forked worker process.
-    A fold's forest depends only on its rows and config, so the posteriors
-    are byte-identical for any CPU count. The loop stays in this process
-    with one usable CPU, where "fork" is not a start method, or while
-    another thread is alive, which forking is not safe with. Every worker
-    is reaped before the first posterior is returned, and an error raised
-    in a worker is raised here, its message unchanged.
+    fold), and each block runs the serial loop in a forked worker process
+    (_forked_map); _workers says when it stays in this process. A fold's
+    forest depends only on its rows and config, so the posteriors are
+    byte-identical for any CPU count. Every worker is reaped before the
+    first posterior is returned, and an error raised in a worker is raised
+    here, its message unchanged.
     """
-    workers = min(len(folds), _usable_cpus())
-    if workers > 1 and threading.active_count() == 1:
-        import multiprocessing  # here, so no command that stays serial pays for the import
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-            return iter(_forked_posteriors(context, train, test, _fold_blocks(folds, workers)))
-    return iter(_block_posteriors(train, test, folds))
-
-
-def _forked_posteriors(context, train, test, blocks) -> list[np.ndarray]:
-    """Every block's posteriors, in block order, each block run by a worker of
-    the fork context; every worker is joined before this returns or raises."""
-    running = []  # (process, receiving end of its pipe), in block order
-    try:
-        for block in blocks:
-            receive, send = context.Pipe(duplex=False)
-            process = context.Process(target=_send_block_posteriors,
-                                      args=(send, train, test, block))
-            process.start()
-            running.append((process, receive))
-            send.close()
-        posteriors = []
-        for process, receive in running:
-            try:
-                error, block_posteriors = receive.recv()
-            except EOFError:  # the worker died without a word, killed by a signal perhaps
-                process.join()
-                raise RuntimeError(f"an eval worker exited with code {process.exitcode} "
-                                   "before sending its posteriors") from None
-            if error is not None:
-                raise error
-            posteriors += block_posteriors
-        return posteriors
-    finally:
-        for process, receive in running:
-            if process.is_alive():
-                process.terminate()
-            process.join()
-            receive.close()
+    blocks = _fold_blocks(folds, _workers(len(folds)))
+    posteriors = _forked_map(partial(_block_posteriors, train, test), blocks)
+    return (probs for block in posteriors for probs in block)
 
 
 def _prediction_records(

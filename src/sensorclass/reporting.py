@@ -150,15 +150,34 @@ def read_manifest(
     return [(tid, (path.parent / rel).resolve(), lab) for tid, rel, lab in entries], meta
 
 
-def load_manifest_traces(path: str | Path) -> Iterator[SensorTrace]:
+class ManifestTraces(Iterator[SensorTrace]):
+    """The traces of some manifest entries, in entry order, one at a time.
+
+    Each trace file is read when the iterator reaches it, and nothing here
+    keeps a trace once it has been handed out. `entries` holds every
+    (trace id, resolved path, label) the iterator reads, so a contiguous
+    run of them makes another ManifestTraces for a worker to read.
+    """
+
+    def __init__(self, entries: Sequence[tuple[str, Path, SensorType | None]]):
+        self.entries = entries
+        self._traces = (read_trace_csv(p, trace_id=tid, label=lab) for tid, p, lab in entries)
+
+    def __next__(self) -> SensorTrace:
+        return next(self._traces)
+
+
+def load_manifest_traces(path: str | Path) -> ManifestTraces:
     """The traces a manifest points at, in manifest order, one at a time.
 
     The manifest is read and checked now, so its errors come before any
-    trace file is opened; each trace file is read when the iterator reaches
-    it, and nothing here keeps a trace once it has been handed out.
+    trace file is opened, and a manifest that lists no traces is a data
+    error. Each trace file is read when the iterator reaches it.
     """
     entries, _ = read_manifest(path)
-    return (read_trace_csv(p, trace_id=tid, label=lab) for tid, p, lab in entries)
+    if not entries:
+        raise DataError(f"{path}: lists no traces")
+    return ManifestTraces(entries)
 
 
 # --- feature matrix -----------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 import logging
+import multiprocessing
+import os
 import sys
 import weakref
 from types import SimpleNamespace
@@ -9,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sensorclass import reporting
+from sensorclass import evaluate, reporting
 from sensorclass.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_UNDEFINED, main
 from sensorclass.errors import InvalidConfig
 from sensorclass.forest import ForestConfig
@@ -912,10 +914,36 @@ def test_relabel_leaves_only_its_two_outputs(ws, tmp_path):
 
 
 @pytest.fixture
-def reads_one_trace_at_a_time(monkeypatch):
+def workers(monkeypatch):
+    """use(cpus): from then on the CLI sees `cpus` usable CPUs; returns the list of worker
+    processes started after the call, in start order. No worker may be left at teardown."""
+    started = []
+    fork_start = multiprocessing.context.ForkProcess.start
+
+    def start(process):
+        started.append(process)
+        fork_start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+
+    def use(cpus):
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+        started.clear()
+        return started
+
+    yield use
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def reads_one_trace_at_a_time(monkeypatch, tmp_path):
     """Wraps reporting.read_trace_csv to fail a read while more than one
-    earlier trace is still alive; returns the ids read, in order."""
+    earlier trace is still alive in the reading process, and to append
+    (pid, trace id) of each read to a file, so that reads made in forked
+    workers are seen too; returns a function giving each pid's reads, in
+    order, pids in the order of their first read."""
     alive, read = weakref.WeakSet(), []
+    reads = tmp_path / "reads.txt"
     real = reporting.read_trace_csv
 
     def read_trace_csv(*args, **kwargs):
@@ -923,43 +951,186 @@ def reads_one_trace_at_a_time(monkeypatch):
         trace = real(*args, **kwargs)
         alive.add(trace)
         read.append(trace.trace_id)
+        with open(reads, "a") as fh:
+            fh.write(f"{os.getpid()} {trace.trace_id}\n")
         return trace
 
     monkeypatch.setattr(reporting, "read_trace_csv", read_trace_csv)
-    return read
+
+    def by_pid():
+        out = {}
+        for line in reads.read_text().splitlines() if reads.exists() else []:
+            pid, tid = line.split(" ", 1)
+            out.setdefault(int(pid), []).append(tid)
+        return out
+
+    return by_pid
 
 
-@pytest.mark.parametrize("argv, corpora", [
-    (["features", "--out", "f.csv"], 1),
-    (["eval", "--protocol", "percentage", "--scheme", "both", "--fractions", "0.5",
-      "--out-dir", "o"], 1),
-    (["eval", "--protocol", "loo", "--out-dir", "o"], 1),
-    (["eval", "--protocol", "inter", "--fractions", "0.5", "--out-dir", "o", "--manifest-b"], 2),
-    (["eval", "--protocol", "subset-search", "--out-dir", "o"], 1),
-    (["eval", "--protocol", "window-sweep", "--windows", "30,60", "--out-dir", "o"], 1),
-    (["eval", "--protocol", "window-sweep", "--windows", "30,60", "--out-dir", "o",
-      "--manifest-b"], 2),
-], ids=["features", "percentage-both", "loo", "inter", "subset-search", "window-sweep",
-        "window-sweep-b"])
+ONE_TRACE_CASES = [
+    ("features", ["features", "--out", "f.csv"], 1),
+    ("percentage-both", ["eval", "--protocol", "percentage", "--scheme", "both",
+                         "--fractions", "0.5", "--out-dir", "o"], 1),
+    ("loo", ["eval", "--protocol", "loo", "--out-dir", "o"], 1),
+    ("inter", ["eval", "--protocol", "inter", "--fractions", "0.5", "--out-dir", "o",
+               "--manifest-b"], 2),
+    ("subset-search", ["eval", "--protocol", "subset-search", "--out-dir", "o"], 1),
+    ("window-sweep", ["eval", "--protocol", "window-sweep", "--windows", "30,60",
+                      "--out-dir", "o"], 1),
+    ("window-sweep-b", ["eval", "--protocol", "window-sweep", "--windows", "30,60",
+                        "--out-dir", "o", "--manifest-b"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, corpora, cpus", [
+    (argv, corpora, cpus) for cpus in (1, 2) for _, argv, corpora in ONE_TRACE_CASES
+], ids=[name if cpus == 1 else f"{name}-two-workers"
+        for cpus in (1, 2) for name, _, _ in ONE_TRACE_CASES])
 def test_commands_hold_one_trace_at_a_time(ws, tmp_path, monkeypatch, reads_one_trace_at_a_time,
-                                           argv, corpora):
+                                           workers, argv, corpora, cpus):
     monkeypatch.chdir(tmp_path)
     if argv[-1] == "--manifest-b":
         argv = argv + [str(ws.manifest)]
+    started = workers(cpus)
     assert main(argv + ["--manifest", str(ws.manifest), "--trees", "2"]) == EXIT_OK
     ids = [tid for tid, _, _ in read_manifest(ws.manifest)[0]]
-    assert reads_one_trace_at_a_time == ids * corpora  # each corpus read once, in order
+    reads = reads_one_trace_at_a_time()
+    # the runs of the reading processes, in the order they started: each corpus's blocks
+    # start, in block order, after the blocks of the corpus before it are joined
+    runs = [reads.pop(pid) for pid in [os.getpid()] + [p.pid for p in started] if pid in reads]
+    assert reads == {}
+    assert [tid for run in runs for tid in run] == ids * corpora  # each corpus read once, in order
+    if cpus == 1:
+        assert len(runs) == 1  # this process read every trace
+    else:
+        assert len(runs) == 2 * corpora  # two workers per corpus, none in this process
+        for run in runs:  # each a contiguous run of the manifest
+            first = ids.index(run[0])
+            assert run == ids[first:first + len(run)]
 
 
-def test_first_bad_trace_in_manifest_order_decides_the_error(tmp_path, capsys):
+def test_first_bad_trace_in_manifest_order_decides_the_error(tmp_path, capsys, workers):
     from sensorclass.reporting import write_manifest
     full = make_trace("u", [60.0 * i for i in range(61)], [float(i) for i in range(61)])
     write_trace_csv(full, tmp_path / "u.csv")
-    write_manifest(tmp_path / "m.csv", [("u", "u.csv", None),
-                                        ("gone", "gone.csv", SensorType.CO2)])
+    manifest = tmp_path / "m.csv"
+    write_manifest(manifest, [("u", "u.csv", None), ("gone", "gone.csv", SensorType.CO2)])
+    for cpus in (1, 2):  # at two, each block holds one bad trace: the first block's wins
+        started = workers(cpus)
+        capsys.readouterr()
+        rc = main(["eval", "--protocol", "loo", "--manifest", str(manifest),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == ("error: trace 'u' has no label; "
+                                           "cannot build a dataset\n")
+        assert not (tmp_path / "o").exists()
+        assert len(started) == (0 if cpus == 1 else 2)
+        assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(scope="module")
+def short_ends(ws, tmp_path_factory):
+    """ws's corpus with a labeled 40-minute trace at each end of its manifest, so each of
+    two ingest blocks holds a trace shorter than 45 and 60 minute windows."""
+    from sensorclass.reporting import write_manifest
+    root = tmp_path_factory.mktemp("short_ends")
+    entries = [(tid, str(path), lab) for tid, path, lab in read_manifest(ws.manifest)[0]]
+    for name, label in (("short-first", SensorType.CO2), ("short-last", SensorType.HUMIDITY)):
+        write_trace_csv(make_trace(name, [60.0 * i for i in range(41)],
+                                   [float(i % 7) for i in range(41)], label), root / f"{name}.csv")
+    entries = ([("short-first", "short-first.csv", SensorType.CO2)] + entries
+               + [("short-last", "short-last.csv", SensorType.HUMIDITY)])
+    write_manifest(root / "manifest.csv", entries)
+    return root / "manifest.csv"
+
+
+@pytest.mark.parametrize("argv, corpus", [
+    (["features", "--out", "f.csv"], "short"),
+    (["eval", "--protocol", "percentage", "--scheme", "both", "--fractions", "0.5",
+      "--out-dir", "o"], "ws"),
+    (["eval", "--protocol", "loo", "--out-dir", "o"], "ws"),
+    (["eval", "--protocol", "inter", "--fractions", "0.5", "--out-dir", "o", "--manifest-b"], "ws"),
+    (["eval", "--protocol", "subset-search", "--out-dir", "o"], "ws"),
+    (["eval", "--protocol", "window-sweep", "--windows", "30,60,3000", "--out-dir", "o"], "short"),
+    (["eval", "--protocol", "window-sweep", "--windows", "30,60,3000", "--out-dir", "o",
+      "--manifest-b"], "short"),
+], ids=["features", "percentage-both", "loo", "inter", "subset-search", "window-sweep",
+        "window-sweep-b"])
+def test_commands_are_the_same_on_one_and_two_ingest_workers(ws, short_ends, tmp_path,
+                                                             monkeypatch, capsys, caplog,
+                                                             workers, argv, corpus):
+    manifest = str(short_ends if corpus == "short" else ws.manifest)
+    if argv[-1] == "--manifest-b":
+        argv = argv + [manifest]
+    caplog.set_level(logging.INFO)
+    runs = []
+    for cpus in (1, 2):
+        (tmp_path / str(cpus)).mkdir()
+        monkeypatch.chdir(tmp_path / str(cpus))
+        started = workers(cpus)
+        caplog.clear()
+        capsys.readouterr()
+        assert main(argv + ["--manifest", manifest, "--trees", "2"]) == EXIT_OK
+        assert multiprocessing.active_children() == []
+        files = {p.relative_to(tmp_path / str(cpus)): p.read_bytes()
+                 for p in sorted((tmp_path / str(cpus)).rglob("*")) if p.is_file()}
+        records = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        runs.append((files, capsys.readouterr(), records, len(started)))
+    (files1, out1, records1, started1), (files2, out2, records2, started2) = runs
+    assert files1 and files1 == files2
+    assert out1 == out2
+    assert records1 == records2
+    assert started1 == 0 and started2 >= 2
+    warned = [message.split() for _, level, message in records1 if level == logging.WARNING]
+    ids = [tid for tid, _, _ in read_manifest(ws.manifest)[0]]
+    if argv[0] == "features":  # the short traces' warnings, in manifest order
+        assert [words[1] for words in warned] == ["short-first", "short-last"]
+    elif corpus == "short":  # skipped at 60 and 3,000 minutes, and the ws traces at 3,000
+        per_corpus = ["short-first"] * 2 + ids + ["short-last"] * 2
+        assert [words[3] for words in warned if words[2] == "trace"] == per_corpus * (
+            2 if "--manifest-b" in argv else 1)
+        assert [" ".join(words) for words in warned if words[2] != "trace"] == [
+            "window sweep: no usable traces at 3000 minutes, point skipped"]
+
+
+def test_an_ingest_worker_that_dies_unheard_is_an_error(ws, tmp_path, monkeypatch, workers):
+    parent = os.getpid()
+    read_trace_csv = reporting.read_trace_csv
+
+    def dies_in_a_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(7)
+        return read_trace_csv(*args, **kwargs)
+
+    monkeypatch.setattr(reporting, "read_trace_csv", dies_in_a_worker)
+    workers(2)
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        main(["features", "--manifest", str(ws.manifest), "--out", str(tmp_path / "f.csv")])
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("argv, empty_flag", [
+    (["features", "--out", "f.csv"], "--manifest"),
+    (["eval", "--protocol", "loo", "--out-dir", "o"], "--manifest"),
+    (["eval", "--protocol", "percentage", "--fractions", "0.5", "--out-dir", "o"], "--manifest"),
+    (["eval", "--protocol", "subset-search", "--out-dir", "o"], "--manifest"),
+    (["eval", "--protocol", "window-sweep", "--windows", "30", "--out-dir", "o"], "--manifest"),
+    (["eval", "--protocol", "inter", "--out-dir", "o"], "--manifest-b"),
+    (["eval", "--protocol", "window-sweep", "--windows", "30", "--out-dir", "o"], "--manifest-b"),
+], ids=["features", "loo", "percentage", "subset-search", "window-sweep", "inter-b",
+        "window-sweep-b"])
+def test_a_manifest_listing_no_traces_exits_data(ws, tmp_path, monkeypatch, capsys, argv,
+                                                 empty_flag):
+    from sensorclass.reporting import write_manifest
+    monkeypatch.chdir(tmp_path)
+    empty = tmp_path / "empty.csv"
+    write_manifest(empty, [])
+    manifests = {"--manifest": str(ws.manifest), "--manifest-b": str(ws.manifest)}
+    manifests[empty_flag] = str(empty)
+    if argv[0] == "features" or argv[2] not in ("inter", "window-sweep"):
+        del manifests["--manifest-b"]
     capsys.readouterr()
-    rc = main(["eval", "--protocol", "loo", "--manifest", str(tmp_path / "m.csv"),
-               "--out-dir", str(tmp_path / "o")])
+    rc = main(argv + [x for kv in manifests.items() for x in kv] + ["--trees", "2"])
     assert rc == EXIT_DATA
-    assert capsys.readouterr().err == "error: trace 'u' has no label; cannot build a dataset\n"
-    assert not (tmp_path / "o").exists()
+    assert capsys.readouterr().err == f"error: {empty}: lists no traces\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.csv"]  # no output, no out dir

@@ -527,6 +527,27 @@ def test_fold_blocks_are_contiguous_and_balanced_by_rows_times_trees():
     assert [len(block) for block in evaluate._fold_blocks(loo, 3)] == [3, 4, 3]
 
 
+def test_trace_blocks_are_contiguous_and_balanced_by_file_size(tmp_path, monkeypatch):
+    from sensorclass.reporting import load_manifest_traces, write_manifest
+    sizes = {"a": 100, "b": 100, "c": 100, "d": 300, "e": 50}
+    for name, size in sizes.items():
+        (tmp_path / f"{name}.csv").write_bytes(b"x" * size)
+    write_manifest(tmp_path / "m.csv", [(name, f"{name}.csv", None) for name in sizes]
+                   + [("gone", "gone.csv", None)])  # a missing file weighs nothing
+
+    def blocks(cpus):
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+        return ["".join(tid for tid, _, _ in block.entries)
+                for block in evaluate._trace_blocks(load_manifest_traces(tmp_path / "m.csv"))]
+
+    assert blocks(1) == ["abcdegone"]
+    assert blocks(2) == ["abc", "degone"]
+    assert blocks(3) == ["ab", "c", "degone"]
+    assert blocks(9) == ["a", "b", "c", "d", "egone"]  # at most one per trace, none empty
+    traces = [make_trace("t", [0.0, 1.0], [0.0, 1.0])] * 3
+    assert evaluate._trace_blocks(traces) == [traces]  # traces in memory stay one block
+
+
 # --- feature subset search ------------------------------------------------------------------
 
 

@@ -125,6 +125,13 @@ def test_load_manifest_traces_checks_the_manifest_now_and_reads_traces_on_demand
         next(traces)
 
 
+def test_load_manifest_traces_rejects_a_manifest_listing_no_traces(tmp_path):
+    write_manifest(tmp_path / "m.csv", [], {"seed": 1})
+    with pytest.raises(DataError) as raised:
+        load_manifest_traces(tmp_path / "m.csv")
+    assert str(raised.value) == f"{tmp_path / 'm.csv'}: lists no traces"
+
+
 def test_feature_matrix_round_trip(tmp_path):
     path = tmp_path / "features.csv"
     ids = ["a", "b"]
