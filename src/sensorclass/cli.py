@@ -11,7 +11,7 @@ produce byte-identical outputs. --threads is accepted and has no effect.
 
 Exit codes: 0 success, 2 configuration error (including bad flags and an
 output path that cannot be created or written), 3 data error, 4 all
-requested metrics came back undefined.
+requested metrics came back undefined, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_UNDEFINED = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a command Ctrl-C ended
 
 DEFAULT_WINDOW_MINS = 45.0
 _FLAG_OF_FIELD = {"n_trees": "--trees", "m_try": "--mtry", "seed": "--seed"}
@@ -155,10 +156,11 @@ def cmd_features(args) -> int:
     if args.scheme == "both":
         raise ConfigError("features writes a single matrix; pick --scheme rich8 or baseline2")
     traces = reporting.load_manifest_traces(args.manifest)
-    ids, labels, rows = evaluate.map_trace_blocks(
-        partial(_feature_columns, window_len=args.window_mins * 60.0, scheme=args.scheme), traces)
-    if not rows:
+    records = list(filter(None, evaluate.map_traces(
+        partial(_feature_row, window_len=args.window_mins * 60.0, scheme=args.scheme), traces)))
+    if not records:
         raise DataError("every trace was shorter than one window")
+    ids, labels, rows = zip(*records)
     reporting.write_feature_matrix(
         args.out, ids, labels, np.asarray(rows), args.scheme, _run_meta(args)
     )
@@ -166,20 +168,14 @@ def cmd_features(args) -> int:
     return EXIT_OK
 
 
-def _feature_columns(traces, window_len: float, scheme: str) -> tuple[list, list, list]:
-    """The serial loop of features: the ids, labels and feature rows of the
-    traces at least one window long, each trace read as the loop reaches it."""
-    ids, labels, rows = [], [], []
-    for tr in traces:
-        try:
-            fv = extract(tr, window_len, scheme)
-        except NoWindows:
-            log.warning("trace %s is shorter than one window, row skipped", tr.trace_id)
-            continue
-        ids.append(tr.trace_id)
-        labels.append(tr.label)
-        rows.append(fv.values)
-    return ids, labels, rows
+def _feature_row(trace, window_len: float, scheme: str) -> tuple | None:
+    """features' record of a trace: (its id, its label, its feature row), or
+    None for a trace shorter than one window."""
+    try:
+        return trace.trace_id, trace.label, extract(trace, window_len, scheme).values
+    except NoWindows:
+        log.warning("trace %s is shorter than one window, row skipped", trace.trace_id)
+        return None
 
 
 def _training_set(path, ids, labels, feats, schema) -> LabeledDataset:
@@ -570,6 +566,9 @@ def main(argv=None) -> int:
         print(f"error: cannot write {exc.filename or 'an output'}: {exc.strerror or exc}",
               file=sys.stderr)
         return EXIT_CONFIG
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

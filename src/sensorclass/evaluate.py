@@ -12,17 +12,15 @@ The percentage protocol grows its LOO folds in that same loop. Only the
 LOO runs and inter's full-training-set run build Prediction records, with
 entropies: theirs are the predictions eval writes.
 
-Two loops run on every CPU in the process's affinity mask, through one
-ordered fork map, _forked_map: the fold loop, and the trace loop of
-build_dataset (and of the CLI's features command, through
-map_trace_blocks). Each cuts its work into contiguous blocks of about
-equal weight, one per usable CPU (_workers, _balanced_blocks): folds by
-rows x trees, a manifest's traces by file size. Each block runs the serial
-loop in a forked worker, which reads one trace at a time, and the parent
-joins the results and the workers' log records in block order. A fold's
-forest is a pure function of its rows and config and a trace's rows of
-the trace, so the outputs, and the warnings, are the same for any CPU
-count.
+Two loops run on every CPU in the process's affinity mask through one
+block map, _map_blocks: the fold loop, and the trace loop of build_dataset
+and of the CLI's features command (map_traces). It cuts its items into
+contiguous runs of about equal weight, one per usable CPU: folds by rows x
+trees, a manifest's traces by file size. Each run goes through the serial
+loop in a forked worker, which reads one trace at a time, and the per-item
+results and the workers' log records are joined in item order. A fold's
+forest is a pure function of its rows and config and a trace's rows of the
+trace, so the outputs, and the warnings, are the same for any CPU count.
 
 Accuracy bookkeeping follows the reporting layout: one row per sensor
 type plus an overall row, one column per training fraction plus the
@@ -95,47 +93,41 @@ def build_dataset(
 
     The traces are read in one pass, so a lazy load_manifest_traces stream
     is read once and each trace can be dropped as soon as its rows are
-    extracted; such a stream is read in blocks, one per usable CPU, by
-    map_trace_blocks. window_len and schema may also be sequences: then the
-    result is a list of datasets, one per (window length, schema) pair,
-    window lengths outermost, every row of a trace extracted while it is
-    loaded. With skip_short, a trace shorter than a window length is left
-    out of that length's datasets with a warning, and a dataset left
-    without rows is None; otherwise such a trace raises NoWindows.
+    extracted; such a stream is read on every usable CPU by map_traces.
+    window_len and schema may also be sequences: then the result is a list
+    of datasets, one per (window length, schema) pair, window lengths
+    outermost, every row of a trace extracted while it is loaded. With
+    skip_short, a trace shorter than a window length is left out of that
+    length's datasets with a warning, and a dataset left without rows is
+    None; otherwise such a trace raises NoWindows.
     """
     scalar = np.ndim(window_len) == 0
     lens = [window_len] if scalar else list(window_len)
     schemas = [schema] if isinstance(schema, str) else schema
-    views = [(w, s) for w in lens for s in schemas]
-    columns = map_trace_blocks(partial(_view_columns, lens=lens, schemas=schemas,
-                                       skip_short=skip_short), traces)
-    datasets = [LabeledDataset(tuple(ids), np.asarray(rows), np.asarray(labels), s)
-                if ids or not skip_short else None
-                for (_, s), ids, rows, labels in zip(views, columns[0::3], columns[1::3],
-                                                     columns[2::3])]
+    records = map_traces(partial(_view_rows, lens=lens, schemas=schemas,
+                                 skip_short=skip_short), traces)
+    datasets = []
+    for v, s in enumerate(list(schemas) * len(lens)):  # each view's schema, in view order
+        kept = [(tid, int(label), rows[v]) for tid, label, rows in records if rows[v] is not None]
+        ids, labels, rows = zip(*kept) if kept else ((), (), ())
+        datasets.append(LabeledDataset(ids, np.asarray(rows), np.asarray(labels), s)
+                        if kept or not skip_short else None)
     return datasets[0] if scalar and isinstance(schema, str) else datasets
 
 
-def _view_columns(
-    traces: Iterable[SensorTrace], lens: Sequence[float], schemas: Sequence[str], skip_short: bool
-) -> list[list]:
-    """The serial loop of build_dataset: the ids, rows and labels of each
-    (window length, schema) view, three lists per view, in view order."""
-    views = [(w, s) for w in lens for s in schemas]
-    columns = [([], [], []) for _ in views]  # per view: ids, rows, labels
-    for tr in traces:
-        short = [w for w in lens if skip_short and tr.span < w]
-        for w in short:
-            log.warning("window sweep: trace %s span %.0fs < window %.0fs, skipped",
-                        tr.trace_id, tr.span, w)
-        usable = [(w, s, col) for (w, s), col in zip(views, columns) if w not in short]
-        if usable and tr.label is None:
-            raise DataError(f"trace {tr.trace_id!r} has no label; cannot build a dataset")
-        for w, s, (ids, rows, labels) in usable:
-            ids.append(tr.trace_id)
-            rows.append(extract(tr, w, s).values)
-            labels.append(int(tr.label))
-    return [column for view in columns for column in view]
+def _view_rows(trace: SensorTrace, lens: Sequence[float], schemas: Sequence[str],
+               skip_short: bool) -> tuple[str, SensorType | None, list[np.ndarray | None]]:
+    """build_dataset's record of a trace: (its id, its label, its row in each
+    (window length, schema) view, in view order, None where it is skipped)."""
+    short = [w for w in lens if skip_short and trace.span < w]
+    for w in short:
+        log.warning("window sweep: trace %s span %.0fs < window %.0fs, skipped",
+                    trace.trace_id, trace.span, w)
+    views = [None if w in short else (w, s) for w in lens for s in schemas]
+    if trace.label is None and any(views):
+        raise DataError(f"trace {trace.trace_id!r} has no label; cannot build a dataset")
+    return trace.trace_id, trace.label, [None if view is None else extract(trace, *view).values
+                                         for view in views]
 
 
 def stratified_split(
@@ -265,33 +257,40 @@ def _workers(tasks: int) -> int:
     return 1
 
 
-def _balanced_blocks(items: Sequence, weights: Sequence[float], blocks: int) -> list[Sequence]:
-    """Contiguous runs of items, at most `blocks`, of about equal total weight."""
+def _map_blocks(fn: Callable, items: Sequence, weights: Sequence[float]) -> list:
+    """fn's results for the items, in item order: fn takes a contiguous run of
+    items and returns one result per item. The runs, one per worker
+    (_workers), are of about equal total weight and go through _forked_map."""
+    blocks = _workers(len(items))
     cost = np.cumsum(weights)
     cuts = [0, *(int(np.abs(cost - cost[-1] * k / blocks).argmin()) + 1
                  for k in range(1, blocks)), len(items)]
-    return [items[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
+    runs = _forked_map(fn, [items[a:b] for a, b in zip(cuts, cuts[1:]) if b > a])
+    return [result for run in runs for result in run]
 
 
 def _forked_map(fn: Callable, blocks: Sequence) -> list:
     """[fn(block) for block in blocks], in block order.
 
-    With more than one block (cut for _workers(), which gives one where
-    forking is not possible), each block runs in a worker process forked
-    from this one, so neither fn nor its block is pickled. A worker sends
-    its result, or the exception it raised, down its own pipe, with the log
-    records it made; those are handled here in block order, so each reaches
-    this process's handlers once, in the order the serial loop makes them.
-    The first block's exception is raised here, its message unchanged, after
-    the records of that block and the blocks before it. Every worker is
-    joined before this returns or raises.
+    With more than one block, each runs in a worker process forked from this
+    one, so neither fn nor its block is pickled. A worker sends its result,
+    or the exception it raised, down its own pipe, with the log records it
+    made; those are handled here in block order, so each reaches this
+    process's handlers once, in the order the serial loop makes them. The
+    first block's exception is raised here, its message unchanged, after the
+    records of that block and the blocks before it. The workers keep SIGINT
+    blocked from the fork on, so Ctrl-C raises KeyboardInterrupt here and
+    never in a worker, even in multiprocessing's own start-up code. Every
+    worker is joined before this returns or raises, even on a second Ctrl-C.
     """
     if len(blocks) <= 1:
         return [fn(block) for block in blocks]
     import multiprocessing
+    import signal
 
     context = multiprocessing.get_context("fork")
     running = []  # (process, receiving end of its pipe), in block order
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         for block in blocks:
             receive, send = context.Pipe(duplex=False)
@@ -299,6 +298,7 @@ def _forked_map(fn: Callable, blocks: Sequence) -> list:
             process.start()
             running.append((process, receive))
             send.close()
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)  # a Ctrl-C held meanwhile is raised now
         results = []
         for process, receive in running:
             try:
@@ -314,11 +314,13 @@ def _forked_map(fn: Callable, blocks: Sequence) -> list:
             results.append(result)
         return results
     finally:
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # a second Ctrl-C waits for the joins
         for process, receive in running:
             if process.is_alive():
                 process.terminate()
             process.join()
             receive.close()
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
 
 def _send_result(conn, fn: Callable, block) -> None:
@@ -337,29 +339,17 @@ def _send_result(conn, fn: Callable, block) -> None:
     conn.send((*outcome, [kept.get() for _ in range(kept.qsize())]))
 
 
-def _trace_blocks(traces: Iterable[SensorTrace]) -> list[Iterable[SensorTrace]]:
-    """A manifest's traces in contiguous blocks of about equal file size, one
-    per worker (see _workers); any other iterable of traces is one block."""
-    workers = _workers(len(traces.entries)) if isinstance(traces, ManifestTraces) else 1
-    if workers == 1:
-        return [traces]
+def map_traces(fn: Callable, traces: Iterable[SensorTrace]) -> list:
+    """[fn(trace) for trace in traces], on every usable CPU for a manifest's
+    traces (load_manifest_traces), cut by file size (_map_blocks), each
+    worker reading its run one trace at a time; any other iterable of traces
+    is read in this process."""
+    if not isinstance(traces, ManifestTraces):
+        return [fn(trace) for trace in traces]
     # a file that cannot be read weighs nothing: reading it raises the error, in manifest order
     sizes = [path.stat().st_size if path.is_file() else 0 for _, path, _ in traces.entries]
-    return [ManifestTraces(block) for block in _balanced_blocks(traces.entries, sizes, workers)]
-
-
-def map_trace_blocks(fn: Callable, traces: Iterable[SensorTrace]) -> list[list]:
-    """The columns fn gives for the traces, read and featurized on every usable CPU.
-
-    fn takes an iterable of traces and returns one list per column. A
-    manifest's traces (load_manifest_traces) are cut into contiguous blocks
-    balanced by file size, at most one per usable CPU and one per trace, and
-    fn runs on each block in a forked worker (_forked_map), which reads its
-    traces one at a time; each column is joined in manifest order. Any other
-    iterable is one block, run in this process.
-    """
-    parts = _forked_map(fn, _trace_blocks(traces))
-    return [[cell for column in columns for cell in column] for columns in zip(*parts)]
+    return _map_blocks(lambda run: [fn(trace) for trace in ManifestTraces(run)],
+                       traces.entries, sizes)
 
 
 def _block_posteriors(
@@ -371,32 +361,15 @@ def _block_posteriors(
             for forest, (_, rows, _) in zip(forests, folds)]
 
 
-def _fold_blocks(folds: Sequence[tuple], blocks: int) -> list[Sequence[tuple]]:
-    """Contiguous runs of folds, at most `blocks`, of about equal (training +
-    test rows) x trees: growing a forest and predicting with it both take
-    time in proportion to their rows x trees."""
-    return _balanced_blocks(folds, [(len(rows) + len(test_rows)) * config.n_trees
-                                    for rows, test_rows, config in folds], blocks)
-
-
 def _fold_posteriors(
     train: LabeledDataset, test: LabeledDataset, folds: Sequence[tuple]
 ) -> Iterator[np.ndarray]:
     """Per (rows of train, rows of test, config) fold, its forest's posteriors
-    on its test rows, in fold order.
-
-    The folds are split into contiguous blocks balanced by (training + test
-    rows) x trees, one per CPU in the process's affinity mask (at most one per
-    fold), and each block runs the serial loop in a forked worker process
-    (_forked_map); _workers says when it stays in this process. A fold's
-    forest depends only on its rows and config, so the posteriors are
-    byte-identical for any CPU count. Every worker is reaped before the
-    first posterior is returned, and an error raised in a worker is raised
-    here, its message unchanged.
-    """
-    blocks = _fold_blocks(folds, _workers(len(folds)))
-    posteriors = _forked_map(partial(_block_posteriors, train, test), blocks)
-    return (probs for block in posteriors for probs in block)
+    on its test rows, in fold order, from every usable CPU (_map_blocks),
+    cut by (training + test rows) x trees: growing a forest and predicting
+    with it both take time in proportion to their rows x trees."""
+    weights = [(len(rows) + len(test_rows)) * config.n_trees for rows, test_rows, config in folds]
+    return iter(_map_blocks(partial(_block_posteriors, train, test), folds, weights))
 
 
 def _prediction_records(

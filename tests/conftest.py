@@ -1,6 +1,9 @@
+import multiprocessing
+
 import pytest
 from hypothesis import settings
 
+from sensorclass import evaluate
 from sensorclass.evaluate import build_dataset
 from sensorclass.synth import CorpusSpec, generate_corpus, preset_spec
 
@@ -32,3 +35,25 @@ def default_corpus():
 @pytest.fixture(scope="session")
 def default_dataset(default_corpus):
     return build_dataset(default_corpus, 2700.0)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """use(cpus): from then on evaluate sees `cpus` usable CPUs; returns the list of worker
+    processes started after the call, in start order. No worker may be left at teardown."""
+    started = [[]]
+    fork_start = multiprocessing.context.ForkProcess.start
+
+    def start(process):
+        started[-1].append(process)
+        fork_start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+
+    def use(cpus):
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+        started.append([])
+        return started[-1]
+
+    yield use
+    assert multiprocessing.active_children() == []

@@ -1,9 +1,12 @@
 """End-to-end command-line flows, run in-process through cli.main."""
 
+import contextlib
 import json
 import logging
 import multiprocessing
 import os
+import signal
+import subprocess
 import sys
 import weakref
 from types import SimpleNamespace
@@ -11,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sensorclass import evaluate, reporting
+from sensorclass import reporting
 from sensorclass.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_UNDEFINED, main
 from sensorclass.errors import InvalidConfig
 from sensorclass.forest import ForestConfig
@@ -914,28 +917,6 @@ def test_relabel_leaves_only_its_two_outputs(ws, tmp_path):
 
 
 @pytest.fixture
-def workers(monkeypatch):
-    """use(cpus): from then on the CLI sees `cpus` usable CPUs; returns the list of worker
-    processes started after the call, in start order. No worker may be left at teardown."""
-    started = []
-    fork_start = multiprocessing.context.ForkProcess.start
-
-    def start(process):
-        started.append(process)
-        fork_start(process)
-
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
-
-    def use(cpus):
-        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
-        started.clear()
-        return started
-
-    yield use
-    assert multiprocessing.active_children() == []
-
-
-@pytest.fixture
 def reads_one_trace_at_a_time(monkeypatch, tmp_path):
     """Wraps reporting.read_trace_csv to fail a read while more than one
     earlier trace is still alive in the reading process, and to append
@@ -1107,6 +1088,53 @@ def test_an_ingest_worker_that_dies_unheard_is_an_error(ws, tmp_path, monkeypatc
     with pytest.raises(RuntimeError, match="exited with code 7"):
         main(["features", "--manifest", str(ws.manifest), "--out", str(tmp_path / "f.csv")])
     assert not (tmp_path / "f.csv").exists()
+
+
+# Runs the CLI with two usable CPUs and `module.name`, a function each worker calls, swapped
+# for one where the first worker to call it sends SIGINT to the whole process group, as Ctrl-C
+# in a terminal does, and every worker sends it again when the parent terminates it.
+INTERRUPTED_RUN = """
+import contextlib, os, signal, sys, time
+from sensorclass import cli, evaluate
+
+def interrupt(*args, **kwargs):
+    signal.signal(signal.SIGTERM, lambda *_: (os.killpg(0, signal.SIGINT), os._exit(1)))
+    with contextlib.suppress(FileExistsError):
+        os.close(os.open({claim!r}, os.O_CREAT | os.O_EXCL))
+        os.killpg(0, signal.SIGINT)
+    time.sleep(60)
+
+evaluate._usable_cpus = lambda: 2
+setattr({module}, {name!r}, interrupt)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["features", "--out", "f.csv"], "cli", "_feature_row"),
+    (["eval", "--protocol", "loo", "--trees", "2", "--out-dir", "o"], "evaluate",
+     "_block_posteriors"),
+], ids=["features-ingest", "loo-folds"])
+def test_ctrl_c_exits_130_with_one_line_and_no_worker_left(ws, tmp_path, argv, module, name):
+    src = os.path.dirname(os.path.dirname(reporting.__file__))  # the package's import root
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    script = INTERRUPTED_RUN.format(claim=str(tmp_path / "claimed"), module=module, name=name)
+    (tmp_path / "run").mkdir()
+    with subprocess.Popen([sys.executable, "-c", script, *argv, "--manifest", str(ws.manifest)],
+                          cwd=tmp_path / "run", env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as run:
+        try:
+            _, stderr = run.communicate(timeout=30)
+            with pytest.raises(ProcessLookupError):  # nothing is left in the run's process group
+                os.killpg(run.pid, 0)
+        finally:  # nor after a run that fails
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(run.pid, signal.SIGKILL)
+    assert run.returncode == 130, stderr
+    assert "Traceback" not in stderr
+    assert stderr.splitlines()[-1:] == ["interrupted"]
+    assert [p for p in (tmp_path / "run").rglob("*") if p.is_file()] == []
 
 
 @pytest.mark.parametrize("argv, empty_flag", [

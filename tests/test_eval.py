@@ -395,22 +395,13 @@ def test_window_sweep_deterministic():
 
 
 @pytest.fixture
-def fold_workers(monkeypatch):
+def fold_workers(workers, monkeypatch):
     """run(cpus, fn, *args): fn(*args) with `cpus` usable CPUs; returns (fn's result, every
     fold posterior in fold order, the worker processes started)."""
-    started = []
-    fork_start = multiprocessing.context.ForkProcess.start
-
-    def start(process):
-        started.append(process)
-        fork_start(process)
-
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
     fold_posteriors = evaluate._fold_posteriors
 
     def run(cpus, fn, *args, **kwargs):
-        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
-        posteriors, first = [], len(started)
+        started, posteriors = workers(cpus), []
 
         def recording(*a):
             block = list(fold_posteriors(*a))
@@ -420,7 +411,7 @@ def fold_workers(monkeypatch):
         monkeypatch.setattr(evaluate, "_fold_posteriors", recording)
         result = fn(*args, **kwargs)
         assert multiprocessing.active_children() == []
-        return result, posteriors, started[first:]
+        return result, posteriors, started
 
     return run
 
@@ -512,40 +503,64 @@ def test_a_second_live_thread_keeps_the_folds_in_process(small_dataset, fold_wor
     assert_same_posteriors(probs, probs_alone)
 
 
-def test_fold_blocks_are_contiguous_and_balanced_by_rows_times_trees():
+def run_keys(results):
+    """The runs a recording block function saw, in order, from its per-item results."""
+    return list(dict.fromkeys(results))
+
+
+def test_fold_blocks_are_contiguous_and_balanced_by_rows_times_trees(workers, monkeypatch):
+    # each fold is named by its first test row; every fold's result is the names of its run
+    monkeypatch.setattr(evaluate, "_block_posteriors",
+                        lambda train, test, run: [tuple(int(te[0]) for _, te, _ in run)] * len(run))
+
+    def runs(cpus, folds):
+        workers(cpus)
+        results = list(evaluate._fold_posteriors(None, None, folds))
+        assert results == [key for key in run_keys(results) for _ in key]  # one per fold, in order
+        return run_keys(results)
+
     small, big = ForestConfig(n_trees=1), ForestConfig(n_trees=10)
-    folds = [(np.arange(n), [0], cfg) for n, cfg in
-             ((10, small), (10, small), (10, small), (10, big), (5, small))]
-    assert evaluate._fold_blocks(folds, 2) == [folds[:3], folds[3:]]
-    assert evaluate._fold_blocks(folds, 1) == [folds]
+    folds = [(np.arange(n), [k], cfg) for k, (n, cfg) in
+             enumerate(((10, small), (10, small), (10, small), (10, big), (5, small)))]
+    assert runs(2, folds) == [(0, 1, 2), (3, 4)]
+    assert runs(1, folds) == [(0, 1, 2, 3, 4)]
     # a fold's test rows count as its training rows do: 2 + 48 rows weigh as 49 + 1
-    fractions_then_loo = [(np.arange(2), np.arange(48), small)] * 2 + [
-        (np.arange(49), [0], small)] * 2
-    assert [len(block) for block in evaluate._fold_blocks(fractions_then_loo, 2)] == [2, 2]
-    loo = [(np.arange(9), [0], small)] * 10
-    assert [len(block) for block in evaluate._fold_blocks(loo, 2)] == [5, 5]
-    assert [len(block) for block in evaluate._fold_blocks(loo, 3)] == [3, 4, 3]
+    fractions_then_loo = [(np.arange(2), np.full(48, k), small) for k in range(2)] + [
+        (np.arange(49), [k], small) for k in range(2, 4)]
+    assert runs(2, fractions_then_loo) == [(0, 1), (2, 3)]
+    loo = [(np.arange(9), [k], small) for k in range(10)]
+    assert [len(run) for run in runs(2, loo)] == [5, 5]
+    assert [len(run) for run in runs(3, loo)] == [3, 4, 3]
 
 
-def test_trace_blocks_are_contiguous_and_balanced_by_file_size(tmp_path, monkeypatch):
-    from sensorclass.reporting import load_manifest_traces, write_manifest
+def test_trace_blocks_are_contiguous_and_balanced_by_file_size(tmp_path, workers, monkeypatch):
+    from sensorclass import reporting
     sizes = {"a": 100, "b": 100, "c": 100, "d": 300, "e": 50}
     for name, size in sizes.items():
         (tmp_path / f"{name}.csv").write_bytes(b"x" * size)
-    write_manifest(tmp_path / "m.csv", [(name, f"{name}.csv", None) for name in sizes]
-                   + [("gone", "gone.csv", None)])  # a missing file weighs nothing
+    reporting.write_manifest(tmp_path / "m.csv", [(name, f"{name}.csv", None) for name in sizes]
+                             + [("gone", "gone.csv", None)])  # a missing file weighs nothing
+    # the "trace" read is its id, and fn records the process that read it
+    monkeypatch.setattr(reporting, "read_trace_csv", lambda path, trace_id, label: trace_id)
 
     def blocks(cpus):
-        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
-        return ["".join(tid for tid, _, _ in block.entries)
-                for block in evaluate._trace_blocks(load_manifest_traces(tmp_path / "m.csv"))]
+        started = workers(cpus)
+        results = evaluate.map_traces(lambda tid: (os.getpid(), tid),
+                                      reporting.load_manifest_traces(tmp_path / "m.csv"))
+        assert [tid for _, tid in results] == [*sizes, "gone"]  # one per trace, in order
+        pids = run_keys(pid for pid, _ in results)
+        assert pids == ([os.getpid()] if cpus == 1 else [p.pid for p in started])
+        return ["".join(tid for p, tid in results if p == pid) for pid in pids]
 
     assert blocks(1) == ["abcdegone"]
     assert blocks(2) == ["abc", "degone"]
     assert blocks(3) == ["ab", "c", "degone"]
     assert blocks(9) == ["a", "b", "c", "d", "egone"]  # at most one per trace, none empty
+    started = workers(9)
     traces = [make_trace("t", [0.0, 1.0], [0.0, 1.0])] * 3
-    assert evaluate._trace_blocks(traces) == [traces]  # traces in memory stay one block
+    results = evaluate.map_traces(lambda trace: (os.getpid(), trace), traces)
+    assert results == [(os.getpid(), trace) for trace in traces]  # traces in memory stay here
+    assert started == []
 
 
 # --- feature subset search ------------------------------------------------------------------
