@@ -5,8 +5,10 @@ helpers.py that searches every (feature, midpoint) candidate from the
 definition alone.
 """
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,6 +319,32 @@ def test_tree_does_not_depend_on_its_batch(monkeypatch, in_flight, entries):
         expected = reference_train_tree(ds.subset(rows), config, index,
                                         identity_bootstrap=identity)
         assert got == tree_bytes(expected)
+
+
+GROWER_DIGEST = Path(__file__).parent / "golden" / "grower.sha256"
+
+
+def grower_digest(datasets=400):
+    """sha256 over tree_bytes of the trees grown on a fixed, seeded set of random
+    small-integer datasets: 1-40 rows, 1-8 features, m_try 1, 2 and D, both
+    bootstrap modes and three tree indices per dataset, in one _grow call each."""
+    rng = np.random.default_rng(2024)
+    h = hashlib.sha256()
+    for k in range(datasets):
+        n, d = int(rng.integers(1, 41)), int(rng.integers(1, 9))
+        x = rng.integers(0, int(rng.integers(1, 5)), size=(n, d)).astype(float)
+        y = rng.integers(0, int(rng.integers(1, CLASS_COUNT + 1)), size=n)
+        jobs = [(np.arange(n), ForestConfig(n_trees=1, m_try=m_try, seed=k), index, identity)
+                for m_try in sorted({1, min(2, d), d}) for identity in (False, True)
+                for index in (0, 1, 7)]
+        for tree in forest_module._grow(x, y, jobs):
+            h.update(tree_bytes(tree))
+    return h.hexdigest()
+
+
+def test_grower_digest_is_unchanged():
+    # any change to a tree's bytes, on any of these datasets, shows here
+    assert grower_digest() == GROWER_DIGEST.read_text().strip()
 
 
 def test_train_forests_equals_one_forest_per_fold(small_dataset):
