@@ -307,10 +307,13 @@ def cmd_eval(args) -> int:
         fractions = _parse_fractions(args.fractions, args.protocol)
     if args.protocol == "inter" and not args.manifest_b:
         raise ConfigError("--protocol inter needs --manifest-b")
+    if args.protocol in ("window-sweep", "subset-search") and args.scheme != RICH8:
+        raise ConfigError(f"--scheme {args.scheme}: --protocol {args.protocol} runs rich8 only")
+    if args.manifest_b and args.protocol not in ("inter", "window-sweep"):
+        raise ConfigError(f"--manifest-b: --protocol {args.protocol} reads one corpus")
     out_dir = Path(args.out_dir)
     traces = reporting.load_manifest_traces(args.manifest)
-    use_b = args.manifest_b and args.protocol in ("inter", "window-sweep")
-    traces_b = reporting.load_manifest_traces(args.manifest_b) if use_b else None
+    traces_b = reporting.load_manifest_traces(args.manifest_b) if args.manifest_b else None
     base = args.entropy_base
 
     if args.protocol == "window-sweep":
@@ -524,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", required=True,
                    choices=["percentage", "loo", "inter", "window-sweep", "subset-search"])
     p.add_argument("--manifest", required=True)
-    p.add_argument("--manifest-b", help="second corpus (inter, window-sweep)")
+    p.add_argument("--manifest-b", help="second corpus (inter, window-sweep only)")
     p.add_argument("--fractions", default=",".join(map(str, evaluate.DEFAULT_FRACTIONS)),
                    help="train fractions in (0, 1), and 1.0 for inter; no duplicates")
     p.add_argument("--windows", default=",".join(map(str, evaluate.WINDOW_SWEEP_MINUTES)),

@@ -70,7 +70,6 @@ _KERNEL_ENTRIES = 4096
 
 _NO_POSTERIOR = np.zeros(CLASS_COUNT)  # value row of a split node
 _CLASSES = np.arange(CLASS_COUNT)[:, None]
-_ONE_HOT = np.eye(CLASS_COUNT)  # row c is the leaf posterior of a node whose rows are all class c
 
 
 @dataclass(frozen=True)
@@ -331,7 +330,8 @@ def _grow(
     array below. Node [lo, hi) of a tree holds rows[s, lo:hi], and a split
     partitions that slice stably in place, left rows first. A stack entry
     is (lo, hi, the split node whose right child it is or -1, the node's
-    class if it is pure or -1). Stacks and outputs double when outgrown.
+    class counts); it is pure when one count is hi - lo, and a leaf's
+    posterior is counts / (hi - lo). Stacks and outputs double when outgrown.
 
     At each step every tree emits the pure nodes on top of its stack as
     leaves, then pops its next impure node; one _segment_scores call and one
@@ -349,7 +349,7 @@ def _grow(
     sp = np.zeros(cap, dtype=np.intp)  # stack sizes
     size = np.zeros(cap, dtype=np.intp)  # nodes emitted
     rows = np.zeros((cap, 0), dtype=np.intp)
-    stack = np.zeros((cap, 1, 4), dtype=np.intp)
+    stack = np.zeros((cap, 1, 3 + CLASS_COUNT), dtype=np.intp)
     feature = np.zeros((cap, 0), dtype=np.intp)
     threshold = np.zeros((cap, 0))
     right = np.zeros((cap, 0), dtype=np.intp)
@@ -382,8 +382,7 @@ def _grow(
             if n > rows.shape[1]:
                 rows = _widen(rows, n)
             rows[s, :n] = fold_rows
-            counts = np.bincount(y[fold_rows], minlength=CLASS_COUNT)
-            stack[s, 0] = (0, n, -1, counts.argmax() if counts.max() == n else -1)
+            stack[s, 0] = (0, n, -1, *np.bincount(y[fold_rows], minlength=CLASS_COUNT))
             job[s], m_try[s], sp[s], size[s] = pos, config.resolve_m_try(d), 1, 0
         live = np.flatnonzero(job >= 0)
         if not live.size:
@@ -397,11 +396,11 @@ def _grow(
         while True:  # every pure node on top of a stack becomes a leaf
             s = live[sp[live] > 0]
             top = stack[s, sp[s] - 1]
-            leaf = top[:, 3] >= 0
+            leaf = top[:, 3:].max(axis=1) == (n := top[:, 1] - top[:, 0])
             if not leaf.any():
                 break
             s, top = s[leaf], top[leaf]
-            emit(s, -1, 0.0, _ONE_HOT[top[:, 3]], top[:, 2])
+            emit(s, -1, 0.0, top[:, 3:] / n[leaf, None], top[:, 2])
             sp[s] -= 1
         for s in live[sp[live] == 0].tolist():
             m = size[s]
@@ -416,9 +415,9 @@ def _grow(
             continue
         # pop each tree's impure top and draw its candidates, in the tree's preorder
         sp[s] -= 1
-        top = sp[s]
-        lo, hi, parent, _ = stack[s, top].T
+        lo, hi, parent = stack[s, sp[s], :3].T
         n = hi - lo
+        counts = stack[s, sp[s], 3:].astype(float)
         n_cand = m_try[s]
         draws = [all_features if m == d else rngs[t].choice(d, size=m, replace=False)
                  for t, m in zip(s.tolist(), n_cand.tolist())]
@@ -428,8 +427,6 @@ def _grow(
         at_rows = _ranges(s * rows.shape[1] + lo, n)
         node_rows = rows.reshape(-1)[at_rows]
         entry = np.repeat(np.arange(len(s)), n)
-        counts = np.bincount(entry * CLASS_COUNT + y[node_rows],
-                             minlength=len(s) * CLASS_COUNT).reshape(-1, CLASS_COUNT).astype(float)
         f, t = _best_splits(*_segment_scores(x, y, ranks, node_rows, n, counts, cand, n_cand),
                             cand, n_cand)
         split = f >= 0
@@ -439,17 +436,13 @@ def _grow(
         child = 2 * entry + ((x[node_rows, np.maximum(f, 0)[entry]] > t[entry]) & split[entry])
         order = np.argsort(child.astype(np.min_scalar_type(2 * len(s))), kind="stable")
         rows.reshape(-1)[at_rows] = node_rows[order]
-        sizes = np.bincount(child, minlength=2 * len(s))
         child_counts = np.bincount(child * CLASS_COUNT + y[node_rows],
-                                   minlength=2 * len(s) * CLASS_COUNT).reshape(-1, CLASS_COUNT)
-        pure = np.where(child_counts.max(axis=1) == sizes, child_counts.argmax(axis=1),
-                        -1).reshape(-1, 2)
-        sizes = sizes.reshape(-1, 2)
-        s, top, lo, hi, at, sizes, pure = (a[split] for a in (s, top, lo, hi, at, sizes, pure))
-        mid = lo + sizes[:, 0]
+                                   minlength=2 * len(s) * CLASS_COUNT).reshape(-1, 2, CLASS_COUNT)
+        s, lo, hi, at, child_counts = (a[split] for a in (s, lo, hi, at, child_counts))
+        mid = lo + child_counts[:, 0].sum(axis=1)
         # the right child goes below the left one, so the left subtree pops first
-        stack[s, top] = np.stack([mid, hi, at, pure[:, 1]], axis=1)
-        stack[s, top + 1] = np.stack([lo, mid, np.full_like(lo, -1), pure[:, 0]], axis=1)
+        stack[s, sp[s]] = np.column_stack([mid, hi, at, child_counts[:, 1]])
+        stack[s, sp[s] + 1] = np.column_stack([lo, mid, np.full_like(lo, -1), child_counts[:, 0]])
         sp[s] += 2
 
 

@@ -434,6 +434,18 @@ def _leaf(posterior):
     return mutate
 
 
+
+def _node_after_last_leaf(doc):
+    doc["trees"][0].append(["l", [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+
+
+def _unknown_node_tag(doc):
+    _first_node(doc, "l")[0] = "x"
+
+
+def _one_tree_more(doc):
+    doc["trees"].append(doc["trees"][0])
+
 def _reversed_class_labels(doc):
     doc["class_labels"].reverse()
 
@@ -472,11 +484,15 @@ def _run_as_pairs(doc):
     _one_class_label,
     _run_threshold_nan,
     _run_as_pairs,
+    _node_after_last_leaf,
+    _unknown_node_tag,
+    _one_tree_more,
 ], ids=["missing-config-key", "n-trees-inf", "m-try-inf", "seed-inf",
         "n-trees-float", "m-try-bool", "seed-float", "seed-negative", "m-try-above-features",
         "empty-tree", "truncated-tree", "split-feature-99",
         "split-feature-minus-1", "split-threshold-nan", "leaf-sums-to-5", "leaf-negative",
-        "leaf-nan", "class-labels-reversed", "class-labels-one", "run-nan", "run-list"])
+        "leaf-nan", "class-labels-reversed", "class-labels-one", "run-nan", "run-list",
+        "node-after-last-leaf", "unknown-node-tag", "tree-count"])
 def test_classify_malformed_model_exits_data(ws, tmp_path, capsys, mutate):
     doc = json.loads(ws.model.read_text())
     mutate(doc)
@@ -608,6 +624,27 @@ def test_repeated_id_exits_data(ws, tmp_path, capsys, artifact):
     assert err.count("\n") == 1, err
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("command", ["flag", "relabel"])
+def test_prediction_missing_from_the_manifest_exits_data(ws, tmp_path, capsys, command):
+    meta, header, rows = read_csv(ws.manifest)
+    dropped = read_predictions(ws.preds)[0][0].trace_id
+    short = tmp_path / "manifest.csv"
+    reporting.write_csv(short, header, [row for row in rows if row[0] != dropped], meta)
+    outs = [tmp_path / "out.csv", tmp_path / "out.json"]
+    argv = {
+        "flag": ["flag", "--predictions", str(ws.preds), "--manifest", str(short),
+                 "--out", str(outs[0])],
+        "relabel": ["relabel", "--predictions", str(ws.preds), "--manifest", str(short),
+                    "--features", str(ws.features), "--model", str(ws.model),
+                    "--out-manifest", str(outs[0]), "--out-model", str(outs[1])],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(dropped) in err and err.count("\n") == 1, err
+    assert not any(out.exists() for out in outs)
 
 def test_flag_nan_threshold_exits_config(ws, tmp_path):
     rc = main(["flag", "--predictions", str(ws.preds), "--threshold", "nan",
@@ -798,6 +835,8 @@ def test_unreadable_input_file_exits_data(tmp_path, capsys, make_manifest):
     ("inter", "0.2,1.5"),
     ("inter", "nan"),
     ("percentage", "1e-9"),
+    ("percentage", "abc"),
+    ("inter", ","),
 ])
 def test_eval_fractions_out_of_range_exit_config_before_reading(tmp_path, capsys,
                                                                  protocol, fractions):
@@ -813,6 +852,31 @@ def test_eval_fractions_out_of_range_exit_config_before_reading(tmp_path, capsys
     assert err.startswith("error: --fractions") and err.count("\n") == 1, err
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("protocol, extra, flag", [
+    ("subset-search", ["--scheme", "baseline2"], "--scheme baseline2"),
+    ("subset-search", ["--scheme", "both"], "--scheme both"),
+    ("window-sweep", ["--scheme", "baseline2"], "--scheme baseline2"),
+    ("window-sweep", ["--scheme", "both", "--manifest-b", "no_b.csv"], "--scheme both"),
+    ("percentage", ["--manifest-b", "no_b.csv"], "--manifest-b"),
+    ("loo", ["--manifest-b", "no_b.csv"], "--manifest-b"),
+    ("subset-search", ["--manifest-b", "no_b.csv"], "--manifest-b"),
+], ids=["subset-search-baseline2", "subset-search-both", "window-sweep-baseline2",
+        "window-sweep-both", "percentage-manifest-b", "loo-manifest-b",
+        "subset-search-manifest-b"])
+def test_eval_flag_the_protocol_never_reads_exits_config_before_reading(tmp_path, capsys,
+                                                                       protocol, extra, flag):
+    # a baseline2 question must not get a rich8 answer, and a second corpus
+    # that is never read must not pass unnoticed; the manifests do not exist
+    out = tmp_path / "o"
+    capsys.readouterr()
+    rc = main(["eval", "--protocol", protocol, "--manifest", str(tmp_path / "no.csv"),
+               *extra, "--trees", "2", "--out-dir", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}") and err.count("\n") == 1, err
+    assert not out.exists()
 
 def _write_latin1(path):
     path.write_bytes(b"caf\xe9\n")

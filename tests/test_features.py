@@ -19,6 +19,7 @@ from sensorclass.features import (
     BASELINE2,
     BASELINE2_NAMES,
     FULL_MASK,
+    FeatureVector,
     RICH8,
     RICH8_NAMES,
     extract,
@@ -291,6 +292,15 @@ def test_feature_names_known_schemas():
     with pytest.raises(DataError):
         schema_length("rich9")
 
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.zeros(3), "expects 2 entries, got 3"),
+    (np.array([0.0, np.nan]), "non-finite"),
+], ids=["wrong-length", "non-finite"])
+def test_feature_vector_rejects_a_malformed_vector(values, message):
+    with pytest.raises(DataError, match=message):
+        FeatureVector(values, BASELINE2)
 
 # --- extract dispatch -----------------------------------------------------------
 

@@ -81,6 +81,19 @@ def test_entropy_empty_counts_rejected():
         entropy_impurity([0, 0, 0])
 
 
+
+@pytest.mark.parametrize("ids, features, labels, message", [
+    (("a", "b"), np.zeros((1, 2)), [0], "misaligned"),
+    ((), np.zeros((0, 2)), np.zeros(0, dtype=int), "empty"),
+    (("a",), np.zeros((1, 3)), [0], "expects 2 features, matrix has 3"),
+    (("a",), [[0.0, np.inf]], [0], "non-finite"),
+    (("a",), np.zeros((1, 2)), [CLASS_COUNT], "labels must be codes"),
+    (("a",), np.zeros((1, 2)), [-1], "labels must be codes"),
+], ids=["misaligned", "empty", "schema-width", "non-finite", "label-above", "label-below"])
+def test_dataset_rejects_a_malformed_part(ids, features, labels, message):
+    with pytest.raises(DataError, match=message):
+        LabeledDataset(ids, features, np.asarray(labels), "baseline2")
+
 # --- best split of a node: node_splits under one candidate set -----------------
 
 

@@ -1,5 +1,7 @@
 """Artifact CSVs: metadata lines, round trips, byte stability."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,15 @@ def test_csv_requires_header(tmp_path):
     with pytest.raises(DataError):
         read_csv(path)
 
+
+
+def test_csv_error_names_the_file_and_line(tmp_path):
+    # a quoted cell past the csv module's field size limit, on line 3
+    path = tmp_path / "big.csv"
+    path.write_text('# only=meta\nx,y\n"' + "1" * (csv.field_size_limit() + 1) + '",2\n')
+    with pytest.raises(DataError) as exc:
+        read_csv(path)
+    assert str(exc.value).startswith(f"{path}, line 3: field larger than field limit")
 
 def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.csv"

@@ -12,6 +12,7 @@ from helpers import make_trace, reference_read_trace_csv, reference_window_spans
 from sensorclass.errors import DataError, EmptyTrace, NonFiniteValue, NoWindows
 from sensorclass.trace import (
     SensorType,
+    _from_arrays,
     read_trace_csv,
     validate_trace,
     window_spans,
@@ -77,6 +78,20 @@ def test_validate_nonfinite_timestamp_rejected():
     with pytest.raises(NonFiniteValue):
         validate_trace("t", [(float("inf"), 1.0), (60.0, 2.0)])
 
+
+
+@pytest.mark.parametrize("samples", [
+    [(0.0, 1.0, 2.0), (60.0, 2.0, 3.0)],
+    [0.0, 60.0],
+], ids=["triples", "scalars"])
+def test_validate_rejects_samples_that_are_not_pairs(samples):
+    with pytest.raises(DataError, match="pairs"):
+        validate_trace("t", samples)
+
+
+def test_arrays_of_unequal_length_rejected():
+    with pytest.raises(DataError, match="equal length"):
+        _from_arrays("t", np.array([0.0, 60.0]), np.array([1.0]), None)
 
 def test_validate_idempotent():
     tr = validate_trace("t", [(60.0, 2.0), (0.0, 1.0), (0.0, 4.0)])
@@ -324,6 +339,22 @@ def test_trace_csv_bad_row_raises(tmp_path):
     with pytest.raises(DataError):
         read_trace_csv(path)
 
+
+
+def test_trace_csv_header_only_is_an_empty_trace(tmp_path):
+    path = tmp_path / "h.csv"
+    path.write_text("# a comment\ntimestamp,value\n")
+    with pytest.raises(EmptyTrace):
+        read_trace_csv(path)
+
+
+def test_trace_csv_error_of_the_csv_module_is_a_data_error(tmp_path):
+    # a quoted cell past the csv module's field size limit
+    path = tmp_path / "big.csv"
+    path.write_text('timestamp,value\n"' + "1" * (csv.field_size_limit() + 1) + '",1.0\n')
+    with pytest.raises(DataError) as exc:
+        read_trace_csv(path)
+    assert str(exc.value).startswith(f"trace file {path}: field larger than field limit")
 
 @pytest.mark.parametrize("text, row", [
     ("timestamp,value\n0.0,1.0,9\n60.0,2.0\n", "['0.0', '1.0', '9']"),
