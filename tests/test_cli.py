@@ -434,7 +434,6 @@ def _leaf(posterior):
     return mutate
 
 
-
 def _node_after_last_leaf(doc):
     doc["trees"][0].append(["l", [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
 
@@ -445,6 +444,7 @@ def _unknown_node_tag(doc):
 
 def _one_tree_more(doc):
     doc["trees"].append(doc["trees"][0])
+
 
 def _reversed_class_labels(doc):
     doc["class_labels"].reverse()
@@ -625,7 +625,6 @@ def test_repeated_id_exits_data(ws, tmp_path, capsys, artifact):
     assert not out.exists()
 
 
-
 @pytest.mark.parametrize("command", ["flag", "relabel"])
 def test_prediction_missing_from_the_manifest_exits_data(ws, tmp_path, capsys, command):
     meta, header, rows = read_csv(ws.manifest)
@@ -645,6 +644,7 @@ def test_prediction_missing_from_the_manifest_exits_data(ws, tmp_path, capsys, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(dropped) in err and err.count("\n") == 1, err
     assert not any(out.exists() for out in outs)
+
 
 def test_flag_nan_threshold_exits_config(ws, tmp_path):
     rc = main(["flag", "--predictions", str(ws.preds), "--threshold", "nan",
@@ -853,7 +853,6 @@ def test_eval_fractions_out_of_range_exit_config_before_reading(tmp_path, capsys
     assert not out.exists()
 
 
-
 @pytest.mark.parametrize("protocol, extra, flag", [
     ("subset-search", ["--scheme", "baseline2"], "--scheme baseline2"),
     ("subset-search", ["--scheme", "both"], "--scheme both"),
@@ -877,6 +876,7 @@ def test_eval_flag_the_protocol_never_reads_exits_config_before_reading(tmp_path
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}") and err.count("\n") == 1, err
     assert not out.exists()
+
 
 def _write_latin1(path):
     path.write_bytes(b"caf\xe9\n")

@@ -102,12 +102,12 @@ def test_split_rejects_degenerate_fractions():
             stratified_split(ds, bad, np.random.default_rng(0))
 
 
-
 def test_split_rejects_a_fraction_that_leaves_a_side_empty():
     # singleton classes all go to train, so nothing is left to test on
     ds = dataset_with_counts({0: 1, 1: 1, 2: 1})
     with pytest.raises(DegenerateFraction, match="test=0"):
         stratified_split(ds, 0.5, np.random.default_rng(0))
+
 
 def test_split_deterministic_for_a_seeded_rng():
     ds = dataset_with_counts({0: 9, 1: 9})
@@ -713,7 +713,6 @@ def test_loo_column_and_render(small_dataset):
     assert len(rows) == len(ROW_NAMES)
 
 
-
 def test_render_marks_an_undefined_cell_with_a_dash():
     # only CO2 and humidity were tested, so every other class row reads "-"
     table = {LOO_COLUMN: accuracy_column([per_class_accuracy([0, 1], [0, 0])])}
@@ -722,6 +721,7 @@ def test_render_marks_an_undefined_cell_with_a_dash():
     assert rows[SensorType(0).label] == ["100.0"] and rows[SensorType(1).label] == ["0.0"]
     assert [rows[SensorType(c).label] for c in range(2, CLASS_COUNT)] == [["-"]] * (CLASS_COUNT - 2)
     assert rows["overall"] == ["50.0"]
+
 
 def test_build_dataset_requires_labels():
     tr = make_trace("t", [60.0 * i for i in range(61)], list(range(61)))

@@ -293,7 +293,6 @@ def test_feature_names_known_schemas():
         schema_length("rich9")
 
 
-
 @pytest.mark.parametrize("values, message", [
     (np.zeros(3), "expects 2 entries, got 3"),
     (np.array([0.0, np.nan]), "non-finite"),
@@ -301,6 +300,7 @@ def test_feature_names_known_schemas():
 def test_feature_vector_rejects_a_malformed_vector(values, message):
     with pytest.raises(DataError, match=message):
         FeatureVector(values, BASELINE2)
+
 
 # --- extract dispatch -----------------------------------------------------------
 

@@ -81,7 +81,6 @@ def test_entropy_empty_counts_rejected():
         entropy_impurity([0, 0, 0])
 
 
-
 @pytest.mark.parametrize("ids, features, labels, message", [
     (("a", "b"), np.zeros((1, 2)), [0], "misaligned"),
     ((), np.zeros((0, 2)), np.zeros(0, dtype=int), "empty"),
@@ -93,6 +92,7 @@ def test_entropy_empty_counts_rejected():
 def test_dataset_rejects_a_malformed_part(ids, features, labels, message):
     with pytest.raises(DataError, match=message):
         LabeledDataset(ids, features, np.asarray(labels), "baseline2")
+
 
 # --- best split of a node: node_splits under one candidate set -----------------
 

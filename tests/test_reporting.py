@@ -70,7 +70,6 @@ def test_csv_requires_header(tmp_path):
         read_csv(path)
 
 
-
 def test_csv_error_names_the_file_and_line(tmp_path):
     # a quoted cell past the csv module's field size limit, on line 3
     path = tmp_path / "big.csv"
@@ -78,6 +77,7 @@ def test_csv_error_names_the_file_and_line(tmp_path):
     with pytest.raises(DataError) as exc:
         read_csv(path)
     assert str(exc.value).startswith(f"{path}, line 3: field larger than field limit")
+
 
 def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.csv"

@@ -79,7 +79,6 @@ def test_validate_nonfinite_timestamp_rejected():
         validate_trace("t", [(float("inf"), 1.0), (60.0, 2.0)])
 
 
-
 @pytest.mark.parametrize("samples", [
     [(0.0, 1.0, 2.0), (60.0, 2.0, 3.0)],
     [0.0, 60.0],
@@ -92,6 +91,7 @@ def test_validate_rejects_samples_that_are_not_pairs(samples):
 def test_arrays_of_unequal_length_rejected():
     with pytest.raises(DataError, match="equal length"):
         _from_arrays("t", np.array([0.0, 60.0]), np.array([1.0]), None)
+
 
 def test_validate_idempotent():
     tr = validate_trace("t", [(60.0, 2.0), (0.0, 1.0), (0.0, 4.0)])
@@ -340,7 +340,6 @@ def test_trace_csv_bad_row_raises(tmp_path):
         read_trace_csv(path)
 
 
-
 def test_trace_csv_header_only_is_an_empty_trace(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("# a comment\ntimestamp,value\n")
@@ -355,6 +354,7 @@ def test_trace_csv_error_of_the_csv_module_is_a_data_error(tmp_path):
     with pytest.raises(DataError) as exc:
         read_trace_csv(path)
     assert str(exc.value).startswith(f"trace file {path}: field larger than field limit")
+
 
 @pytest.mark.parametrize("text, row", [
     ("timestamp,value\n0.0,1.0,9\n60.0,2.0\n", "['0.0', '1.0', '9']"),

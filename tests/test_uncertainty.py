@@ -130,11 +130,11 @@ def test_flag_strictly_above_threshold():
     assert flag_above_threshold(ps, h - 1e-12).flagged == {"x"}
 
 
-
 def test_flag_nan_threshold_rejected():
     # every comparison with nan is False, so it would flag nothing silently
     with pytest.raises(InvalidConfig, match="nan"):
         flag_above_threshold([pred("x", PR1)], float("nan"))
+
 
 def test_flag_zero_threshold_takes_everything_uncertain():
     ps = [pred("a", PR1), pred("b", PR2), pred("c", [1.0, 0, 0, 0, 0, 0])]
