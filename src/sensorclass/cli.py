@@ -156,8 +156,12 @@ def cmd_features(args) -> int:
     if args.scheme == "both":
         raise ConfigError("features writes a single matrix; pick --scheme rich8 or baseline2")
     traces = reporting.load_manifest_traces(args.manifest)
-    records = list(filter(None, evaluate.map_traces(
-        partial(_feature_row, window_len=args.window_mins * 60.0, scheme=args.scheme), traces)))
+    records = evaluate.map_traces(
+        partial(_feature_row, window_len=args.window_mins * 60.0, scheme=args.scheme), traces)
+    for tid, _, row in records:  # logged here, since a worker logs nothing
+        if row is None:
+            log.warning("trace %s is shorter than one window, row skipped", tid)
+    records = [record for record in records if record[2] is not None]
     if not records:
         raise DataError("every trace was shorter than one window")
     ids, labels, rows = zip(*records)
@@ -168,14 +172,13 @@ def cmd_features(args) -> int:
     return EXIT_OK
 
 
-def _feature_row(trace, window_len: float, scheme: str) -> tuple | None:
-    """features' record of a trace: (its id, its label, its feature row), or
-    None for a trace shorter than one window."""
+def _feature_row(trace, window_len: float, scheme: str) -> tuple:
+    """features' record of a trace: (its id, its label, its feature row, or
+    None for a trace shorter than one window)."""
     try:
         return trace.trace_id, trace.label, extract(trace, window_len, scheme).values
     except NoWindows:
-        log.warning("trace %s is shorter than one window, row skipped", trace.trace_id)
-        return None
+        return trace.trace_id, trace.label, None
 
 
 def _training_set(path, ids, labels, feats, schema) -> LabeledDataset:
@@ -311,6 +314,10 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--scheme {args.scheme}: --protocol {args.protocol} runs rich8 only")
     if args.manifest_b and args.protocol not in ("inter", "window-sweep"):
         raise ConfigError(f"--manifest-b: --protocol {args.protocol} reads one corpus")
+    schemes = [RICH8, BASELINE2] if args.scheme == "both" else [args.scheme]
+    for scheme in schemes:  # checked here, not when the scheme's first forest is grown
+        if (args.config.m_try or 0) > (d := len(feature_names(scheme))):
+            raise ConfigError(f"--mtry {args.config.m_try} exceeds feature count {d} of {scheme}")
     out_dir = Path(args.out_dir)
     traces = reporting.load_manifest_traces(args.manifest)
     traces_b = reporting.load_manifest_traces(args.manifest_b) if args.manifest_b else None
@@ -318,6 +325,8 @@ def cmd_eval(args) -> int:
 
     if args.protocol == "window-sweep":
         points = evaluate.window_sweep(traces, minutes, args.config, traces_b)
+        if not points:
+            raise DataError("no window length in --windows fits a trace of each corpus")
         mode = "inter_10fold" if traces_b is not None else "intra_loo"
         meta = _run_meta(args, protocol=f"window-sweep/{mode}", scheme=RICH8)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -351,7 +360,6 @@ def cmd_eval(args) -> int:
         fractions = []
     elif args.protocol == "inter" and 1.0 not in fractions:
         fractions = fractions + [1.0]
-    schemes = [RICH8, BASELINE2] if args.scheme == "both" else [args.scheme]
     datasets = evaluate.build_dataset(traces, window_len, schemes)
     datasets_b = (evaluate.build_dataset(traces_b, window_len, schemes)
                   if args.protocol == "inter" else [None] * len(schemes))

@@ -18,9 +18,10 @@ and of the CLI's features command (map_traces). It cuts its items into
 contiguous runs of about equal weight, one per usable CPU: folds by rows x
 trees, a manifest's traces by file size. Each run goes through the serial
 loop in a forked worker, which reads one trace at a time, and the per-item
-results and the workers' log records are joined in item order. A fold's
-forest is a pure function of its rows and config and a trace's rows of the
-trace, so the outputs, and the warnings, are the same for any CPU count.
+results are joined in item order. A mapped function logs nothing: a trace
+it skips is in its result, and the caller logs it. A fold's forest is a
+pure function of its rows and config and a trace's rows of the trace, so
+the outputs, and the warnings, are the same for any CPU count.
 
 Accuracy bookkeeping follows the reporting layout: one row per sensor
 type plus an overall row, one column per training fraction plus the
@@ -106,9 +107,13 @@ def build_dataset(
     schemas = [schema] if isinstance(schema, str) else schema
     records = map_traces(partial(_view_rows, lens=lens, schemas=schemas,
                                  skip_short=skip_short), traces)
+    for tid, _, span, _ in records:  # the skips, logged here since a worker logs nothing
+        for w in (w for w in lens if skip_short and span < w):
+            log.warning("window sweep: trace %s span %.0fs < window %.0fs, skipped", tid, span, w)
     datasets = []
     for v, s in enumerate(list(schemas) * len(lens)):  # each view's schema, in view order
-        kept = [(tid, int(label), rows[v]) for tid, label, rows in records if rows[v] is not None]
+        kept = [(tid, int(label), rows[v]) for tid, label, _, rows in records
+                if rows[v] is not None]
         ids, labels, rows = zip(*kept) if kept else ((), (), ())
         datasets.append(LabeledDataset(ids, np.asarray(rows), np.asarray(labels), s)
                         if kept or not skip_short else None)
@@ -116,18 +121,14 @@ def build_dataset(
 
 
 def _view_rows(trace: SensorTrace, lens: Sequence[float], schemas: Sequence[str],
-               skip_short: bool) -> tuple[str, SensorType | None, list[np.ndarray | None]]:
-    """build_dataset's record of a trace: (its id, its label, its row in each
-    (window length, schema) view, in view order, None where it is skipped)."""
-    short = [w for w in lens if skip_short and trace.span < w]
-    for w in short:
-        log.warning("window sweep: trace %s span %.0fs < window %.0fs, skipped",
-                    trace.trace_id, trace.span, w)
-    views = [None if w in short else (w, s) for w in lens for s in schemas]
+               skip_short: bool) -> tuple[str, SensorType | None, float, list[np.ndarray | None]]:
+    """build_dataset's record of a trace: (its id, its label, its span, its row
+    in each (window length, schema) view, in view order, None where it is skipped)."""
+    views = [None if skip_short and trace.span < w else (w, s) for w in lens for s in schemas]
     if trace.label is None and any(views):
         raise DataError(f"trace {trace.trace_id!r} has no label; cannot build a dataset")
-    return trace.trace_id, trace.label, [None if view is None else extract(trace, *view).values
-                                         for view in views]
+    return trace.trace_id, trace.label, trace.span, [
+        None if view is None else extract(trace, *view).values for view in views]
 
 
 def stratified_split(
@@ -274,14 +275,13 @@ def _forked_map(fn: Callable, blocks: Sequence) -> list:
 
     With more than one block, each runs in a worker process forked from this
     one, so neither fn nor its block is pickled. A worker sends its result,
-    or the exception it raised, down its own pipe, with the log records it
-    made; those are handled here in block order, so each reaches this
-    process's handlers once, in the order the serial loop makes them. The
-    first block's exception is raised here, its message unchanged, after the
-    records of that block and the blocks before it. The workers keep SIGINT
-    blocked from the fork on, so Ctrl-C raises KeyboardInterrupt here and
-    never in a worker, even in multiprocessing's own start-up code. Every
-    worker is joined before this returns or raises, even on a second Ctrl-C.
+    or the exception it raised, down its own pipe, and nothing else, so fn
+    logs nothing: what it has to report goes in its result. The first
+    failed block's exception is raised here, its message unchanged. The
+    workers keep SIGINT blocked from the fork on, so Ctrl-C raises
+    KeyboardInterrupt here and never in a worker, even in multiprocessing's
+    own start-up code. Every worker is joined before this returns or raises,
+    even on a second Ctrl-C.
     """
     if len(blocks) <= 1:
         return [fn(block) for block in blocks]
@@ -302,13 +302,11 @@ def _forked_map(fn: Callable, blocks: Sequence) -> list:
         results = []
         for process, receive in running:
             try:
-                error, result, records = receive.recv()
+                error, result = receive.recv()
             except EOFError:  # the worker died without a word, killed by a signal perhaps
                 process.join()
                 raise RuntimeError(f"a worker exited with code {process.exitcode} "
                                    "before sending its result") from None
-            for record in records:
-                logging.getLogger(record.name).handle(record)
             if error is not None:
                 raise error
             results.append(result)
@@ -324,19 +322,12 @@ def _forked_map(fn: Callable, blocks: Sequence) -> list:
 
 
 def _send_result(conn, fn: Callable, block) -> None:
-    """A forked worker's body: (the error fn raised or None, fn(block) or None,
-    the log records it made) down conn. The records are kept, not handled,
-    so they reach the parent's handlers only when it handles them."""
-    import logging.handlers
-    import queue
-
-    kept = queue.SimpleQueue()
-    logging.getLogger().handlers = [logging.handlers.QueueHandler(kept)]  # this process only
+    """A forked worker's body: (the error fn raised or None, fn(block) or None) down conn."""
     try:
         outcome = (None, fn(block))
     except Exception as exc:  # raised again in the parent, message unchanged
         outcome = (exc, None)
-    conn.send((*outcome, [kept.get() for _ in range(kept.qsize())]))
+    conn.send(outcome)
 
 
 def map_traces(fn: Callable, traces: Iterable[SensorTrace]) -> list:

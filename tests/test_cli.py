@@ -878,6 +878,46 @@ def test_eval_flag_the_protocol_never_reads_exits_config_before_reading(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("protocol, extra, message", [
+    ("percentage", ["--scheme", "both", "--fractions", "0.5", "--mtry", "3"],
+     "--mtry 3 exceeds feature count 2 of baseline2"),
+    ("loo", ["--scheme", "baseline2", "--mtry", "3"],
+     "--mtry 3 exceeds feature count 2 of baseline2"),
+    ("inter", ["--scheme", "baseline2", "--mtry", "5", "--manifest-b", "no_b.csv"],
+     "--mtry 5 exceeds feature count 2 of baseline2"),
+    ("percentage", ["--fractions", "0.5", "--mtry", "9"],
+     "--mtry 9 exceeds feature count 8 of rich8"),
+    ("window-sweep", ["--windows", "30", "--mtry", "9"],
+     "--mtry 9 exceeds feature count 8 of rich8"),
+], ids=["percentage-both", "loo-baseline2", "inter-baseline2", "percentage-rich8",
+        "window-sweep"])
+def test_eval_mtry_above_the_scheme_feature_count_exits_config_before_reading(tmp_path, capsys,
+                                                                            protocol, extra,
+                                                                            message):
+    # the scheme fixes the feature count; the manifests do not exist
+    out = tmp_path / "o"
+    capsys.readouterr()
+    rc = main(["eval", "--protocol", protocol, "--manifest", str(tmp_path / "no.csv"),
+               *extra, "--trees", "2", "--out-dir", str(out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("second", [False, True], ids=["loo", "manifest-b"])
+def test_eval_window_sweep_with_no_point_exits_data(ws, tmp_path, capsys, second):
+    # every ws trace spans two days, shorter than a 100,000-minute window
+    out = tmp_path / "o"
+    capsys.readouterr()
+    rc = main(["eval", "--protocol", "window-sweep", "--windows", "100000",
+               "--manifest", str(ws.manifest), "--trees", "2", "--out-dir", str(out),
+               *(["--manifest-b", str(ws.manifest)] if second else [])])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == ("error: no window length in --windows fits a trace of "
+                                       "each corpus\n")
+    assert not out.exists()
+
+
 def _write_latin1(path):
     path.write_bytes(b"caf\xe9\n")
     return path
@@ -1071,6 +1111,40 @@ def test_first_bad_trace_in_manifest_order_decides_the_error(tmp_path, capsys, w
         assert not (tmp_path / "o").exists()
         assert len(started) == (0 if cpus == 1 else 2)
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["features", "--out", "f.csv"],
+    ["eval", "--protocol", "window-sweep", "--windows", "30,60", "--out-dir", "o"],
+    ["eval", "--protocol", "window-sweep", "--windows", "30,60", "--out-dir", "o",
+     "--manifest-b"],
+], ids=["features", "window-sweep", "window-sweep-b"])
+def test_a_failed_run_prints_only_its_error_line(tmp_path, monkeypatch, capsys, caplog, workers,
+                                                 argv):
+    # a trace shorter than every window, then a missing file: the short trace's skip
+    # warning is never logged, at one CPU or with each trace in its own worker
+    from sensorclass.reporting import write_manifest
+    write_trace_csv(make_trace("tiny", [0.0, 60.0, 120.0], [1.0, 2.0, 3.0], SensorType.CO2),
+                    tmp_path / "tiny.csv")
+    write_manifest(tmp_path / "m.csv", [("tiny", "tiny.csv", SensorType.CO2),
+                                        ("gone", "gone.csv", SensorType.CO2)])
+    manifest = str(tmp_path / "m.csv")
+    if argv[-1] == "--manifest-b":
+        argv = argv + [manifest]
+    caplog.set_level(logging.INFO)
+    for cpus in (1, 2):
+        (tmp_path / str(cpus)).mkdir()
+        monkeypatch.chdir(tmp_path / str(cpus))
+        started = workers(cpus)
+        caplog.clear()
+        capsys.readouterr()
+        rc = main(argv + ["--manifest", manifest, "--trees", "2"])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == (f"error: cannot read {tmp_path / 'gone.csv'}: "
+                                           "No such file or directory\n")
+        assert caplog.records == []
+        assert list((tmp_path / str(cpus)).iterdir()) == []  # no output, no out dir
+        assert len(started) == (0 if cpus == 1 else 2)
 
 
 @pytest.fixture(scope="module")

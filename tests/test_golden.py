@@ -14,7 +14,9 @@ naming the preset, and from two spec files that layer keys over one.
 The golden files were written by the code that introduced this test. A
 refactor that claims "same behaviour" must pass it without editing them. To
 rewrite them after a deliberate change of output, run
-`PYTHONPATH=src python tests/test_golden.py` and review the diff.
+`PYTHONPATH=src python tests/test_golden.py` and review the diff. It
+rewrites every file under tests/golden/, the tree digest that
+test_forest.py checks (grower.sha256) included.
 """
 
 import hashlib
@@ -159,6 +161,8 @@ def test_golden_artifact_bytes(outputs, name):
 
 
 def regenerate(scratch: Path) -> None:
+    from test_forest import GROWER_DIGEST, grower_digest  # only the regenerator needs them
+
     root = run_pipeline(scratch)
     shutil.rmtree(GOLDEN, ignore_errors=True)
     for name in ARTIFACTS:
@@ -169,6 +173,7 @@ def regenerate(scratch: Path) -> None:
     PRESET_DIGESTS.write_text("".join(
         f"{corpus_digest(synth_preset_case(scratch, case))}  {case}\n" for case in PRESET_CASES
     ))
+    GROWER_DIGEST.write_text(grower_digest() + "\n")
 
 
 if __name__ == "__main__":
@@ -176,4 +181,4 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         regenerate(Path(tmp))
-    print(f"rewrote {len(ARTIFACTS) + len(CORPORA) + 1} files under {GOLDEN}", file=sys.stderr)
+    print(f"rewrote {len(ARTIFACTS) + len(CORPORA) + 2} files under {GOLDEN}", file=sys.stderr)
