@@ -198,6 +198,7 @@ def _training_set(path, ids, labels, feats, schema) -> LabeledDataset:
 
 def cmd_train(args) -> int:
     ids, labels, feats, schema, _ = reporting.read_feature_matrix(args.features)
+    _check_mtry(args.config, schema)
     dataset = _training_set(args.features, ids, labels, feats, schema)
     forest = train_forest(dataset, args.config)
     run = _run_meta(args, scheme=dataset.schema)
@@ -294,20 +295,26 @@ def _parse_fractions(text: str, protocol: str) -> list[float]:
     return values
 
 
-def _write_result_artifacts(out_dir: Path, stem: str, result, base: str, meta: dict) -> None:
-    reporting.write_predictions(out_dir / f"predictions_{stem}.csv", result.predictions, meta)
-    correctness = result.correctness
-    grid = [round(float(x), 12) for x in np.linspace(0.0, max_entropy(base), 37)]
-    reporting.write_roc(out_dir / f"roc_{stem}.csv", roc_sweep(result.predictions, correctness, grid), meta)
-    reporting.write_cdf(out_dir / f"cdf_{stem}.csv", entropy_cdf(result.predictions, correctness), meta)
+def _check_mtry(config: ForestConfig, scheme: str) -> None:
+    """--mtry against the feature count the scheme fixes (8 rich8, 2 baseline2)."""
+    if (config.m_try or 0) > (d := len(feature_names(scheme))):
+        raise ConfigError(f"--mtry {config.m_try} exceeds feature count {d} of {scheme}")
 
 
 def cmd_eval(args) -> int:
-    window_len = args.window_mins * 60.0
+    """Checks every flag, computes every result, and only then makes --out-dir
+    and writes its files, so a run that stops before then leaves no output."""
+    for flag, value, readers in (("--fractions", args.fractions, ("percentage", "inter")),
+                                 ("--windows", args.windows, ("window-sweep",))):
+        if value is not None and args.protocol not in readers:
+            raise ConfigError(f"{flag}: --protocol {args.protocol} does not read it")
+    fractions = []  # loo's
     if args.protocol == "window-sweep":
-        minutes = _parse_minutes(args.windows)
-    elif args.protocol != "subset-search":
-        fractions = _parse_fractions(args.fractions, args.protocol)
+        minutes = (evaluate.WINDOW_SWEEP_MINUTES if args.windows is None
+                   else _parse_minutes(args.windows))
+    elif args.protocol in ("percentage", "inter"):
+        fractions = (list(evaluate.DEFAULT_FRACTIONS) if args.fractions is None
+                     else _parse_fractions(args.fractions, args.protocol))
     if args.protocol == "inter" and not args.manifest_b:
         raise ConfigError("--protocol inter needs --manifest-b")
     if args.protocol in ("window-sweep", "subset-search") and args.scheme != RICH8:
@@ -316,81 +323,69 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--manifest-b: --protocol {args.protocol} reads one corpus")
     schemes = [RICH8, BASELINE2] if args.scheme == "both" else [args.scheme]
     for scheme in schemes:  # checked here, not when the scheme's first forest is grown
-        if (args.config.m_try or 0) > (d := len(feature_names(scheme))):
-            raise ConfigError(f"--mtry {args.config.m_try} exceeds feature count {d} of {scheme}")
-    out_dir = Path(args.out_dir)
+        _check_mtry(args.config, scheme)
+    window_len = args.window_mins * 60.0
     traces = reporting.load_manifest_traces(args.manifest)
     traces_b = reporting.load_manifest_traces(args.manifest_b) if args.manifest_b else None
     base = args.entropy_base
 
+    writes = {}  # output file name -> (its writer, the writer's arguments after the path)
     if args.protocol == "window-sweep":
         points = evaluate.window_sweep(traces, minutes, args.config, traces_b)
         if not points:
             raise DataError("no window length in --windows fits a trace of each corpus")
         mode = "inter_10fold" if traces_b is not None else "intra_loo"
         meta = _run_meta(args, protocol=f"window-sweep/{mode}", scheme=RICH8)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        reporting.write_csv(
-            out_dir / "window_sweep.csv", ["window_mins", "accuracy"], points, meta
-        )
-        for m, acc in points:
-            print(f"{m:4d} min  {acc * 100:6.1f}%")
-        return EXIT_OK
-
-    if args.protocol == "subset-search":
+        writes["window_sweep.csv"] = (reporting.write_csv, ["window_mins", "accuracy"],
+                                      points, meta)
+        text = "".join(f"{m:4d} min  {acc * 100:6.1f}%\n" for m, acc in points)
+    elif args.protocol == "subset-search":
         dataset = evaluate.build_dataset(traces, window_len, RICH8)
-        results = evaluate.feature_subset_search(dataset)
         rows = [
             [f"{mask:02x}", "+".join(feature_names(RICH8)[i] for i in mask_indices(mask)),
              len(mask_indices(mask)), acc]
-            for mask, acc in results
+            for mask, acc in evaluate.feature_subset_search(dataset)
         ]
         meta = _run_meta(args, protocol="subset-search", scheme=RICH8)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        reporting.write_csv(
-            out_dir / "subset_search.csv", ["mask", "features", "n_features", "accuracy"],
-            rows, meta,
-        )
+        writes["subset_search.csv"] = (reporting.write_csv,
+                                       ["mask", "features", "n_features", "accuracy"], rows, meta)
         best_mask, best_names, _, best_acc = rows[0]
-        print(f"best mask 0x{best_mask} ({best_names}) accuracy {best_acc * 100:.1f}%")
-        return EXIT_OK
+        text = f"best mask 0x{best_mask} ({best_names}) accuracy {best_acc * 100:.1f}%\n"
+    else:  # percentage, loo and inter: one accuracy table and one set of curves per scheme
+        if args.protocol == "inter" and 1.0 not in fractions:
+            fractions = fractions + [1.0]
+        datasets = evaluate.build_dataset(traces, window_len, schemes)
+        datasets_b = (evaluate.build_dataset(traces_b, window_len, schemes)
+                      if args.protocol == "inter" else [None] * len(schemes))
+        grid = [round(float(x), 12) for x in np.linspace(0.0, max_entropy(base), 37)]
+        tables = []
+        for scheme, dataset, dataset_b in zip(schemes, datasets, datasets_b):
+            meta = _run_meta(args, scheme=scheme, protocol=args.protocol)
+            table, result = (
+                evaluate.inter_corpus(dataset, dataset_b, fractions, args.config, base)
+                if dataset_b is not None
+                else evaluate.percentage_protocol(dataset, fractions, args.config, base))
+            preds, correctness = result.predictions, result.correctness
+            writes[f"predictions_{scheme}.csv"] = (reporting.write_predictions, preds, meta)
+            writes[f"roc_{scheme}.csv"] = (reporting.write_roc,
+                                           roc_sweep(preds, correctness, grid), meta)
+            writes[f"cdf_{scheme}.csv"] = (reporting.write_cdf,
+                                           entropy_cdf(preds, correctness), meta)
+            writes[f"accuracy_{scheme}.csv"] = (
+                reporting.write_csv, *evaluate.table_csv_rows(table),
+                {**meta, **evaluate.table_repeat_meta(table)})  # the curves' meta gets no repeats
+            tables.append(table)
+        title = ("accuracy % as rich8 (baseline2)" if len(tables) == 2
+                 else f"accuracy % with {args.scheme}")
+        text = evaluate.render_table_text(*tables, title=title)
+        writes["accuracy.txt"] = (Path.write_text, text)
 
-    # percentage, loo and inter: one accuracy table and one set of curves per scheme
-    if args.protocol == "loo":
-        fractions = []
-    elif args.protocol == "inter" and 1.0 not in fractions:
-        fractions = fractions + [1.0]
-    datasets = evaluate.build_dataset(traces, window_len, schemes)
-    datasets_b = (evaluate.build_dataset(traces_b, window_len, schemes)
-                  if args.protocol == "inter" else [None] * len(schemes))
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tables = {}
-    for scheme, dataset, dataset_b in zip(schemes, datasets, datasets_b):
-        meta = _run_meta(args, scheme=scheme, protocol=args.protocol)
-        if dataset_b is not None:
-            table, result = evaluate.inter_corpus(dataset, dataset_b, fractions, args.config, base)
-        else:
-            table, result = evaluate.percentage_protocol(dataset, fractions, args.config, base)
-        _write_result_artifacts(out_dir, scheme, result, base, meta)
-        meta.update(evaluate.table_repeat_meta(table))
-        header, rows = evaluate.table_csv_rows(table)
-        reporting.write_csv(out_dir / f"accuracy_{scheme}.csv", header, rows, meta)
-        tables[scheme] = table
-    _write_table_text(out_dir, tables)
-    return EXIT_OK
-
-
-def _write_table_text(out_dir: Path, tables: dict) -> None:
-    if RICH8 in tables and BASELINE2 in tables:
-        text = evaluate.render_table_text(
-            tables[RICH8], tables[BASELINE2],
-            title="accuracy % as rich8 (baseline2)",
-        )
-    else:
-        scheme, table = next(iter(tables.items()))
-        text = evaluate.render_table_text(table, title=f"accuracy % with {scheme}")
-    (out_dir / "accuracy.txt").write_text(text)
+    for name, (write, *rest) in writes.items():
+        write(out_dir / name, *rest)
     print(text, end="")
+    return EXIT_OK
 
 
 # --- relabel --------------------------------------------------------------------
@@ -536,10 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["percentage", "loo", "inter", "window-sweep", "subset-search"])
     p.add_argument("--manifest", required=True)
     p.add_argument("--manifest-b", help="second corpus (inter, window-sweep only)")
-    p.add_argument("--fractions", default=",".join(map(str, evaluate.DEFAULT_FRACTIONS)),
-                   help="train fractions in (0, 1), and 1.0 for inter; no duplicates")
-    p.add_argument("--windows", default=",".join(map(str, evaluate.WINDOW_SWEEP_MINUTES)),
-                   help="window-sweep grid, whole minutes, no duplicates")
+    p.add_argument("--fractions", help="percentage and inter train fractions in (0, 1), and 1.0 "
+                   "for inter; no duplicates")
+    p.add_argument("--windows", help="window-sweep grid, whole minutes, no duplicates")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -14,9 +14,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sensorclass import reporting
+from sensorclass import evaluate, reporting
 from sensorclass.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_UNDEFINED, main
-from sensorclass.errors import InvalidConfig
+from sensorclass.errors import DataError, InvalidConfig
+from sensorclass.evaluate import percentage_protocol
 from sensorclass.forest import ForestConfig
 from sensorclass.reporting import (
     read_feature_matrix,
@@ -139,6 +140,18 @@ def test_train_negative_seed_exits_config(ws, tmp_path, capsys):
                "--out", str(tmp_path / "m.json")])
     assert rc == EXIT_CONFIG
     assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_train_mtry_above_the_matrix_feature_count_names_its_flag(ws, tmp_path, capsys):
+    features = tmp_path / "fb.csv"
+    assert main(["features", "--manifest", str(ws.manifest), "--scheme", "baseline2",
+                 "--out", str(features)]) == EXIT_OK
+    capsys.readouterr()
+    rc = main(["train", "--features", str(features), "--mtry", "3",
+               "--out", str(tmp_path / "m.json")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --mtry 3 exceeds feature count 2 of baseline2\n"
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("schema", ["subset:zz", "subset:00", "subset:-1"])
@@ -861,9 +874,20 @@ def test_eval_fractions_out_of_range_exit_config_before_reading(tmp_path, capsys
     ("percentage", ["--manifest-b", "no_b.csv"], "--manifest-b"),
     ("loo", ["--manifest-b", "no_b.csv"], "--manifest-b"),
     ("subset-search", ["--manifest-b", "no_b.csv"], "--manifest-b"),
+    ("loo", ["--fractions", "0.5"], "--fractions: --protocol loo does not read it"),
+    ("loo", ["--fractions", "7"], "--fractions: --protocol loo does not read it"),
+    ("subset-search", ["--fractions", "0.5"],
+     "--fractions: --protocol subset-search does not read it"),
+    ("window-sweep", ["--fractions", "0.5"],
+     "--fractions: --protocol window-sweep does not read it"),
+    ("percentage", ["--windows", "30"], "--windows: --protocol percentage does not read it"),
+    ("inter", ["--windows", "30", "--manifest-b", "no_b.csv"],
+     "--windows: --protocol inter does not read it"),
 ], ids=["subset-search-baseline2", "subset-search-both", "window-sweep-baseline2",
         "window-sweep-both", "percentage-manifest-b", "loo-manifest-b",
-        "subset-search-manifest-b"])
+        "subset-search-manifest-b", "loo-fractions", "loo-fractions-out-of-range",
+        "subset-search-fractions", "window-sweep-fractions", "percentage-windows",
+        "inter-windows"])
 def test_eval_flag_the_protocol_never_reads_exits_config_before_reading(tmp_path, capsys,
                                                                        protocol, extra, flag):
     # a baseline2 question must not get a rich8 answer, and a second corpus
@@ -915,6 +939,29 @@ def test_eval_window_sweep_with_no_point_exits_data(ws, tmp_path, capsys, second
     assert rc == EXIT_DATA
     assert capsys.readouterr().err == ("error: no window length in --windows fits a trace of "
                                        "each corpus\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raised, code", [
+    (KeyboardInterrupt(), 130),
+    (DataError("baseline2 failed"), EXIT_DATA),
+], ids=["ctrl-c", "data-error"])
+def test_eval_that_stops_on_its_second_scheme_leaves_no_output(ws, tmp_path, monkeypatch,
+                                                               raised, code):
+    # rich8's results exist by then; none of them may be written
+    calls = []
+
+    def second_call_raises(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise raised
+        return percentage_protocol(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "percentage_protocol", second_call_raises)
+    out = tmp_path / "o"
+    rc = main(["eval", "--protocol", "percentage", "--scheme", "both", "--fractions", "0.5",
+               "--manifest", str(ws.manifest), "--trees", "2", "--out-dir", str(out)])
+    assert (rc, len(calls)) == (code, 2)
     assert not out.exists()
 
 
