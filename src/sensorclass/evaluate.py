@@ -105,19 +105,35 @@ def build_dataset(
     scalar = np.ndim(window_len) == 0
     lens = [window_len] if scalar else list(window_len)
     schemas = [schema] if isinstance(schema, str) else schema
-    records = map_traces(partial(_view_rows, lens=lens, schemas=schemas,
-                                 skip_short=skip_short), traces)
-    for tid, _, span, _ in records:  # the skips, logged here since a worker logs nothing
-        for w in (w for w in lens if skip_short and span < w):
-            log.warning("window sweep: trace %s span %.0fs < window %.0fs, skipped", tid, span, w)
-    datasets = []
-    for v, s in enumerate(list(schemas) * len(lens)):  # each view's schema, in view order
-        kept = [(tid, int(label), rows[v]) for tid, label, _, rows in records
-                if rows[v] is not None]
-        ids, labels, rows = zip(*kept) if kept else ((), (), ())
-        datasets.append(LabeledDataset(ids, np.asarray(rows), np.asarray(labels), s)
-                        if kept or not skip_short else None)
+    [datasets] = _build_datasets([traces], lens, schemas, skip_short)
     return datasets[0] if scalar and isinstance(schema, str) else datasets
+
+
+def _build_datasets(
+    corpora: Sequence[Iterable[SensorTrace]], lens: Sequence[float], schemas: Sequence[str],
+    skip_short: bool,
+) -> list[list[LabeledDataset | None]]:
+    """build_dataset's list of datasets for each corpus. Every corpus is read
+    before any skip is logged, so a corpus that fails to read leaves the
+    run's error alone on stderr."""
+    by_corpus = [map_traces(partial(_view_rows, lens=lens, schemas=schemas,
+                                    skip_short=skip_short), traces) for traces in corpora]
+    for records in by_corpus:  # the skips, logged here since a worker logs nothing
+        for tid, _, span, _ in records:
+            for w in (w for w in lens if skip_short and span < w):
+                log.warning("window sweep: trace %s span %.0fs < window %.0fs, skipped",
+                            tid, span, w)
+    out = []
+    for records in by_corpus:
+        datasets = []
+        for v, s in enumerate(list(schemas) * len(lens)):  # each view's schema, in view order
+            kept = [(tid, int(label), rows[v]) for tid, label, _, rows in records
+                    if rows[v] is not None]
+            ids, labels, rows = zip(*kept) if kept else ((), (), ())
+            datasets.append(LabeledDataset(ids, np.asarray(rows), np.asarray(labels), s)
+                            if kept or not skip_short else None)
+        out.append(datasets)
+    return out
 
 
 def _view_rows(trace: SensorTrace, lens: Sequence[float], schemas: Sequence[str],
@@ -499,7 +515,7 @@ def window_sweep(
     """
     lens = [float(minutes) * 60.0 for minutes in window_minutes]
     corpora = [traces] if traces_b is None else [traces, traces_b]
-    by_corpus = [build_dataset(corpus, lens, RICH8, skip_short=True) for corpus in corpora]
+    by_corpus = _build_datasets(corpora, lens, [RICH8], skip_short=True)
     points: list[tuple[int, float]] = []
     for wi, (minutes, *datasets) in enumerate(zip(window_minutes, *by_corpus)):
         if any(ds is None for ds in datasets):

@@ -30,15 +30,18 @@ and _best_splits applies the one split rule; node_splits applies it to
 one node under many candidate sets. The growing trees are arrays in the
 node and sample layout of Louppe, Understanding Random Forests
 (arXiv:1407.7502), ch. 5: a node is a slice of its tree's bootstrap row
-indices that a split partitions in place, so no Python runs per node but
-its draw of candidate features. The trees growing at once and the
-entries per kernel call are capped, so the grower's memory stays bounded
-however many folds a protocol has.
+indices that a split partitions in place. Each node's candidate features
+are decoded, for all the step's nodes at once, from uint32 words its
+tree's generator drew in advance, so no Python runs per node. The trees
+growing at once and the entries per kernel call are capped, so the
+grower's memory stays bounded however many folds a protocol has.
 
 Determinism: every tree's RNG derives from (config.seed, tree index), and
-its draws happen in its own preorder (the bootstrap, then one feature
-subset per impure node). So a tree does not depend on the trees it grew
-beside, and the forest is a pure function of (dataset, config).
+its draws happen in its own preorder: the bootstrap, then one feature
+subset per impure node, the subset Generator.choice(D, m_try,
+replace=False) would draw on that stream, decoded from the stream's words.
+So a tree does not depend on the trees it grew beside, and the forest is
+a pure function of (dataset, config).
 """
 
 from __future__ import annotations
@@ -67,6 +70,9 @@ _TREE_TAG = 101
 # trees growing at once, and (row, candidate feature) entries per kernel call.
 _TREES_IN_FLIGHT = 256
 _KERNEL_ENTRIES = 4096
+# uint32 words a growing tree reads from its generator at a time, for its candidate features
+_WORDS = 32
+_MASK32 = 0xFFFFFFFF
 
 _NO_POSTERIOR = np.zeros(CLASS_COUNT)  # value row of a split node
 _CLASSES = np.arange(CLASS_COUNT)[:, None]
@@ -320,6 +326,53 @@ def _widen(a: np.ndarray, cols: int) -> np.ndarray:
     return out
 
 
+def _refill(words: np.ndarray, cursor: np.ndarray, rngs: list, slots: np.ndarray) -> None:
+    """Move the unread words of each slot's buffer, words[s, cursor[s]:], to its
+    front and fill the rest with the next words of its generator."""
+    for s in slots.tolist():
+        words[s] = np.concatenate([words[s, cursor[s]:],
+                                   rngs[s].integers(0, 2**32, size=cursor[s], dtype=np.uint32)])
+        cursor[s] = 0
+
+
+def _draw_candidates(
+    words: np.ndarray, cursor: np.ndarray, rngs: list, slots: np.ndarray, m: np.ndarray, d: int
+) -> np.ndarray:
+    """(len(slots), d) mask of the m[k] features node k draws from slot
+    slots[k]'s generator: all d, with no draw, where m[k] == d, and otherwise
+    the set rngs[s].choice(d, size=m[k], replace=False) would draw, decoded
+    from the generator's uint32 words. Slot s reads its words from
+    words[s, cursor[s]:], refilled by _refill when short, and advances cursor[s].
+
+    This is numpy's algorithm for d <= 10,000 (a changed one is named by
+    tests/test_numpy_canary.py). Floyd's: for j = d - m, ..., d - 1, draw v
+    in [0, j] and take v, or j if v is already taken (j >= 1, so every j
+    draws a word); then choice shuffles the m picks, drawing i in [0, k]
+    for k = m - 1, ..., 1, words read and discarded here. Every draw in
+    [0, r) is Lemire's: (word * r) >> 32, unless the product's low half is
+    below (2**32 - r) % r, which rejects the word for the next one.
+    """
+    mask = np.zeros((len(slots), d), dtype=bool)
+    mask[m == d] = True
+    draws = np.where(m < d, 2 * m - 1, 0)
+    _refill(words, cursor, rngs, slots[words.shape[1] - cursor[slots] < draws])
+    for t in range(int(draws.max(initial=0))):  # node k's draw t, for every k drawing one
+        node = np.flatnonzero(t < draws)
+        s, mm = slots[node], m[node]
+        r = np.where(t < mm, d - mm + t + 1, 2 * mm - t)  # Floyd's j + 1, then the shuffle's k + 1
+        floor = (2**32 - r) % r
+        prod = words[s, cursor[s]] * r
+        cursor[s] += 1
+        while (bad := np.flatnonzero((prod & _MASK32) < floor)).size:  # rejected: the next word
+            _refill(words, cursor, rngs, s[bad][cursor[s[bad]] == words.shape[1]])
+            prod[bad] = words[s[bad], cursor[s[bad]]] * r[bad]
+            cursor[s[bad]] += 1
+        floyd = t < mm
+        node, j, v = node[floyd], (d - mm + t)[floyd], (prod >> 32)[floyd]
+        mask[node, np.where(mask[node, v], j, v)] = True
+    return mask
+
+
 def _grow(
     x: np.ndarray, y: np.ndarray, jobs: Iterable[tuple[np.ndarray, ForestConfig, int, bool]]
 ) -> Iterator[DecisionTree]:
@@ -334,17 +387,21 @@ def _grow(
     posterior is counts / (hi - lo). Stacks and outputs double when outgrown.
 
     At each step every tree emits the pure nodes on top of its stack as
-    leaves, then pops its next impure node; one _segment_scores call and one
-    partition split all those nodes. Each tree draws from its own generator
-    in its own preorder, so it does not depend on the trees it grows beside.
+    leaves, then pops its next impure node; one _draw_candidates call, one
+    _segment_scores call and one partition split all those nodes. Slot s
+    keeps one generator, set to each new tree's state (seeding.pcg64_states,
+    one call for every tree a fill admits). After the bootstrap a tree's
+    generator draws only candidates, a buffer of words at a time, in the
+    tree's preorder, so a tree does not depend on the trees it grows beside.
     """
     d = x.shape[1]
     ranks = _column_ranks(x)
-    all_features = np.arange(d)
     queue = enumerate(jobs)
     cap = _TREES_IN_FLIGHT
     job = np.full(cap, -1)  # the position of each slot's job; -1 for a free slot
     rngs: list[np.random.Generator | None] = [None] * cap
+    words = np.zeros((cap, max(_WORDS, 2 * d)), dtype=np.uint32)  # room for any node's draws
+    cursor = np.zeros(cap, dtype=np.intp)  # words[s, cursor[s]:] are slot s's unread words
     m_try = np.zeros(cap, dtype=np.intp)
     sp = np.zeros(cap, dtype=np.intp)  # stack sizes
     size = np.zeros(cap, dtype=np.intp)  # nodes emitted
@@ -371,19 +428,22 @@ def _grow(
         return at
 
     while True:
-        for s in np.flatnonzero(job < 0).tolist():
-            if (item := next(queue, None)) is None:
-                break
-            pos, (fold_rows, config, index, identity) = item
-            rngs[s] = seeding.generator(config.seed, _TREE_TAG, index)
+        free = np.flatnonzero(job < 0).tolist()
+        admitted = list(itertools.islice(queue, len(free)))
+        states = seeding.pcg64_states([(config.seed, _TREE_TAG, index)
+                                       for _, (_, config, index, _) in admitted])
+        for s, (pos, (fold_rows, config, index, identity)), state in zip(free, admitted, states):
+            rng = rngs[s] = rngs[s] or np.random.Generator(np.random.PCG64(0))
+            rng.bit_generator.state = state
             n = len(fold_rows)
             if not identity:
-                fold_rows = fold_rows[rngs[s].integers(0, n, size=n)]
+                fold_rows = fold_rows[rng.integers(0, n, size=n)]
             if n > rows.shape[1]:
                 rows = _widen(rows, n)
             rows[s, :n] = fold_rows
+            words[s] = rng.integers(0, 2**32, size=words.shape[1], dtype=np.uint32)
             stack[s, 0] = (0, n, -1, *np.bincount(y[fold_rows], minlength=CLASS_COUNT))
-            job[s], m_try[s], sp[s], size[s] = pos, config.resolve_m_try(d), 1, 0
+            job[s], m_try[s], sp[s], size[s], cursor[s] = pos, config.resolve_m_try(d), 1, 0, 0
         live = np.flatnonzero(job >= 0)
         if not live.size:
             return
@@ -406,7 +466,7 @@ def _grow(
             m = size[s]
             finished[int(job[s])] = DecisionTree(feature[s, :m].copy(), threshold[s, :m].copy(),
                                                  right[s, :m].copy(), value[s, :m].copy())
-            job[s], rngs[s] = -1, None
+            job[s] = -1
         while next_out in finished:
             yield finished.pop(next_out)
             next_out += 1
@@ -419,11 +479,7 @@ def _grow(
         n = hi - lo
         counts = stack[s, sp[s], 3:].astype(float)
         n_cand = m_try[s]
-        draws = [all_features if m == d else rngs[t].choice(d, size=m, replace=False)
-                 for t, m in zip(s.tolist(), n_cand.tolist())]
-        shift = np.repeat(np.arange(len(s)) * d, n_cand)
-        # each node's candidates ascending; the default sort maps in a large SIMD library
-        cand = np.sort(np.concatenate(draws) + shift, kind="stable") - shift
+        cand = np.nonzero(_draw_candidates(words, cursor, rngs, s, n_cand, d))[1]  # each ascending
         at_rows = _ranges(s * rows.shape[1] + lo, n)
         node_rows = rows.reshape(-1)[at_rows]
         entry = np.repeat(np.arange(len(s)), n)

@@ -1160,24 +1160,27 @@ def test_first_bad_trace_in_manifest_order_decides_the_error(tmp_path, capsys, w
         assert multiprocessing.active_children() == []
 
 
+SWEEP = ["eval", "--protocol", "window-sweep", "--windows", "30,60", "--out-dir", "o"]
+
+
 @pytest.mark.parametrize("argv", [
-    ["features", "--out", "f.csv"],
-    ["eval", "--protocol", "window-sweep", "--windows", "30,60", "--out-dir", "o"],
-    ["eval", "--protocol", "window-sweep", "--windows", "30,60", "--out-dir", "o",
-     "--manifest-b"],
-], ids=["features", "window-sweep", "window-sweep-b"])
+    ["features", "--out", "f.csv", "--manifest", "m.csv"],
+    SWEEP + ["--manifest", "m.csv"],
+    SWEEP + ["--manifest", "m.csv", "--manifest-b", "m.csv"],
+    SWEEP + ["--manifest", "short.csv", "--manifest-b", "m.csv"],
+], ids=["features", "window-sweep", "window-sweep-b", "window-sweep-b-after-skips"])
 def test_a_failed_run_prints_only_its_error_line(tmp_path, monkeypatch, capsys, caplog, workers,
                                                  argv):
     # a trace shorter than every window, then a missing file: the short trace's skip
-    # warning is never logged, at one CPU or with each trace in its own worker
+    # warning is never logged, at one CPU or with each trace in its own worker; nor is
+    # it when the short trace is a first corpus that reads fine and the second fails
     from sensorclass.reporting import write_manifest
     write_trace_csv(make_trace("tiny", [0.0, 60.0, 120.0], [1.0, 2.0, 3.0], SensorType.CO2),
                     tmp_path / "tiny.csv")
     write_manifest(tmp_path / "m.csv", [("tiny", "tiny.csv", SensorType.CO2),
                                         ("gone", "gone.csv", SensorType.CO2)])
-    manifest = str(tmp_path / "m.csv")
-    if argv[-1] == "--manifest-b":
-        argv = argv + [manifest]
+    write_manifest(tmp_path / "short.csv", [("tiny", "tiny.csv", SensorType.CO2)])
+    argv = [str(tmp_path / a) if a in ("m.csv", "short.csv") else a for a in argv]
     caplog.set_level(logging.INFO)
     for cpus in (1, 2):
         (tmp_path / str(cpus)).mkdir()
@@ -1185,7 +1188,7 @@ def test_a_failed_run_prints_only_its_error_line(tmp_path, monkeypatch, capsys, 
         started = workers(cpus)
         caplog.clear()
         capsys.readouterr()
-        rc = main(argv + ["--manifest", manifest, "--trees", "2"])
+        rc = main(argv + ["--trees", "2"])
         assert rc == EXIT_DATA
         assert capsys.readouterr().err == (f"error: cannot read {tmp_path / 'gone.csv'}: "
                                            "No such file or directory\n")

@@ -28,6 +28,7 @@ from helpers import (
     tree_bytes,
 )
 from sensorclass import forest as forest_module
+from sensorclass import seeding
 from sensorclass.errors import DataError, InvalidConfig, SchemaMismatch
 from sensorclass.features import FeatureVector, mask_indices, subset_schema
 from sensorclass.forest import (
@@ -332,6 +333,60 @@ def test_tree_does_not_depend_on_its_batch(monkeypatch, in_flight, entries):
         expected = reference_train_tree(ds.subset(rows), config, index,
                                         identity_bootstrap=identity)
         assert got == tree_bytes(expected)
+
+
+def decode(words, cursor, rngs, m, d):
+    """Each slot's candidates, ascending, from one _draw_candidates call (slot k draws m[k])."""
+    mask = forest_module._draw_candidates(words, cursor, rngs, np.arange(len(m)), np.array(m), d)
+    return [np.flatnonzero(row).tolist() for row in mask]
+
+
+@pytest.mark.parametrize("offset", ["odd", "even"])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_decoded_candidates_equal_choice(d, offset):
+    # every 1 <= m < d (and m = d, which takes every feature with no draw), each slot on
+    # its own stream, left at an odd or even uint32 offset by a bootstrap, as in the grower;
+    # a 16-word buffer makes many draws straddle a refill
+    for seed in range(40):
+        ms = list(range(1, d + 1))
+        decoded = [seeding.generator(seed, d, m) for m in ms]
+        twins = [seeding.generator(seed, d, m) for m in ms]
+        for k, (a, b) in enumerate(zip(decoded, twins)):
+            n = 2 * (seed + k) + 1 if offset == "odd" else 2 * (seed + k) + 2
+            assert a.integers(0, n, size=n).tolist() == b.integers(0, n, size=n).tolist()
+        words = np.zeros((len(ms), 16), dtype=np.uint32)
+        cursor = np.full(len(ms), 16)  # empty buffers: the first draw fills them
+        for _ in range(4):
+            expected = [sorted(b.choice(d, size=m, replace=False).tolist()) if m < d
+                        else list(range(d)) for b, m in zip(twins, ms)]
+            assert decode(words, cursor, decoded, ms, d) == expected
+
+
+def test_a_rejected_word_gives_way_to_the_next():
+    # d = 3, m = 1 draws once, in [0, 3): word 0 has low half 0 < (2**32 - 3) % 3 = 1, so it
+    # is rejected and word 2**31 decides: (2**31 * 3) >> 32 = 1
+    words = np.array([[0, 2**31, 7]], dtype=np.uint32)
+    cursor = np.array([0])
+    assert decode(words, cursor, [None], [1], 3) == [[1]]
+    assert cursor.tolist() == [2]
+    # the same rejection on the buffer's last word: the next word comes from the generator
+    rng, twin = seeding.generator(5, 1), seeding.generator(5, 1)
+    words = np.array([[9, 0]], dtype=np.uint32)
+    cursor = np.array([1])
+    assert decode(words, cursor, [rng], [1], 3) == [twin.choice(3, size=1, replace=False).tolist()]
+    assert cursor.tolist() == [1]
+
+
+def test_a_draw_straddles_a_refill():
+    # two unread words, three needed (d = 8, m = 2): they move to the buffer's front and
+    # the generator's next words fill the rest
+    rng, twin = seeding.generator(9, 4), seeding.generator(9, 4)
+    words = rng.integers(0, 2**32, size=(1, 4), dtype=np.uint32)
+    cursor = np.array([2])
+    twin.integers(0, 2**32, size=2, dtype=np.uint32)
+    assert decode(words, cursor, [rng], [2], 8) == [sorted(twin.choice(8, 2, replace=False).tolist())]
+    assert cursor.tolist() == [3]
+    assert (twin.integers(0, 2**32, size=1, dtype=np.uint32) == words[0, 3]).all()
 
 
 GROWER_DIGEST = Path(__file__).parent / "golden" / "grower.sha256"

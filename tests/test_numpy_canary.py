@@ -6,9 +6,13 @@ methods for each draw (NEP 19 lets their algorithms change between numpy
 releases), and on np.median and np.var for every feature. Each test here
 pins one of those primitives at a fixed seed path. When a golden test
 fails under another numpy, the canary that fails beside it names the
-primitive that moved. Tree growth draws with `integers` (the bootstrap)
-and `choice` without replacement (one feature subset per impure node);
-synth and the evaluation splits draw with the rest.
+primitive that moved. Tree growth draws with `integers`: the bootstrap,
+then uint32 words from which the grower decodes what `choice` without
+replacement would draw (one feature subset per impure node), and it sets
+each tree's generator to a state derived in a batch, not by SeedSequence.
+So two cases here check the grower's own copies of those algorithms against
+numpy's, `choice` and `seeding.generator`. synth and the evaluation splits
+draw with the rest.
 
 The values were recorded with numpy 2.4.6.
 """
@@ -16,7 +20,7 @@ The values were recorded with numpy 2.4.6.
 import numpy as np
 import pytest
 
-from sensorclass import seeding
+from sensorclass import forest, seeding
 
 
 def rng(k):
@@ -64,3 +68,22 @@ def test_median_and_variance_rows():
                       [1e3, 1e3 + 0.1, 1e3 - 0.3, 999.9, 1e3, 1e3 + 0.2]])
     assert np.median(block, axis=1).tolist() == [2.2, 1000.0]
     assert np.var(block, axis=1).tolist() == [8.776458333333332, 0.02472222222222273]
+
+
+def test_grower_decode_equals_choice():
+    # what forest._draw_candidates decodes from a tree's words after a bootstrap
+    # of odd length, against choice on the same stream, for m = 1, 2, 3 of d = 8
+    decoded, twins = [rng(k) for k in (11, 12, 13)], [rng(k) for k in (11, 12, 13)]
+    for a, b in zip(decoded, twins):
+        a.integers(0, 41, size=41), b.integers(0, 41, size=41)
+    words, cursor = np.zeros((3, 16), dtype=np.uint32), np.full(3, 16)
+    for _ in range(20):
+        mask = forest._draw_candidates(words, cursor, decoded, np.arange(3), np.array([1, 2, 3]), 8)
+        assert [np.flatnonzero(row).tolist() for row in mask] == [
+            sorted(b.choice(8, size=m, replace=False).tolist()) for b, m in zip(twins, (1, 2, 3))]
+
+
+def test_batch_states_equal_seed_sequence_states():
+    entries = [(2024, 7, k) for k in range(5)] + [(2**64 + 3, 101, 2), (2**100, 101, 2)]
+    assert seeding.pcg64_states(entries) == [seeding.generator(*e).bit_generator.state
+                                             for e in entries]
