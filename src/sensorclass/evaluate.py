@@ -113,27 +113,33 @@ def _build_datasets(
     corpora: Sequence[Iterable[SensorTrace]], lens: Sequence[float], schemas: Sequence[str],
     skip_short: bool,
 ) -> list[list[LabeledDataset | None]]:
-    """build_dataset's list of datasets for each corpus. Every corpus is read
-    before any skip is logged, so a corpus that fails to read leaves the
+    """build_dataset's list of datasets for each corpus. The skips are logged
+    once every corpus is read, so a corpus that fails to read leaves the
     run's error alone on stderr."""
-    by_corpus = [map_traces(partial(_view_rows, lens=lens, schemas=schemas,
-                                    skip_short=skip_short), traces) for traces in corpora]
-    for records in by_corpus:  # the skips, logged here since a worker logs nothing
-        for tid, _, span, _ in records:
-            for w in (w for w in lens if skip_short and span < w):
-                log.warning("window sweep: trace %s span %.0fs < window %.0fs, skipped",
-                            tid, span, w)
-    out = []
-    for records in by_corpus:
-        datasets = []
-        for v, s in enumerate(list(schemas) * len(lens)):  # each view's schema, in view order
-            kept = [(tid, int(label), rows[v]) for tid, label, _, rows in records
-                    if rows[v] is not None]
-            ids, labels, rows = zip(*kept) if kept else ((), (), ())
-            datasets.append(LabeledDataset(ids, np.asarray(rows), np.asarray(labels), s)
-                            if kept or not skip_short else None)
-        out.append(datasets)
-    return out
+    read = [_corpus_datasets(traces, lens, schemas, skip_short) for traces in corpora]
+    for _, skips in read:  # logged here since a worker logs nothing
+        for tid, span, w in skips:
+            log.warning("window sweep: trace %s span %.0fs < window %.0fs, skipped", tid, span, w)
+    return [datasets for datasets, _ in read]
+
+
+def _corpus_datasets(
+    traces: Iterable[SensorTrace], lens: Sequence[float], schemas: Sequence[str], skip_short: bool
+) -> tuple[list[LabeledDataset | None], list[tuple[str, float, float]]]:
+    """One corpus's datasets, in view order, and its skips: (trace id, span,
+    window length). Its per-trace records are released on return."""
+    records = map_traces(partial(_view_rows, lens=lens, schemas=schemas,
+                                 skip_short=skip_short), traces)
+    skips = [(tid, span, w) for tid, _, span, _ in records for w in lens
+             if skip_short and span < w]
+    datasets = []
+    for v, s in enumerate(list(schemas) * len(lens)):  # each view's schema, in view order
+        kept = [(tid, int(label), rows[v]) for tid, label, _, rows in records
+                if rows[v] is not None]
+        ids, labels, rows = zip(*kept) if kept else ((), (), ())
+        datasets.append(LabeledDataset(ids, np.asarray(rows), np.asarray(labels), s)
+                        if kept or not skip_short else None)
+    return datasets, skips
 
 
 def _view_rows(trace: SensorTrace, lens: Sequence[float], schemas: Sequence[str],

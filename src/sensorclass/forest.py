@@ -364,7 +364,9 @@ def _draw_candidates(
         prod = words[s, cursor[s]] * r
         cursor[s] += 1
         while (bad := np.flatnonzero((prod & _MASK32) < floor)).size:  # rejected: the next word
-            _refill(words, cursor, rngs, s[bad][cursor[s[bad]] == words.shape[1]])
+            # a rejected word is one more read: refill where the node's draws left no longer fit
+            short = words.shape[1] - cursor[s[bad]] < draws[node[bad]] - t
+            _refill(words, cursor, rngs, s[bad][short])
             prod[bad] = words[s[bad], cursor[s[bad]]] * r[bad]
             cursor[s[bad]] += 1
         floyd = t < mm

@@ -73,7 +73,9 @@ def _hasher(init: int, mult: int):
 
 def pcg64_states(entries: Sequence[Sequence[int]]) -> list[dict]:
     """generator(*entry).bit_generator.state of every (master, *path) entry,
-    derived together; set one on a reused PCG64 to continue that stream."""
+    derived together; set one on a reused PCG64 to continue that stream.
+    Batched because one state per entry from numpy's SeedSequence, set on
+    a reused generator, costs more than a new generator(*entry)."""
     words = [[w for n in entry for w in _uint32_words(int(n))] for entry in entries]
     lens = np.array([len(w) for w in words], dtype=np.intp)
     entropy = np.zeros((len(words), max(_POOL_SIZE, lens.max(initial=0))), dtype=np.uint32)

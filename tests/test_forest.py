@@ -375,6 +375,15 @@ def test_a_rejected_word_gives_way_to_the_next():
     cursor = np.array([1])
     assert decode(words, cursor, [rng], [1], 3) == [twin.choice(3, size=1, replace=False).tolist()]
     assert cursor.tolist() == [1]
+    # three unread words, three needed (d = 8, m = 2), but the first is rejected in
+    # [0, 7) (low half 0 < (2**32 - 7) % 7 = 4): the two words left move to the
+    # front and the generator's next words supply the third draw
+    rng, twin = seeding.generator(9, 7), seeding.generator(9, 7)
+    words = np.array([[9, 0, *rng.integers(0, 2**32, size=2, dtype=np.uint32)]], dtype=np.uint32)
+    cursor = np.array([1])
+    assert decode(words, cursor, [rng], [2], 8) == [sorted(twin.choice(8, 2, replace=False).tolist())]
+    assert cursor.tolist() == [3]
+    assert (twin.integers(0, 2**32, size=1, dtype=np.uint32) == words[0, 3]).all()
 
 
 def test_a_draw_straddles_a_refill():
