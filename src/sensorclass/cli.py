@@ -355,16 +355,15 @@ def cmd_eval(args) -> int:
         if args.protocol == "inter" and 1.0 not in fractions:
             fractions = fractions + [1.0]
         datasets = evaluate.build_dataset(traces, window_len, schemes)
-        datasets_b = (evaluate.build_dataset(traces_b, window_len, schemes)
-                      if args.protocol == "inter" else [None] * len(schemes))
+        results = (  # every scheme's folds in one round
+            evaluate.inter_corpus(datasets, evaluate.build_dataset(traces_b, window_len, schemes),
+                                  fractions, args.config, base)
+            if args.protocol == "inter"
+            else evaluate.percentage_protocol(datasets, fractions, args.config, base))
         grid = [round(float(x), 12) for x in np.linspace(0.0, max_entropy(base), 37)]
         tables = []
-        for scheme, dataset, dataset_b in zip(schemes, datasets, datasets_b):
+        for scheme, (table, result) in zip(schemes, results):
             meta = _run_meta(args, scheme=scheme, protocol=args.protocol)
-            table, result = (
-                evaluate.inter_corpus(dataset, dataset_b, fractions, args.config, base)
-                if dataset_b is not None
-                else evaluate.percentage_protocol(dataset, fractions, args.config, base))
             preds, correctness = result.predictions, result.correctness
             writes[f"predictions_{scheme}.csv"] = (reporting.write_predictions, preds, meta)
             writes[f"roc_{scheme}.csv"] = (reporting.write_roc,

@@ -5,10 +5,14 @@ Randomness for split r of fraction f comes from a seed derived along the
 path (seed, protocol tag, fraction index, repeat), so adding a fraction
 or rerunning a repeat never disturbs the others.
 
-Every protocol runs its (training rows, test rows, config) folds through
-one loop, _fold_posteriors, which grows their forests in train_forests
-calls; each forest's posteriors on its test rows are scored by row index.
-The percentage protocol grows its LOO folds in that same loop. Only the
+Every protocol runs its (training rows, test rows, config, posteriors)
+folds through one loop, _fold_posteriors, which grows their forests in
+train_forests calls and sends back each forest's posteriors on its test
+rows, or only their argmax where that is all the fold is scored by. The
+percentage protocol grows its LOO folds in that same loop. A protocol may
+take the datasets of one corpus, one per feature scheme: their folds are
+drawn once and every scheme's go through the loop together, so an eval
+command makes one block-map round of folds, whatever its schemes. Only the
 LOO runs and inter's full-training-set run build Prediction records, with
 entropies: theirs are the predictions eval writes.
 
@@ -32,6 +36,7 @@ from a test set is undefined for that run, not zero.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 import threading
@@ -366,23 +371,46 @@ def map_traces(fn: Callable, traces: Iterable[SensorTrace]) -> list:
 
 
 def _block_posteriors(
-    train: LabeledDataset, test: LabeledDataset, folds: Sequence[tuple]
+    pairs: Sequence[tuple[LabeledDataset, LabeledDataset]], run: Sequence[tuple]
 ) -> list[np.ndarray]:
-    """The serial fold loop: one train_forests call, each forest predicted as it comes out."""
-    forests = train_forests(train, [(rows, config) for rows, _, config in folds])
-    return [predict_matrix(forest, test.features[rows], test.schema)
-            for forest, (_, rows, _) in zip(forests, folds)]
+    """The serial fold loop over a run of (dataset pair, fold) items: one
+    train_forests call per pair, each forest predicted as it comes out."""
+    out = []
+    for k, items in itertools.groupby(run, key=lambda item: item[0]):
+        folds = [fold for _, fold in items]
+        train, test = pairs[k]
+        forests = train_forests(train, [(rows, config) for rows, _, config, _ in folds])
+        for forest, (_, rows, _, posteriors) in zip(forests, folds):
+            probs = predict_matrix(forest, test.features[rows], test.schema)
+            out.append(probs if posteriors else probs.argmax(axis=1))
+    return out
 
 
 def _fold_posteriors(
-    train: LabeledDataset, test: LabeledDataset, folds: Sequence[tuple]
+    pairs: Sequence[tuple[LabeledDataset, LabeledDataset]], folds: Sequence[tuple]
 ) -> Iterator[np.ndarray]:
-    """Per (rows of train, rows of test, config) fold, its forest's posteriors
-    on its test rows, in fold order, from every usable CPU (_map_blocks),
-    cut by (training + test rows) x trees: growing a forest and predicting
-    with it both take time in proportion to their rows x trees."""
-    weights = [(len(rows) + len(test_rows)) * config.n_trees for rows, test_rows, config in folds]
-    return iter(_map_blocks(partial(_block_posteriors, train, test), folds, weights))
+    """Per (train, test) dataset pair, per (rows of train, rows of test, config,
+    posteriors) fold, its forest's posteriors on its test rows, or only their
+    argmax where posteriors is False: pair by pair, each in fold order. Every
+    pair's folds go through one _map_blocks round on every usable CPU, cut
+    by (training + test rows) x trees: growing a forest and predicting with
+    it both take time in proportion to their rows x trees."""
+    items = [(k, fold) for k in range(len(pairs)) for fold in folds]
+    weights = [(len(rows) + len(test_rows)) * config.n_trees
+               for _, (rows, test_rows, config, _) in items]
+    return iter(_map_blocks(partial(_block_posteriors, pairs), items, weights))
+
+
+def _one_corpus(datasets: LabeledDataset | Sequence[LabeledDataset]) -> list[LabeledDataset]:
+    """The datasets of one corpus, one per scheme, as a list: they must share
+    ids and labels, since their folds are drawn once, from the first."""
+    datasets = [datasets] if isinstance(datasets, LabeledDataset) else list(datasets)
+    if not datasets or any(ds.ids != datasets[0].ids
+                           or not np.array_equal(ds.labels, datasets[0].labels)
+                           for ds in datasets[1:]):
+        raise DataError("a protocol's datasets must be one or more views of the same "
+                        "labeled rows")
+    return datasets
 
 
 def _prediction_records(
@@ -417,40 +445,49 @@ def fraction_splits(
 
 
 def percentage_protocol(
-    dataset: LabeledDataset,
+    dataset: LabeledDataset | Sequence[LabeledDataset],
     fractions: Sequence[float],
     config: ForestConfig,
     entropy_base: str = "nats",
-) -> tuple[AccuracyTable, ProtocolResult]:
+) -> tuple[AccuracyTable, ProtocolResult] | list[tuple]:
     """Stratified train fractions, each repeated round(1/fraction) times,
     then leave-one-out: (the table, with the LOO column last, and the LOO
     result, one Prediction per row).
 
     Small fractions are noisier, so they get proportionally more repeats;
-    every cell is the mean over the repeats where it was defined. The
-    forests of every fold, fractions and LOO alike, grow in one
-    train_forests call.
+    every cell is the mean over the repeats where it was defined. dataset
+    may also be a sequence of datasets of one corpus, one per scheme, with
+    the same ids and labels: then the result is a list, one (table, LOO
+    result) per dataset. The splits are drawn once, from the labels, and
+    the forests of every dataset's folds, fractions and LOO alike, grow in
+    one _fold_posteriors round.
     """
-    table: AccuracyTable = {}
-    splits = [list(fraction_splits(dataset, fraction, config, _TAG_PERCENTAGE, fi))
+    datasets = _one_corpus(dataset)
+    splits = [list(fraction_splits(datasets[0], fraction, config, _TAG_PERCENTAGE, fi))
               for fi, fraction in enumerate(fractions)]
-    posteriors = _fold_posteriors(dataset, dataset, [fold for folds in splits for fold in folds]
-                                  + _loo_folds(dataset, config))
-    for fraction, folds in zip(fractions, splits):
-        results = [per_class_accuracy(dataset.labels[te], next(posteriors).argmax(axis=1))
-                   for _, te, _ in folds]
-        table[fraction_column_name(fraction)] = accuracy_column(results)
-    loo = _prediction_records(dataset, np.concatenate(list(posteriors)), entropy_base)
-    table[LOO_COLUMN] = accuracy_column([loo.accuracy])
-    return table, loo
+    folds = [(tr, te, cfg, False) for repeats in splits for tr, te, cfg in repeats]
+    results = _fold_posteriors([(ds, ds) for ds in datasets],
+                               folds + _loo_folds(datasets[0], config))
+    out = []
+    for ds in datasets:
+        table: AccuracyTable = {}
+        for fraction, repeats in zip(fractions, splits):
+            table[fraction_column_name(fraction)] = accuracy_column(
+                [per_class_accuracy(ds.labels[te], next(results)) for _, te, _ in repeats])
+        loo = _prediction_records(ds, np.concatenate(list(itertools.islice(results, len(ds)))),
+                                  entropy_base)
+        table[LOO_COLUMN] = accuracy_column([loo.accuracy])
+        out.append((table, loo))
+    return out[0] if isinstance(dataset, LabeledDataset) else out
 
 
 def _loo_folds(dataset: LabeledDataset, config: ForestConfig) -> list[tuple]:
-    """The fold of each row: trained without it, seeded at (seed, 202, row)."""
+    """The fold of each row, its posteriors kept: trained without it, seeded at (seed, 202, row)."""
     n = len(dataset)
     if n < 2:
         raise DataError("leave-one-out needs at least two instances")
-    return [(np.delete(np.arange(n), i), [i], _fold_config(config, _TAG_LOO, i)) for i in range(n)]
+    return [(np.delete(np.arange(n), i), [i], _fold_config(config, _TAG_LOO, i), True)
+            for i in range(n)]
 
 
 def loo_cv(
@@ -464,43 +501,51 @@ def loo_cv(
 
 
 def inter_corpus(
-    train_dataset: LabeledDataset,
-    test_dataset: LabeledDataset,
+    train_dataset: LabeledDataset | Sequence[LabeledDataset],
+    test_dataset: LabeledDataset | Sequence[LabeledDataset],
     fractions: Sequence[float],
     config: ForestConfig,
     entropy_base: str = "nats",
-) -> tuple[AccuracyTable, ProtocolResult | None]:
+) -> tuple[AccuracyTable, ProtocolResult | None] | list[tuple]:
     """Train on one corpus, evaluate on another.
 
     Fractions below 1 subsample the training corpus (stratified; the
     held-back complement is simply unused) with round(1/f) repeats;
     fraction 1.0 trains on the whole corpus exactly once. The second
     return value is the full-training-set run, when 1.0 was requested.
+    As in percentage_protocol, each corpus may also be a sequence of
+    datasets, one per scheme, paired in order: then the result is a list,
+    and every pair's folds grow in one round.
     """
-    if train_dataset.schema != test_dataset.schema:
-        raise SchemaMismatch(
-            f"corpora disagree on schema: {train_dataset.schema!r} vs {test_dataset.schema!r}"
-        )
-    test_rows = np.arange(len(test_dataset))
-    splits = []  # per fraction, its (training rows, test rows, config) folds
+    trains, tests = _one_corpus(train_dataset), _one_corpus(test_dataset)
+    schemas = [", ".join(repr(ds.schema) for ds in corpus) for corpus in (trains, tests)]
+    if schemas[0] != schemas[1]:
+        raise SchemaMismatch(f"corpora disagree on schema: {schemas[0]} vs {schemas[1]}")
+    test_rows = np.arange(len(tests[0]))
+    splits = []  # per fraction, its (training rows, test rows, config, posteriors) folds
     for fi, fraction in enumerate(fractions):
         if fraction == 1.0:
-            everyone = np.arange(len(train_dataset))
-            splits.append([(everyone, test_rows, _fold_config(config, _TAG_INTER, fi, 0, 1))])
+            everyone = np.arange(len(trains[0]))
+            splits.append([(everyone, test_rows, _fold_config(config, _TAG_INTER, fi, 0, 1),
+                            True)])
         else:
-            folds = fraction_splits(train_dataset, fraction, config, _TAG_INTER, fi)
-            splits.append([(tr, test_rows, cfg) for tr, _, cfg in folds])
-    posteriors = _fold_posteriors(train_dataset, test_dataset,
-                                  [fold for folds in splits for fold in folds])
-    table: AccuracyTable = {}
-    full_result: ProtocolResult | None = None
-    for fraction, folds in zip(fractions, splits):
-        runs = [next(posteriors) for _ in folds]
-        if fraction == 1.0:
-            full_result = _prediction_records(test_dataset, runs[0], entropy_base)
-        results = [per_class_accuracy(test_dataset.labels, probs.argmax(axis=1)) for probs in runs]
-        table[fraction_column_name(fraction)] = accuracy_column(results)
-    return table, full_result
+            folds = fraction_splits(trains[0], fraction, config, _TAG_INTER, fi)
+            splits.append([(tr, test_rows, cfg, False) for tr, _, cfg in folds])
+    results = _fold_posteriors(list(zip(trains, tests)),
+                               [fold for folds in splits for fold in folds])
+    out = []
+    for test in tests:
+        table: AccuracyTable = {}
+        full_result: ProtocolResult | None = None
+        for fraction, folds in zip(fractions, splits):
+            if fraction == 1.0:
+                full_result = _prediction_records(test, next(results), entropy_base)
+                runs = [full_result.accuracy]
+            else:
+                runs = [per_class_accuracy(test.labels, next(results)) for _ in folds]
+            table[fraction_column_name(fraction)] = accuracy_column(runs)
+        out.append((table, full_result))
+    return out[0] if isinstance(train_dataset, LabeledDataset) else out
 
 
 def window_sweep(
@@ -529,13 +574,13 @@ def window_sweep(
             continue
         if traces_b is None:
             ds = datasets[0]
-            probs = np.concatenate(list(_fold_posteriors(ds, ds, _loo_folds(ds, config))))
+            probs = np.concatenate(list(_fold_posteriors([(ds, ds)], _loo_folds(ds, config))))
             points.append((minutes, per_class_accuracy(ds.labels, probs.argmax(axis=1)).overall))
             continue
         dataset, dataset_b = datasets
         fold = (np.arange(len(dataset)), np.arange(len(dataset_b)),
-                _fold_config(config, _TAG_SWEEP, wi, 1))
-        predicted = next(_fold_posteriors(dataset, dataset_b, [fold])).argmax(axis=1)
+                _fold_config(config, _TAG_SWEEP, wi, 1), False)
+        predicted = next(_fold_posteriors([(dataset, dataset_b)], [fold]))
         rng = seeding.generator(config.seed, _TAG_SWEEP, wi, 0)
         accs = [per_class_accuracy(dataset_b.labels[rows], predicted[rows]).overall
                 for rows in np.array_split(rng.permutation(len(dataset_b)), 10) if len(rows)]

@@ -38,10 +38,12 @@ grower's memory stays bounded however many folds a protocol has.
 
 Determinism: every tree's RNG derives from (config.seed, tree index), and
 its draws happen in its own preorder: the bootstrap, then one feature
-subset per impure node, the subset Generator.choice(D, m_try,
-replace=False) would draw on that stream, decoded from the stream's words.
-So a tree does not depend on the trees it grew beside, and the forest is
-a pure function of (dataset, config).
+subset per impure node. Each is what Generator.integers(0, n, size=n),
+then Generator.choice(D, m_try, replace=False), would draw on that
+stream, decoded from the stream's words: the bootstrap and the first
+words from one raw draw, the rest from uint32 words. So a tree does not
+depend on the trees it grew beside, and the forest is a pure function of
+(dataset, config).
 """
 
 from __future__ import annotations
@@ -326,6 +328,31 @@ def _widen(a: np.ndarray, cols: int) -> np.ndarray:
     return out
 
 
+def _raw_draws(bitgen: np.random.BitGenerator, r: int, size: int,
+               width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(integers(0, r, size=size), then the uint32 words integers(0, 2**32,
+    dtype=np.uint32) would draw next, at most width >= 1 of them) of a
+    generator with no half word buffered, decoded from one random_raw call,
+    or more where rejections leave it short. numpy hands out each 64-bit
+    output as two uint32 halves, low half first. A draw in [0, r), r < 2**32,
+    is Lemire's on the next half, rejected as in _draw_candidates; r == 1
+    reads none. The words are the halves left after the draws, and the
+    generator's next output continues their stream.
+    """
+    reads = size if r > 1 else 0
+    halves = bitgen.random_raw((reads + width) // 2).astype("<u8", copy=False).view("<u4")
+    if not reads:
+        return np.zeros(size, dtype=np.int64), halves
+    r, floor = np.uint64(r), (2**32 - r) % r
+    prod = halves[:size] * r
+    if (prod & _MASK32).min() >= floor:  # no half rejected, nearly always
+        return prod >> 32, halves[size:]
+    while (kept := np.flatnonzero(halves * r & _MASK32 >= floor)).size < size:
+        more = bitgen.random_raw((size - kept.size + 1) // 2)
+        halves = np.concatenate([halves, more.astype("<u8", copy=False).view("<u4")])
+    return halves[kept[:size]] * r >> 32, halves[kept[size - 1] + 1:]
+
+
 def _refill(words: np.ndarray, cursor: np.ndarray, rngs: list, slots: np.ndarray) -> None:
     """Move the unread words of each slot's buffer, words[s, cursor[s]:], to its
     front and fill the rest with the next words of its generator."""
@@ -392,9 +419,11 @@ def _grow(
     leaves, then pops its next impure node; one _draw_candidates call, one
     _segment_scores call and one partition split all those nodes. Slot s
     keeps one generator, set to each new tree's state (seeding.pcg64_states,
-    one call for every tree a fill admits). After the bootstrap a tree's
-    generator draws only candidates, a buffer of words at a time, in the
-    tree's preorder, so a tree does not depend on the trees it grows beside.
+    one call for every tree a fill admits), whose one random_raw call gives
+    the bootstrap and the slot's first words (_raw_draws). After the
+    bootstrap a tree's generator draws only candidates, a buffer of words at
+    a time, in the tree's preorder, so a tree does not depend on the trees
+    it grows beside.
     """
     d = x.shape[1]
     ranks = _column_ranks(x)
@@ -438,14 +467,16 @@ def _grow(
             rng = rngs[s] = rngs[s] or np.random.Generator(np.random.PCG64(0))
             rng.bit_generator.state = state
             n = len(fold_rows)
+            draws, tail = _raw_draws(rng.bit_generator, n, 0 if identity else n, words.shape[1])
             if not identity:
-                fold_rows = fold_rows[rng.integers(0, n, size=n)]
+                fold_rows = fold_rows[draws]
             if n > rows.shape[1]:
                 rows = _widen(rows, n)
             rows[s, :n] = fold_rows
-            words[s] = rng.integers(0, 2**32, size=words.shape[1], dtype=np.uint32)
+            cursor[s] = words.shape[1] - len(tail)
+            words[s, cursor[s]:] = tail
             stack[s, 0] = (0, n, -1, *np.bincount(y[fold_rows], minlength=CLASS_COUNT))
-            job[s], m_try[s], sp[s], size[s], cursor[s] = pos, config.resolve_m_try(d), 1, 0, 0
+            job[s], m_try[s], sp[s], size[s] = pos, config.resolve_m_try(d), 1, 0
         live = np.flatnonzero(job >= 0)
         if not live.size:
             return

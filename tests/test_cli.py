@@ -17,8 +17,7 @@ import pytest
 from sensorclass import evaluate, reporting
 from sensorclass.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_UNDEFINED, main
 from sensorclass.errors import DataError, InvalidConfig
-from sensorclass.evaluate import percentage_protocol
-from sensorclass.forest import ForestConfig
+from sensorclass.forest import ForestConfig, train_forests
 from sensorclass.reporting import (
     read_feature_matrix,
     read_manifest,
@@ -942,27 +941,65 @@ def test_eval_window_sweep_with_no_point_exits_data(ws, tmp_path, capsys, second
     assert not out.exists()
 
 
-@pytest.mark.parametrize("raised, code", [
-    (KeyboardInterrupt(), 130),
-    (DataError("baseline2 failed"), EXIT_DATA),
-], ids=["ctrl-c", "data-error"])
-def test_eval_that_stops_on_its_second_scheme_leaves_no_output(ws, tmp_path, monkeypatch,
-                                                               raised, code):
-    # rich8's results exist by then; none of them may be written
-    calls = []
+@pytest.mark.parametrize("raised, code, cpus", [
+    (KeyboardInterrupt(), 130, 1),
+    (DataError("baseline2 failed"), EXIT_DATA, 1),
+    (DataError("baseline2 failed"), EXIT_DATA, 2),
+], ids=["ctrl-c", "data-error", "data-error-in-a-worker"])
+def test_eval_that_stops_on_its_second_scheme_leaves_no_output(ws, tmp_path, monkeypatch, capsys,
+                                                               workers, raised, code, cpus):
+    # the run stops in baseline2's forests, after rich8's: none of its results may be written
+    schemas = []  # of each train_forests call this process makes
 
-    def second_call_raises(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 2:
+    def fails_on_baseline2(dataset, folds):
+        schemas.append(dataset.schema)
+        if dataset.schema == "baseline2":
             raise raised
-        return percentage_protocol(*args, **kwargs)
+        return train_forests(dataset, folds)
 
-    monkeypatch.setattr(evaluate, "percentage_protocol", second_call_raises)
+    workers(cpus)
+    monkeypatch.setattr(evaluate, "train_forests", fails_on_baseline2)
     out = tmp_path / "o"
+    capsys.readouterr()
     rc = main(["eval", "--protocol", "percentage", "--scheme", "both", "--fractions", "0.5",
                "--manifest", str(ws.manifest), "--trees", "2", "--out-dir", str(out)])
-    assert (rc, len(calls)) == (code, 2)
+    assert rc == code
+    assert schemas == (["rich8", "baseline2"] if cpus == 1 else [])  # else in the workers
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "interrupted" if code == 130 else "error: baseline2 failed")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("protocol", ["percentage", "loo", "inter"])
+def test_scheme_both_writes_each_schemes_files_as_that_scheme_alone(ws, tmp_path, workers,
+                                                                     protocol, cpus):
+    # both schemes grow in one fold round; each scheme's files keep the bytes of its own run
+    workers(cpus)
+    argv = ["eval", "--protocol", protocol, "--manifest", str(ws.manifest), "--trees", "2",
+            "--seed", "5", *{"percentage": ["--fractions", "0.33,0.5"],
+                             "inter": ["--manifest-b", str(ws.manifest), "--fractions", "0.5"],
+                             }.get(protocol, [])]
+    for scheme in ("both", "rich8", "baseline2"):
+        assert main([*argv, "--scheme", scheme, "--out-dir", str(tmp_path / scheme)]) == EXIT_OK
+    for scheme in ("rich8", "baseline2"):
+        for name in (f"{kind}_{scheme}.csv" for kind in ("predictions", "roc", "cdf", "accuracy")):
+            assert (tmp_path / "both" / name).read_bytes() == (tmp_path / scheme / name).read_bytes()
+
+
+def test_a_one_instance_class_is_logged_once_per_split(ws, tmp_path, caplog):
+    # one co2 trace left: each of the two 50% splits logs it once, however many schemes run
+    entries = [(tid, str(path), lab) for tid, path, lab in read_manifest(ws.manifest)[0]
+               if lab != SensorType.CO2 or tid == "mini-co2-000"]
+    reporting.write_manifest(tmp_path / "m.csv", entries)
+    caplog.set_level(logging.INFO)
+    for scheme in ("both", "rich8"):
+        caplog.clear()
+        assert main(["eval", "--protocol", "percentage", "--scheme", scheme, "--fractions", "0.5",
+                     "--manifest", str(tmp_path / "m.csv"), "--trees", "2",
+                     "--out-dir", str(tmp_path / scheme)]) == EXIT_OK
+        assert [r.getMessage() for r in caplog.records if "one instance" in r.getMessage()] == [
+            "stratified_split: class co2 has one instance; untestable this split"] * 2
 
 
 def _write_latin1(path):

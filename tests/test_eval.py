@@ -467,12 +467,12 @@ def test_window_sweep_loo_is_the_same_on_one_and_two_workers(fold_workers):
 
 def test_a_worker_data_error_reaches_the_caller_unchanged(small_dataset, fold_workers):
     config = ForestConfig(n_trees=2, seed=34)
-    folds = [(np.arange(5), [5], config), (np.array([], dtype=np.intp), [6], config)]
+    folds = [(np.arange(5), [5], config, True), (np.array([], dtype=np.intp), [6], config, True)]
     messages = []
     for cpus in (1, 2):
         with pytest.raises(DataError) as raised:
-            fold_workers(cpus, lambda: list(evaluate._fold_posteriors(small_dataset,
-                                                                      small_dataset, folds)))
+            fold_workers(cpus, lambda: list(evaluate._fold_posteriors(
+                [(small_dataset, small_dataset)], folds)))
         assert type(raised.value) is DataError
         messages.append(str(raised.value))
         assert multiprocessing.active_children() == []
@@ -510,6 +510,51 @@ def test_a_second_live_thread_keeps_the_folds_in_process(small_dataset, fold_wor
     assert_same_posteriors(probs, probs_alone)
 
 
+@pytest.mark.parametrize("protocol", ["percentage", "inter"])
+def test_every_scheme_grows_in_one_round_as_it_would_alone(small_corpus, fold_workers, protocol):
+    # the rich8 and baseline2 datasets of a corpus share one split draw and one block-map round:
+    # two workers, where a call per scheme starts four. Each scheme's results are its own
+    # call's, and a worker sends back the predicted codes of a fold that only scores them
+    datasets = build_dataset(small_corpus, 2700.0, ["rich8", "baseline2"])
+    config = ForestConfig(n_trees=3, seed=37)
+
+    def run(ds):
+        if protocol == "percentage":
+            return percentage_protocol(ds, (0.33, 0.5), config)
+        test = ([d.subset(np.arange(0, len(d), 2)) for d in ds] if isinstance(ds, list)
+                else ds.subset(np.arange(0, len(ds), 2)))
+        return inter_corpus(ds, test, (0.5, 1.0), config)
+
+    def records(result):
+        return [(p.trace_id, p.predicted, p.entropy, p.probs.tolist()) for p in result.predictions]
+
+    both, probs, started = fold_workers(2, run, datasets)
+    alone = [fold_workers(2, run, ds) for ds in datasets]
+    assert [len(started)] + [len(s) for _, _, s in alone] == [2, 2, 2]
+    assert_same_posteriors(probs, [p for _, ps, _ in alone for p in ps])
+    codes_then_posteriors = ([1] * 5 + [2] * len(datasets[0]) if protocol == "percentage"
+                             else [1, 1, 2])
+    assert [p.ndim for p in probs] == codes_then_posteriors * 2
+    for (table, result), ((table_alone, result_alone), _, _) in zip(both, alone):
+        assert table == table_alone
+        assert records(result) == records(result_alone)
+
+
+def test_a_protocols_datasets_are_views_of_the_same_rows(small_dataset, small_corpus):
+    config = ForestConfig(n_trees=2, seed=38)
+    relabeled = LabeledDataset(small_dataset.ids, small_dataset.features,
+                               np.roll(small_dataset.labels, 1), small_dataset.schema)
+    reordered = small_dataset.subset(np.arange(len(small_dataset))[::-1])
+    for datasets in ([small_dataset, relabeled], [small_dataset, reordered], []):
+        with pytest.raises(DataError, match="views of the same labeled rows"):
+            percentage_protocol(datasets, (0.5,), config)
+        with pytest.raises(DataError, match="views of the same labeled rows"):
+            inter_corpus(datasets, datasets, (1.0,), config)
+    baseline2 = build_dataset(small_corpus, 2700.0, "baseline2")
+    with pytest.raises(SchemaMismatch):  # the schemes of the two corpora pair up in order
+        inter_corpus([small_dataset, baseline2], [baseline2, small_dataset], (1.0,), config)
+
+
 def run_keys(results):
     """The runs a recording block function saw, in order, from its per-item results."""
     return list(dict.fromkeys(results))
@@ -517,12 +562,12 @@ def run_keys(results):
 
 def test_fold_blocks_are_contiguous_and_balanced_by_rows_times_trees(workers, monkeypatch):
     # each fold is named by its first test row; every fold's result is the names of its run
-    monkeypatch.setattr(evaluate, "_block_posteriors",
-                        lambda train, test, run: [tuple(int(te[0]) for _, te, _ in run)] * len(run))
+    monkeypatch.setattr(evaluate, "_block_posteriors", lambda pairs, run: [
+        tuple(int(te[0]) for _, (_, te, _, _) in run)] * len(run))
 
     def runs(cpus, folds):
         workers(cpus)
-        results = list(evaluate._fold_posteriors(None, None, folds))
+        results = list(evaluate._fold_posteriors([None], [(*fold, False) for fold in folds]))
         assert results == [key for key in run_keys(results) for _ in key]  # one per fold, in order
         return run_keys(results)
 

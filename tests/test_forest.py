@@ -398,6 +398,45 @@ def test_a_draw_straddles_a_refill():
     assert (twin.integers(0, 2**32, size=1, dtype=np.uint32) == words[0, 3]).all()
 
 
+def assert_raw_draws_equal_integers(k, r, size, width):
+    """_raw_draws on generator k against integers(0, r, size=size) and then uint32 words on
+    a twin; the generator reads on where the decoded words end."""
+    rng, twin = seeding.generator(k), seeding.generator(k)
+    draws, words = forest_module._raw_draws(rng.bit_generator, r, size, width)
+    assert draws.tolist() == twin.integers(0, r, size=size).tolist()
+    assert len(words) <= width
+    after = rng.integers(0, 2**32, size=40, dtype=np.uint32).tolist()
+    assert [*words.tolist(), *after] == twin.integers(0, 2**32, size=len(words) + 40,
+                                                      dtype=np.uint32).tolist()
+    return words
+
+
+def test_raw_bootstrap_and_words_equal_integers():
+    # a tree's bootstrap, integers(0, n, size=n), and the words after it: n == 1 and the
+    # identity bootstrap (size 0) read no half, and the words fill all but at most one slot
+    for n in range(1, 301):
+        words = assert_raw_draws_equal_integers(n, n, n, 32)
+        assert len(words) == (32 if n == 1 else 32 - n % 2)
+        assert len(assert_raw_draws_equal_integers(n, n, 0, 32)) == 32
+
+
+def test_raw_draws_reject_as_lemire_does():
+    # r = 3 * 2**30 + 7 rejects a half whose product's low 32 bits are below
+    # (2**32 - r) % r = 2**30 - 7, one in four: 942 halves over these 300 streams, counted
+    # here from the raw outputs. With one word of room, the first outputs fall short of nine
+    # draws, and more are read
+    r = 3 * 2**30 + 7
+    rejected = 0
+    for k in range(300):
+        for width in (32, 1):
+            assert_raw_draws_equal_integers(k, r, 9, width)
+        halves = [h for w in seeding.generator(k).bit_generator.random_raw(40).tolist()
+                  for h in (w & 0xFFFFFFFF, w >> 32)]
+        kept = [i for i, h in enumerate(halves) if (h * r) & 0xFFFFFFFF >= 2**30 - 7]
+        rejected += kept[8] - 8  # the halves read before the ninth kept one, less eight
+    assert rejected == 942
+
+
 GROWER_DIGEST = Path(__file__).parent / "golden" / "grower.sha256"
 
 

@@ -6,13 +6,14 @@ methods for each draw (NEP 19 lets their algorithms change between numpy
 releases), and on np.median and np.var for every feature. Each test here
 pins one of those primitives at a fixed seed path. When a golden test
 fails under another numpy, the canary that fails beside it names the
-primitive that moved. Tree growth draws with `integers`: the bootstrap,
-then uint32 words from which the grower decodes what `choice` without
-replacement would draw (one feature subset per impure node), and it sets
+primitive that moved. Tree growth decodes every draw from its generator's
+words: from raw outputs, what `integers` would draw for the bootstrap and
+the uint32 words after it, and from those words, what `choice` without
+replacement would draw (one feature subset per impure node); and it sets
 each tree's generator to a state derived in a batch, not by SeedSequence.
-So two cases here check the grower's own copies of those algorithms against
-numpy's, `choice` and `seeding.generator`. synth and the evaluation splits
-draw with the rest.
+So three cases here check the grower's own copies of those algorithms
+against numpy's, `integers`, `choice` and `seeding.generator`. synth and
+the evaluation splits draw with the rest.
 
 The values were recorded with numpy 2.4.6.
 """
@@ -68,6 +69,15 @@ def test_median_and_variance_rows():
                       [1e3, 1e3 + 0.1, 1e3 - 0.3, 999.9, 1e3, 1e3 + 0.2]])
     assert np.median(block, axis=1).tolist() == [2.2, 1000.0]
     assert np.var(block, axis=1).tolist() == [8.776458333333332, 0.02472222222222273]
+
+
+def test_grower_bootstrap_decode_equals_integers():
+    # what forest._raw_draws decodes from a tree's raw outputs, its bootstrap and the
+    # words after it, against integers on the same stream
+    decoded, twin = rng(14), rng(14)
+    draws, words = forest._raw_draws(decoded.bit_generator, 41, 41, 16)
+    assert draws.tolist() == twin.integers(0, 41, size=41).tolist()
+    assert words.tolist() == twin.integers(0, 2**32, size=15, dtype=np.uint32).tolist()
 
 
 def test_grower_decode_equals_choice():
