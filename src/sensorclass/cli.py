@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, evaluate, reporting
+from . import __version__, reporting
 from .errors import (
     ConfigError,
     DataError,
@@ -153,6 +153,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_features(args) -> int:
+    # evaluate is imported where it is read, so train, classify and flag do not compile it
+    from . import evaluate
+
     if args.scheme == "both":
         raise ConfigError("features writes a single matrix; pick --scheme rich8 or baseline2")
     traces = reporting.load_manifest_traces(args.manifest)
@@ -277,6 +280,8 @@ def _parse_minutes(text: str) -> list[int]:
 
 
 def _parse_fractions(text: str, protocol: str) -> list[float]:
+    from . import evaluate
+
     values = _parse_floats(text, "--fractions")
     full_ok = protocol == "inter"
     bad = [v for v in values if not (0.0 < v < 1.0 or (full_ok and v == 1.0))]
@@ -304,6 +309,8 @@ def _check_mtry(config: ForestConfig, scheme: str) -> None:
 def cmd_eval(args) -> int:
     """Checks every flag, computes every result, and only then makes --out-dir
     and writes its files, so a run that stops before then leaves no output."""
+    from . import evaluate
+
     for flag, value, readers in (("--fractions", args.fractions, ("percentage", "inter")),
                                  ("--windows", args.windows, ("window-sweep",))):
         if value is not None and args.protocol not in readers:

@@ -9,8 +9,8 @@ Every protocol runs its (training rows, test rows, config, posteriors)
 folds through one loop, _fold_posteriors, which grows their forests in
 train_forests calls and sends back each forest's posteriors on its test
 rows, or only their argmax where that is all the fold is scored by. The
-percentage protocol grows its LOO folds in that same loop. A protocol may
-take the datasets of one corpus, one per feature scheme: their folds are
+percentage protocol grows its LOO folds in that same loop. A protocol
+takes the datasets of one corpus, one per feature scheme: their folds are
 drawn once and every scheme's go through the loop together, so an eval
 command makes one block-map round of folds, whatever its schemes. Only the
 LOO runs and inter's full-training-set run build Prediction records, with
@@ -401,10 +401,10 @@ def _fold_posteriors(
     return iter(_map_blocks(partial(_block_posteriors, pairs), items, weights))
 
 
-def _one_corpus(datasets: LabeledDataset | Sequence[LabeledDataset]) -> list[LabeledDataset]:
+def _one_corpus(datasets: Sequence[LabeledDataset]) -> list[LabeledDataset]:
     """The datasets of one corpus, one per scheme, as a list: they must share
     ids and labels, since their folds are drawn once, from the first."""
-    datasets = [datasets] if isinstance(datasets, LabeledDataset) else list(datasets)
+    datasets = list(datasets)
     if not datasets or any(ds.ids != datasets[0].ids
                            or not np.array_equal(ds.labels, datasets[0].labels)
                            for ds in datasets[1:]):
@@ -445,29 +445,28 @@ def fraction_splits(
 
 
 def percentage_protocol(
-    dataset: LabeledDataset | Sequence[LabeledDataset],
+    datasets: Sequence[LabeledDataset],
     fractions: Sequence[float],
     config: ForestConfig,
     entropy_base: str = "nats",
-) -> tuple[AccuracyTable, ProtocolResult] | list[tuple]:
+) -> list[tuple[AccuracyTable, ProtocolResult]]:
     """Stratified train fractions, each repeated round(1/fraction) times,
-    then leave-one-out: (the table, with the LOO column last, and the LOO
-    result, one Prediction per row).
+    then leave-one-out: per dataset, (the table, with the LOO column last,
+    and the LOO result, one Prediction per row).
 
     Small fractions are noisier, so they get proportionally more repeats;
-    every cell is the mean over the repeats where it was defined. dataset
-    may also be a sequence of datasets of one corpus, one per scheme, with
-    the same ids and labels: then the result is a list, one (table, LOO
-    result) per dataset. The splits are drawn once, from the labels, and
-    the forests of every dataset's folds, fractions and LOO alike, grow in
-    one _fold_posteriors round.
+    every cell is the mean over the repeats where it was defined. The
+    datasets are those of one corpus, one per scheme, with the same ids and
+    labels. The splits are drawn once, from the labels, and the forests of
+    every dataset's folds, fractions and LOO alike, grow in one
+    _fold_posteriors round.
     """
-    datasets = _one_corpus(dataset)
+    datasets = _one_corpus(datasets)
     splits = [list(fraction_splits(datasets[0], fraction, config, _TAG_PERCENTAGE, fi))
               for fi, fraction in enumerate(fractions)]
     folds = [(tr, te, cfg, False) for repeats in splits for tr, te, cfg in repeats]
     results = _fold_posteriors([(ds, ds) for ds in datasets],
-                               folds + _loo_folds(datasets[0], config))
+                               folds + _loo_folds(datasets[0], config, True))
     out = []
     for ds in datasets:
         table: AccuracyTable = {}
@@ -478,15 +477,15 @@ def percentage_protocol(
                                   entropy_base)
         table[LOO_COLUMN] = accuracy_column([loo.accuracy])
         out.append((table, loo))
-    return out[0] if isinstance(dataset, LabeledDataset) else out
+    return out
 
 
-def _loo_folds(dataset: LabeledDataset, config: ForestConfig) -> list[tuple]:
-    """The fold of each row, its posteriors kept: trained without it, seeded at (seed, 202, row)."""
+def _loo_folds(dataset: LabeledDataset, config: ForestConfig, posteriors: bool) -> list[tuple]:
+    """The fold of each row: trained without it, seeded at (seed, 202, row)."""
     n = len(dataset)
     if n < 2:
         raise DataError("leave-one-out needs at least two instances")
-    return [(np.delete(np.arange(n), i), [i], _fold_config(config, _TAG_LOO, i), True)
+    return [(np.delete(np.arange(n), i), [i], _fold_config(config, _TAG_LOO, i), posteriors)
             for i in range(n)]
 
 
@@ -497,27 +496,26 @@ def loo_cv(
 
     The LOO result of percentage_protocol with no fractions.
     """
-    return percentage_protocol(dataset, (), config, entropy_base)[1]
+    return percentage_protocol([dataset], (), config, entropy_base)[0][1]
 
 
 def inter_corpus(
-    train_dataset: LabeledDataset | Sequence[LabeledDataset],
-    test_dataset: LabeledDataset | Sequence[LabeledDataset],
+    train_datasets: Sequence[LabeledDataset],
+    test_datasets: Sequence[LabeledDataset],
     fractions: Sequence[float],
     config: ForestConfig,
     entropy_base: str = "nats",
-) -> tuple[AccuracyTable, ProtocolResult | None] | list[tuple]:
-    """Train on one corpus, evaluate on another.
+) -> list[tuple[AccuracyTable, ProtocolResult | None]]:
+    """Train on one corpus, evaluate on another: per scheme, (the table, the
+    full-training-set run when 1.0 was requested, else None).
 
     Fractions below 1 subsample the training corpus (stratified; the
     held-back complement is simply unused) with round(1/f) repeats;
-    fraction 1.0 trains on the whole corpus exactly once. The second
-    return value is the full-training-set run, when 1.0 was requested.
-    As in percentage_protocol, each corpus may also be a sequence of
-    datasets, one per scheme, paired in order: then the result is a list,
-    and every pair's folds grow in one round.
+    fraction 1.0 trains on the whole corpus exactly once. As in
+    percentage_protocol, each corpus is its datasets, one per scheme,
+    paired in order, and every pair's folds grow in one round.
     """
-    trains, tests = _one_corpus(train_dataset), _one_corpus(test_dataset)
+    trains, tests = _one_corpus(train_datasets), _one_corpus(test_datasets)
     schemas = [", ".join(repr(ds.schema) for ds in corpus) for corpus in (trains, tests)]
     if schemas[0] != schemas[1]:
         raise SchemaMismatch(f"corpora disagree on schema: {schemas[0]} vs {schemas[1]}")
@@ -545,7 +543,7 @@ def inter_corpus(
                 runs = [per_class_accuracy(test.labels, next(results)) for _ in folds]
             table[fraction_column_name(fraction)] = accuracy_column(runs)
         out.append((table, full_result))
-    return out[0] if isinstance(train_dataset, LabeledDataset) else out
+    return out
 
 
 def window_sweep(
@@ -574,8 +572,9 @@ def window_sweep(
             continue
         if traces_b is None:
             ds = datasets[0]
-            probs = np.concatenate(list(_fold_posteriors([(ds, ds)], _loo_folds(ds, config))))
-            points.append((minutes, per_class_accuracy(ds.labels, probs.argmax(axis=1)).overall))
+            predicted = np.concatenate(list(_fold_posteriors([(ds, ds)],
+                                                             _loo_folds(ds, config, False))))
+            points.append((minutes, per_class_accuracy(ds.labels, predicted).overall))
             continue
         dataset, dataset_b = datasets
         fold = (np.arange(len(dataset)), np.arange(len(dataset_b)),

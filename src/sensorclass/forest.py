@@ -343,14 +343,16 @@ def _raw_draws(bitgen: np.random.BitGenerator, r: int, size: int,
     halves = bitgen.random_raw((reads + width) // 2).astype("<u8", copy=False).view("<u4")
     if not reads:
         return np.zeros(size, dtype=np.int64), halves
-    r, floor = np.uint64(r), (2**32 - r) % r
-    prod = halves[:size] * r
+    # widened before the product: numpy 1.x would keep uint32 * np.uint64(r) in uint32
+    wide, floor = halves.astype(np.uint64), (2**32 - r) % r
+    prod = wide[:size] * r
     if (prod & _MASK32).min() >= floor:  # no half rejected, nearly always
         return prod >> 32, halves[size:]
-    while (kept := np.flatnonzero(halves * r & _MASK32 >= floor)).size < size:
+    while (kept := np.flatnonzero(wide * r & _MASK32 >= floor)).size < size:
         more = bitgen.random_raw((size - kept.size + 1) // 2)
         halves = np.concatenate([halves, more.astype("<u8", copy=False).view("<u4")])
-    return halves[kept[:size]] * r >> 32, halves[kept[size - 1] + 1:]
+        wide = halves.astype(np.uint64)
+    return wide[kept[:size]] * r >> 32, halves[kept[size - 1] + 1:]
 
 
 def _refill(words: np.ndarray, cursor: np.ndarray, rngs: list, slots: np.ndarray) -> None:

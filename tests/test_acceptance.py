@@ -157,11 +157,11 @@ def test_criterion_06_cross_corpus_transfer_and_missing_class():
                          WINDOW_45_MIN, "rich8")
     ds_b = build_dataset(generate_corpus(preset_spec("building-b", seed=43)),
                          WINDOW_45_MIN, "rich8")
-    _, full = inter_corpus(ds_a, ds_b, (1.0,), ForestConfig())
+    [(_, full)] = inter_corpus([ds_a], [ds_b], (1.0,), ForestConfig())
     assert full.accuracy.overall >= 0.70
 
     without = ds_a.subset(np.nonzero(ds_a.labels != int(SensorType.SETPOINT))[0])
-    _, crippled = inter_corpus(without, ds_b, (1.0,), ForestConfig())
+    [(_, crippled)] = inter_corpus([without], [ds_b], (1.0,), ForestConfig())
     assert crippled.accuracy.per_class[SensorType.SETPOINT] <= 0.05
 
 
@@ -255,7 +255,8 @@ def test_criterion_10_stratification_and_repeats(default_dataset):
 
     assert repeats_for_fraction(0.05) == 20
     assert repeats_for_fraction(0.5) == 2
-    table, _ = percentage_protocol(default_dataset, (0.05, 0.5), ForestConfig(n_trees=2, seed=3))
+    [(table, _)] = percentage_protocol([default_dataset], (0.05, 0.5),
+                                     ForestConfig(n_trees=2, seed=3))
     assert table["5%"]["overall"].repeats == 20
     assert table["50%"]["overall"].repeats == 2
 

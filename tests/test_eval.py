@@ -182,7 +182,7 @@ def test_fraction_column_names():
 
 def test_percentage_table_shape_and_repeats(small_dataset):
     config = ForestConfig(n_trees=8, seed=5)
-    table, _ = percentage_protocol(small_dataset, (0.33, 0.5), config)
+    [(table, _)] = percentage_protocol([small_dataset], (0.33, 0.5), config)
     assert list(table) == ["33%", "50%", "loo"]
     assert all(list(cells) == ROW_NAMES for cells in table.values())
     for name in ("33%", "50%"):
@@ -195,8 +195,8 @@ def test_percentage_table_shape_and_repeats(small_dataset):
 
 def test_percentage_deterministic(small_dataset):
     config = ForestConfig(n_trees=6, seed=9)
-    a, _ = percentage_protocol(small_dataset, (0.5,), config)
-    b, _ = percentage_protocol(small_dataset, (0.5,), config)
+    [(a, _)] = percentage_protocol([small_dataset], (0.5,), config)
+    [(b, _)] = percentage_protocol([small_dataset], (0.5,), config)
     assert a == b
 
 
@@ -204,13 +204,13 @@ def test_percentage_protocol_ends_with_the_loo_run(small_dataset):
     # the fraction folds and the LOO folds grow in one call; the LOO column
     # and records are those loo_cv gives, in the same entropy base
     config = ForestConfig(n_trees=4, seed=12)
-    table, loo = percentage_protocol(small_dataset, (0.33, 0.5), config, "bits")
+    [(table, loo)] = percentage_protocol([small_dataset], (0.33, 0.5), config, "bits")
     expected = loo_cv(small_dataset, config, "bits")
     assert [(p.trace_id, p.predicted, p.entropy, p.probs.tolist()) for p in loo.predictions] == [
         (p.trace_id, p.predicted, p.entropy, p.probs.tolist()) for p in expected.predictions]
     assert loo.truth == expected.truth
     assert table["loo"] == accuracy_column([expected.accuracy])
-    alone, _ = percentage_protocol(small_dataset, (0.33,), config)
+    [(alone, _)] = percentage_protocol([small_dataset], (0.33,), config)
     assert table["33%"] == alone["33%"]
 
 
@@ -276,7 +276,8 @@ def test_loo_deterministic(small_dataset):
 
 
 def test_inter_full_fraction_returns_result(small_dataset):
-    table, full = inter_corpus(small_dataset, small_dataset, (1.0,), ForestConfig(n_trees=8, seed=3))
+    [(table, full)] = inter_corpus([small_dataset], [small_dataset], (1.0,),
+                                   ForestConfig(n_trees=8, seed=3))
     assert full is not None
     assert list(table) == [FULL_COLUMN]
     # resubstitution with a forest on its own training set is near-perfect
@@ -284,7 +285,8 @@ def test_inter_full_fraction_returns_result(small_dataset):
 
 
 def test_inter_without_full_fraction_returns_none(small_dataset):
-    table, full = inter_corpus(small_dataset, small_dataset, (0.5,), ForestConfig(n_trees=4, seed=3))
+    [(table, full)] = inter_corpus([small_dataset], [small_dataset], (0.5,),
+                                   ForestConfig(n_trees=4, seed=3))
     assert full is None
     assert list(table) == ["50%"]
     assert table["50%"]["overall"].repeats == 2
@@ -293,14 +295,14 @@ def test_inter_without_full_fraction_returns_none(small_dataset):
 def test_inter_missing_class_scores_zero(small_dataset):
     keep = np.nonzero(small_dataset.labels != int(SensorType.SETPOINT))[0]
     train = small_dataset.subset(keep)
-    _, full = inter_corpus(train, small_dataset, (1.0,), ForestConfig(n_trees=8, seed=4))
+    [(_, full)] = inter_corpus([train], [small_dataset], (1.0,), ForestConfig(n_trees=8, seed=4))
     assert full.accuracy.per_class[SensorType.SETPOINT] == 0.0
 
 
 def test_inter_schema_mismatch(small_corpus, small_dataset):
     ds_b = build_dataset(small_corpus, 2700.0, "baseline2")
     with pytest.raises(SchemaMismatch):
-        inter_corpus(small_dataset, ds_b, (1.0,), ForestConfig())
+        inter_corpus([small_dataset], [ds_b], (1.0,), ForestConfig())
 
 
 # --- window sweep -----------------------------------------------------------------------
@@ -429,10 +431,10 @@ def assert_same_posteriors(a, b):
 
 def test_percentage_protocol_is_the_same_on_one_and_two_workers(small_dataset, fold_workers):
     config = ForestConfig(n_trees=4, seed=31)
-    (table1, loo1), probs1, started1 = fold_workers(1, percentage_protocol, small_dataset,
-                                                    (0.33, 0.5), config)
-    (table2, loo2), probs2, started2 = fold_workers(2, percentage_protocol, small_dataset,
-                                                    (0.33, 0.5), config)
+    [(table1, loo1)], probs1, started1 = fold_workers(1, percentage_protocol, [small_dataset],
+                                                      (0.33, 0.5), config)
+    [(table2, loo2)], probs2, started2 = fold_workers(2, percentage_protocol, [small_dataset],
+                                                      (0.33, 0.5), config)
     assert (len(started1), len(started2)) == (0, 2)
     assert table1 == table2
     assert_same_posteriors(probs1, probs2)
@@ -443,10 +445,10 @@ def test_percentage_protocol_is_the_same_on_one_and_two_workers(small_dataset, f
 def test_inter_corpus_is_the_same_on_one_and_two_workers(small_dataset, fold_workers):
     config = ForestConfig(n_trees=4, seed=32)
     test = small_dataset.subset(np.arange(0, len(small_dataset), 2))
-    (table1, full1), probs1, started1 = fold_workers(1, inter_corpus, small_dataset, test,
-                                                     (0.33, 0.5, 1.0), config)
-    (table2, full2), probs2, started2 = fold_workers(2, inter_corpus, small_dataset, test,
-                                                     (0.33, 0.5, 1.0), config)
+    [(table1, full1)], probs1, started1 = fold_workers(1, inter_corpus, [small_dataset], [test],
+                                                       (0.33, 0.5, 1.0), config)
+    [(table2, full2)], probs2, started2 = fold_workers(2, inter_corpus, [small_dataset], [test],
+                                                       (0.33, 0.5, 1.0), config)
     assert (len(started1), len(started2)) == (0, 2)
     assert table1 == table2
     assert_same_posteriors(probs1, probs2)
@@ -521,21 +523,20 @@ def test_every_scheme_grows_in_one_round_as_it_would_alone(small_corpus, fold_wo
     def run(ds):
         if protocol == "percentage":
             return percentage_protocol(ds, (0.33, 0.5), config)
-        test = ([d.subset(np.arange(0, len(d), 2)) for d in ds] if isinstance(ds, list)
-                else ds.subset(np.arange(0, len(ds), 2)))
-        return inter_corpus(ds, test, (0.5, 1.0), config)
+        return inter_corpus(ds, [d.subset(np.arange(0, len(d), 2)) for d in ds], (0.5, 1.0),
+                            config)
 
     def records(result):
         return [(p.trace_id, p.predicted, p.entropy, p.probs.tolist()) for p in result.predictions]
 
     both, probs, started = fold_workers(2, run, datasets)
-    alone = [fold_workers(2, run, ds) for ds in datasets]
+    alone = [fold_workers(2, run, [ds]) for ds in datasets]
     assert [len(started)] + [len(s) for _, _, s in alone] == [2, 2, 2]
     assert_same_posteriors(probs, [p for _, ps, _ in alone for p in ps])
     codes_then_posteriors = ([1] * 5 + [2] * len(datasets[0]) if protocol == "percentage"
                              else [1, 1, 2])
     assert [p.ndim for p in probs] == codes_then_posteriors * 2
-    for (table, result), ((table_alone, result_alone), _, _) in zip(both, alone):
+    for (table, result), ([(table_alone, result_alone)], _, _) in zip(both, alone):
         assert table == table_alone
         assert records(result) == records(result_alone)
 

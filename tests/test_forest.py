@@ -420,6 +420,14 @@ def test_raw_bootstrap_and_words_equal_integers():
         assert len(assert_raw_draws_equal_integers(n, n, 0, 32)) == 32
 
 
+def test_raw_draws_are_taken_from_the_64_bit_product():
+    # a half times r needs 64 bits: kept in 32 bits, as numpy 1.x keeps uint32 * np.uint64(r),
+    # every draw would read 0 and every bootstrap would repeat its first row
+    for r in (255, 2**31):
+        draws, _ = forest_module._raw_draws(seeding.generator(5).bit_generator, r, 64, 32)
+        assert draws.max() > r // 2
+
+
 def test_raw_draws_reject_as_lemire_does():
     # r = 3 * 2**30 + 7 rejects a half whose product's low 32 bits are below
     # (2**32 - r) % r = 2**30 - 7, one in four: 942 halves over these 300 streams, counted
