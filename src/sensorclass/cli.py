@@ -38,7 +38,14 @@ from .errors import (
 )
 from .features import BASELINE2, RICH8, extract, feature_names, mask_indices
 from .forest import ForestConfig, LabeledDataset, load_model, predict_matrix, save_model, train_forest
-from .synth import PRESET_NAMES, corpus_spec, generate_corpus, load_corpus_spec
+from .synth import (
+    PRESET_NAMES,
+    corpus_entries,
+    corpus_spec,
+    generate_entry,
+    load_corpus_spec,
+    trace_id,
+)
 from .trace import SensorType, read_utf8, write_trace_csv
 from .uncertainty import (
     DEFAULT_THRESHOLD,
@@ -124,18 +131,18 @@ def _run_meta(args, **extra) -> dict:
 
 
 def cmd_synth(args) -> int:
+    """Generates and writes each trace in a worker (evaluate._map_blocks), one
+    trace at a time, under a temporary name; the traces and the manifest are
+    renamed into place only once every trace is written, so a run that stops
+    part way leaves no file of its own behind, and no directory it made."""
+    from . import evaluate
+
     spec = load_corpus_spec(args.spec) if args.spec else corpus_spec({"preset": args.preset})
     flags = {"seed": args.seed, "traces_per_type": args.traces_per_type}
     spec = corpus_spec({k: v for k, v in flags.items() if v is not None}, spec)
-    traces = generate_corpus(spec)
     out = Path(args.out)
-    trace_dir = out / "traces"
-    trace_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for tr in traces:
-        rel = f"traces/{tr.trace_id}.csv"
-        write_trace_csv(tr, out / rel)
-        entries.append((tr.trace_id, rel, tr.label))
+    entries = corpus_entries(spec)
+    rels = [f"traces/{trace_id(spec, entry)}.csv" for entry in entries]
     meta = _run_meta(
         args,
         corpus=spec.name,
@@ -144,9 +151,24 @@ def cmd_synth(args) -> int:
         interval_s=spec.interval_s,
     )
     meta["seed"] = spec.seed
-    reporting.write_manifest(out / "manifest.csv", entries, meta)
-    print(f"wrote {len(traces)} traces and manifest.csv under {out}")
+    paths = [str(out / rel) for rel in rels] + [str(out / "manifest.csv")]
+    with _directory_made(out / "traces"), _written_together(*paths) as temps:
+        manifest = evaluate._map_blocks(partial(_synth_run, spec), list(zip(entries, rels, temps)),
+                                        [1] * len(entries))  # a corpus's traces are all one length
+        reporting.write_manifest(temps[-1], manifest, meta)
+    print(f"wrote {len(entries)} traces and manifest.csv under {out}")
     return EXIT_OK
+
+
+def _synth_run(spec, run) -> list[tuple]:
+    """The manifest entries of a run of (corpus entry, manifest path, file to
+    write) items, each trace generated, written and dropped in turn."""
+    out = []
+    for entry, rel, path in run:
+        trace = generate_entry(spec, entry)
+        write_trace_csv(trace, path)
+        out.append((trace.trace_id, rel, trace.label))
+    return out
 
 
 # --- features ----------------------------------------------------------------
@@ -430,6 +452,24 @@ def _written_together(*paths: str):
         for temp in temps:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(temp)
+
+
+@contextlib.contextmanager
+def _directory_made(path: Path):
+    """Makes path and its missing parents for the block; if the block fails,
+    removes each directory made here, which by then holds nothing."""
+    made = []
+    try:
+        for directory in reversed((path, *path.parents)):
+            if not directory.exists():
+                directory.mkdir()
+                made.append(directory)
+        yield
+    except BaseException:
+        for directory in reversed(made):
+            with contextlib.suppress(OSError):  # the error that stopped the block is reported
+                directory.rmdir()
+        raise
 
 
 def cmd_relabel(args) -> int:

@@ -16,16 +16,19 @@ command makes one block-map round of folds, whatever its schemes. Only the
 LOO runs and inter's full-training-set run build Prediction records, with
 entropies: theirs are the predictions eval writes.
 
-Two loops run on every CPU in the process's affinity mask through one
-block map, _map_blocks: the fold loop, and the trace loop of build_dataset
-and of the CLI's features command (map_traces). It cuts its items into
-contiguous runs of about equal weight, one per usable CPU: folds by rows x
-trees, a manifest's traces by file size. Each run goes through the serial
-loop in a forked worker, which reads one trace at a time, and the per-item
-results are joined in item order. A mapped function logs nothing: a trace
-it skips is in its result, and the caller logs it. A fold's forest is a
-pure function of its rows and config and a trace's rows of the trace, so
-the outputs, and the warnings, are the same for any CPU count.
+Three loops run on every CPU in the process's affinity mask through one
+block map, _map_blocks: the fold loop, the trace loop of build_dataset
+and of the CLI's features command (map_traces), and the CLI synth
+command's loop, which generates and writes a corpus's traces. It cuts its
+items into contiguous runs of about equal weight, one per usable CPU:
+folds by rows x trees, a manifest's traces by file size, a corpus's
+entries by count. Each run goes through the serial loop in a forked
+worker, which holds one trace at a time, and the per-item results are
+joined in item order. A mapped function logs nothing: a trace it skips is
+in its result, and the caller logs it. A fold's forest is a pure function
+of its rows and config, a trace's rows of the trace, and a synthetic trace
+of its seed path, so the outputs, and the warnings, are the same for any
+CPU count.
 
 Accuracy bookkeeping follows the reporting layout: one row per sensor
 type plus an overall row, one column per training fraction plus the

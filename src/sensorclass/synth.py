@@ -63,7 +63,8 @@ from .trace import SensorTrace, SensorType, _from_arrays, read_utf8
 
 DAY_S = 86400.0
 # duration_s // interval_s + 1, the samples of one trace; a year at 1 s
-# sampling is 3.2 times this. Generation holds every trace in memory.
+# sampling is 3.2 times this. A synth process holds one trace at a time,
+# and at this cap its two float arrays take 160 MB.
 MAX_SAMPLES_PER_TRACE = 10_000_000
 # rate x days, the expected bursts, steps or switches of one trace; each
 # event is drawn and applied on its own.
@@ -268,26 +269,44 @@ def generate_trace(
     return _from_arrays(trace_id, t, values, profile.sensor_type)
 
 
-def generate_corpus(spec: CorpusSpec) -> list[SensorTrace]:
-    """All traces of a corpus, grouped by type, ids '<name>-<type>-<idx>'.
+def corpus_entries(spec: CorpusSpec) -> list[tuple[TypeProfile, int]]:
+    """The (effective profile, index) of every trace of a corpus, grouped by
+    type: the order of generate_corpus and of a manifest synth writes."""
+    return [(profile, index) for profile in effective_profiles(spec)
+            for index in range(spec.traces_per_type)]
 
-    Raises InvalidSpec naming profiles.<type> when a profile's values
+
+def trace_id(spec: CorpusSpec, entry: tuple[TypeProfile, int]) -> str:
+    """The id of an entry's trace: '<name>-<type>-<idx>'."""
+    profile, index = entry
+    return f"{spec.name}-{profile.sensor_type.label}-{index:03d}"
+
+
+def generate_entry(spec: CorpusSpec, entry: tuple[TypeProfile, int]) -> SensorTrace:
+    """The trace of one corpus entry, seeded at (seed, corpus tag, type, index)
+    alone, so each trace can be made apart from the others.
+
+    Raises InvalidSpec naming profiles.<type> when the profile's values
     overflow a float or are out of range for a numpy draw.
     """
-    traces = []
-    for profile in effective_profiles(spec):
-        code = int(profile.sensor_type)
-        for index in range(spec.traces_per_type):
-            ss = seeding.seed_sequence(spec.seed, _CORPUS_TAG, code, index)
-            tid = f"{spec.name}-{profile.sensor_type.label}-{index:03d}"
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    trace = generate_trace(profile, spec.duration_s, spec.interval_s, ss, tid)
-            except (ArithmeticError, ValueError, DataError) as exc:
-                raise InvalidSpec(f"profiles.{profile.sensor_type.label}",
-                                  f"cannot generate {tid}: {exc}") from None
-            traces.append(trace)
-    return traces
+    profile, index = entry
+    ss = seeding.seed_sequence(spec.seed, _CORPUS_TAG, int(profile.sensor_type), index)
+    tid = trace_id(spec, entry)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return generate_trace(profile, spec.duration_s, spec.interval_s, ss, tid)
+    except (ArithmeticError, ValueError, DataError) as exc:
+        raise InvalidSpec(f"profiles.{profile.sensor_type.label}",
+                          f"cannot generate {tid}: {exc}") from None
+
+
+def generate_corpus(spec: CorpusSpec) -> list[SensorTrace]:
+    """All traces of a corpus, in corpus_entries order, each made by
+    generate_entry, as the synth command makes them one at a time.
+
+    Raises the first failing entry's InvalidSpec.
+    """
+    return [generate_entry(spec, entry) for entry in corpus_entries(spec)]
 
 
 # --- spec documents ------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Synthetic corpus generator: profiles, presets, spec files, determinism."""
 
 import dataclasses
+import errno
 import json
 import math
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from sensorclass import cli, reporting
 from sensorclass.cli import EXIT_CONFIG, EXIT_OK, main
 from sensorclass.errors import InvalidSpec
 from sensorclass.features import extract
@@ -28,7 +31,7 @@ from sensorclass.synth import (
     preset_spec,
 )
 from sensorclass.reporting import read_manifest
-from sensorclass.trace import SensorType
+from sensorclass.trace import SensorType, write_trace_csv
 
 TWO_DAYS = 2 * 86400.0
 
@@ -470,3 +473,114 @@ def test_synth_preset_and_spec_are_exclusive(tmp_path, capsys):
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# --- synth on every usable CPU, all or nothing -------------------------------
+
+SMALL_SPEC = {"traces_per_type": 3, "duration_s": 86400}
+# other_temp is the last type, so its traces fail after every other type's are written
+LAST_TYPE_FAILS = {**SMALL_SPEC, "profiles": {"other_temp": {"level_jitter": 1e308}}}
+
+
+def tree_bytes(root):
+    """Every file under root, by its path relative to root, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_synth_writes_the_same_bytes_on_one_and_two_workers(tmp_path, workers):
+    spec = write_spec(tmp_path, SMALL_SPEC)
+    trees = {}
+    for cpus in (1, 2):
+        started = workers(cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["synth", "--spec", str(spec), "--seed", "42", "--out", str(out)]) == EXIT_OK
+        assert len(started) == (0 if cpus == 1 else 2)
+        trees[cpus] = tree_bytes(out)
+    assert len(trees[1]) == 3 * len(SensorType) + 1  # the traces and the manifest
+    assert trees[1] == trees[2]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_synth_whose_last_type_fails_leaves_no_output(tmp_path, monkeypatch, capsys, workers,
+                                                      cpus):
+    spec = write_spec(tmp_path, LAST_TYPE_FAILS)
+    with pytest.raises(InvalidSpec) as info:
+        generate_corpus(load_corpus_spec(spec))
+    log = tmp_path / "writes.log"  # each path written, appended to by the workers too
+
+    def write(trace, path):
+        write_trace_csv(trace, path)
+        with open(log, "a") as fh:
+            fh.write(f"{path}\n")
+
+    monkeypatch.setattr(cli, "write_trace_csv", write)
+    out = tmp_path / "new" / "corpus"
+    started = workers(cpus)
+    capsys.readouterr()
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+    assert len(started) == (0 if cpus == 1 else 2)
+    assert len(log.read_text().splitlines()) == 3 * (len(SensorType) - 1)  # all before other_temp
+    assert not (tmp_path / "new").exists()  # nor the directory --out was made in
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_synth_that_fails_keeps_an_older_corpus_in_its_out_dir(tmp_path, capsys, workers, cpus):
+    out = tmp_path / "o"
+    assert main(["synth", "--spec", str(write_spec(tmp_path, SMALL_SPEC)), "--seed", "1",
+                 "--out", str(out)]) == EXIT_OK
+    before = tree_bytes(out)
+    workers(cpus)
+    capsys.readouterr()
+    rc = main(["synth", "--spec", str(write_spec(tmp_path, LAST_TYPE_FAILS)), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: corpus spec key 'profiles.other_temp': ")
+    assert tree_bytes(out) == before  # the same names, each with its old bytes; no .partial
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("k", [0, 7, 17])
+def test_synth_failing_a_trace_write_names_the_output_path(tmp_path, monkeypatch, capsys,
+                                                           workers, k, cpus):
+    spec = write_spec(tmp_path, SMALL_SPEC)
+    failing = f"custom-{SensorType(k // 3).label}-{k % 3:03d}.csv"  # the k-th trace's file
+
+    def write(trace, path):
+        if path.endswith(f"{failing}.partial"):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+        write_trace_csv(trace, path)
+
+    monkeypatch.setattr(cli, "write_trace_csv", write)
+    workers(cpus)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error: cannot write {out / 'traces' / failing}: "
+                                       f"{os.strerror(errno.ENOSPC)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cpus, module, name, nth", [
+    (1, cli, "write_trace_csv", 8),  # on the serial path
+    (2, reporting, "write_manifest", 1),  # once the workers have written every trace
+], ids=["trace-write", "manifest-write-after-two-workers"])
+def test_synth_interrupted_exits_130_and_leaves_nothing(tmp_path, monkeypatch, capsys, workers,
+                                                        cpus, module, name, nth):
+    spec = write_spec(tmp_path, SMALL_SPEC)
+    calls = []
+    real = getattr(module, name)
+
+    def interrupted(*args):
+        calls.append(args)
+        if len(calls) == nth:
+            raise KeyboardInterrupt
+        real(*args)
+
+    monkeypatch.setattr(module, name, interrupted)
+    started = workers(cpus)
+    out = tmp_path / "new" / "corpus"
+    capsys.readouterr()
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert len(started) == (0 if cpus == 1 else 2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
