@@ -11,40 +11,43 @@ evaluation protocols used to validate all of this ship in the package.
 
 __version__ = "0.1.0"
 
-from .errors import ConfigError, DataError, SensorClassError
-from .features import BASELINE2, RICH8, FeatureVector, extract
-from .forest import (
-    ForestConfig,
-    LabeledDataset,
-    RandomForest,
-    classify,
-    load_model,
-    save_model,
-    train_forest,
-)
-from .trace import SensorTrace, SensorType, validate_trace
-from .uncertainty import Prediction, class_entropy, flag_above_threshold
+from importlib import import_module
 
-__all__ = [
-    "__version__",
-    "BASELINE2",
-    "RICH8",
-    "ConfigError",
-    "DataError",
-    "FeatureVector",
-    "ForestConfig",
-    "LabeledDataset",
-    "Prediction",
-    "RandomForest",
-    "SensorClassError",
-    "SensorTrace",
-    "SensorType",
-    "class_entropy",
-    "classify",
-    "extract",
-    "flag_above_threshold",
-    "load_model",
-    "save_model",
-    "train_forest",
-    "validate_trace",
-]
+# each public name -> the module it is defined in, imported on first access (PEP 562),
+# so that `import sensorclass.cli` and each command load only the modules they use
+_HOMES = {
+    "BASELINE2": "features",
+    "RICH8": "features",
+    "ConfigError": "errors",
+    "DataError": "errors",
+    "FeatureVector": "features",
+    "ForestConfig": "config",
+    "LabeledDataset": "forest",
+    "Prediction": "uncertainty",
+    "RandomForest": "forest",
+    "SensorClassError": "errors",
+    "SensorTrace": "trace",
+    "SensorType": "trace",
+    "class_entropy": "uncertainty",
+    "classify": "forest",
+    "extract": "features",
+    "flag_above_threshold": "uncertainty",
+    "load_model": "forest",
+    "save_model": "forest",
+    "train_forest": "forest",
+    "validate_trace": "trace",
+}
+
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

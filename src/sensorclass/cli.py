@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, reporting
+from .config import PRESET_NAMES, ForestConfig
 from .errors import (
     ConfigError,
     DataError,
@@ -37,15 +38,6 @@ from .errors import (
     NoWindows,
 )
 from .features import BASELINE2, RICH8, extract, feature_names, mask_indices
-from .forest import ForestConfig, LabeledDataset, load_model, predict_matrix, save_model, train_forest
-from .synth import (
-    PRESET_NAMES,
-    corpus_entries,
-    corpus_spec,
-    generate_entry,
-    load_corpus_spec,
-    trace_id,
-)
 from .trace import SensorType, read_utf8, write_trace_csv
 from .uncertainty import (
     DEFAULT_THRESHOLD,
@@ -131,11 +123,12 @@ def _run_meta(args, **extra) -> dict:
 
 
 def cmd_synth(args) -> int:
-    """Generates and writes each trace in a worker (evaluate._map_blocks), one
+    """Generates and writes each trace in a worker (parallel._map_blocks), one
     trace at a time, under a temporary name; the traces and the manifest are
     renamed into place only once every trace is written, so a run that stops
     part way leaves no file of its own behind, and no directory it made."""
-    from . import evaluate
+    from .parallel import _map_blocks
+    from .synth import corpus_entries, corpus_spec, load_corpus_spec, trace_id
 
     spec = load_corpus_spec(args.spec) if args.spec else corpus_spec({"preset": args.preset})
     flags = {"seed": args.seed, "traces_per_type": args.traces_per_type}
@@ -153,8 +146,8 @@ def cmd_synth(args) -> int:
     meta["seed"] = spec.seed
     paths = [str(out / rel) for rel in rels] + [str(out / "manifest.csv")]
     with _directory_made(out / "traces"), _written_together(*paths) as temps:
-        manifest = evaluate._map_blocks(partial(_synth_run, spec), list(zip(entries, rels, temps)),
-                                        [1] * len(entries))  # a corpus's traces are all one length
+        manifest = _map_blocks(partial(_synth_run, spec), list(zip(entries, rels, temps)),
+                               [1] * len(entries))  # a corpus's traces are all one length
         reporting.write_manifest(temps[-1], manifest, meta)
     print(f"wrote {len(entries)} traces and manifest.csv under {out}")
     return EXIT_OK
@@ -163,6 +156,8 @@ def cmd_synth(args) -> int:
 def _synth_run(spec, run) -> list[tuple]:
     """The manifest entries of a run of (corpus entry, manifest path, file to
     write) items, each trace generated, written and dropped in turn."""
+    from .synth import generate_entry  # loaded by cmd_synth before the fork
+
     out = []
     for entry, rel, path in run:
         trace = generate_entry(spec, entry)
@@ -175,13 +170,12 @@ def _synth_run(spec, run) -> list[tuple]:
 
 
 def cmd_features(args) -> int:
-    # evaluate is imported where it is read, so train, classify and flag do not compile it
-    from . import evaluate
+    from .parallel import map_traces
 
     if args.scheme == "both":
         raise ConfigError("features writes a single matrix; pick --scheme rich8 or baseline2")
     traces = reporting.load_manifest_traces(args.manifest)
-    records = evaluate.map_traces(
+    records = map_traces(
         partial(_feature_row, window_len=args.window_mins * 60.0, scheme=args.scheme), traces)
     for tid, _, row in records:  # logged here, since a worker logs nothing
         if row is None:
@@ -209,6 +203,8 @@ def _feature_row(trace, window_len: float, scheme: str) -> tuple:
 def _training_set(path, ids, labels, feats, schema) -> LabeledDataset:
     """The rows of the feature matrix read from path that labels (one per
     row, None where unlabeled) gives a type."""
+    from .forest import LabeledDataset
+
     keep = [i for i, lab in enumerate(labels) if lab is not None]
     if not keep:
         raise DataError(f"{path}: no labeled rows to train on")
@@ -222,6 +218,8 @@ def _training_set(path, ids, labels, feats, schema) -> LabeledDataset:
 
 
 def cmd_train(args) -> int:
+    from .forest import save_model, train_forest
+
     ids, labels, feats, schema, _ = reporting.read_feature_matrix(args.features)
     _check_mtry(args.config, schema)
     dataset = _training_set(args.features, ids, labels, feats, schema)
@@ -233,6 +231,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .forest import load_model, predict_matrix
+
     forest, run = load_model(args.model)
     ids, _labels, feats, schema, _meta = reporting.read_feature_matrix(args.features)
     mode = args.averaging  # None means: use the model's mode
@@ -473,11 +473,14 @@ def _directory_made(path: Path):
 
 
 def cmd_relabel(args) -> int:
+    from .forest import check_schema, load_model, save_model, train_forest
+
     if args.budget < 0:
         raise ConfigError(f"--budget must be >= 0, got {args.budget}")
     preds, _pmeta = read_preds_rebase(args.predictions, args.entropy_base)
     forest, run = load_model(args.model)
     ids, _labels, feats, schema, _fmeta = reporting.read_feature_matrix(args.features)
+    check_schema(forest, schema)  # the retrained model keeps the run metadata of this one
     entries, manifest_meta = reporting.parse_manifest(args.manifest)
     label_by_id = {tid: lab for tid, _, lab in entries}
     unknown = [p.trace_id for p in preds if p.trace_id not in label_by_id]

@@ -57,13 +57,12 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import seeding
+from .config import AVERAGING_MODES, ForestConfig
 from .errors import DataError, InvalidConfig, SchemaMismatch
 from .features import FeatureVector, schema_length
 from .trace import CLASS_COUNT, CLASS_LABELS, SensorType, read_utf8, run_starts
 
 MODEL_FORMAT = "sensorclass-forest-v1"
-
-AVERAGING_MODES = ("paper", "standard")
 
 # derivation tag separating tree RNG streams from other consumers of a seed
 _TREE_TAG = 101
@@ -78,38 +77,6 @@ _MASK32 = 0xFFFFFFFF
 
 _NO_POSTERIOR = np.zeros(CLASS_COUNT)  # value row of a split node
 _CLASSES = np.arange(CLASS_COUNT)[:, None]
-
-
-@dataclass(frozen=True)
-class ForestConfig:
-    """Training knobs.
-
-    m_try of None means "decide at training time": floor(sqrt(D)) with a
-    floor of 1, where D is the dataset's feature count.
-    """
-
-    n_trees: int = 50
-    m_try: int | None = None
-    seed: int = 0
-    averaging_mode: str = "paper"
-
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise InvalidConfig(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.m_try is not None and self.m_try < 1:
-            raise InvalidConfig(f"m_try must be >= 1, got {self.m_try}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
-        if self.averaging_mode not in AVERAGING_MODES:
-            raise InvalidConfig(
-                f"averaging_mode must be one of {AVERAGING_MODES}, got {self.averaging_mode!r}"
-            )
-
-    def resolve_m_try(self, feature_count: int) -> int:
-        m = self.m_try if self.m_try is not None else max(1, int(np.sqrt(feature_count)))
-        if m > feature_count:
-            raise InvalidConfig(f"m_try {m} exceeds feature count {feature_count}")
-        return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -582,6 +549,12 @@ def train_forest(dataset: LabeledDataset, config: ForestConfig) -> RandomForest:
     return next(train_forests(dataset, [(np.arange(len(dataset)), config)]))
 
 
+def check_schema(forest: RandomForest, schema: str) -> None:
+    """Raises SchemaMismatch unless schema is the one forest was trained on."""
+    if schema != forest.feature_schema:
+        raise SchemaMismatch(f"model expects schema {forest.feature_schema!r}, got {schema!r}")
+
+
 def predict_matrix(
     forest: RandomForest, features: np.ndarray, schema: str, mode: str | None = None
 ) -> np.ndarray:
@@ -591,8 +564,7 @@ def predict_matrix(
     the Python loop runs once per level, not once per row and node. The
     trees' leaf posteriors are then combined in the given averaging mode.
     """
-    if schema != forest.feature_schema:
-        raise SchemaMismatch(f"model expects schema {forest.feature_schema!r}, got {schema!r}")
+    check_schema(forest, schema)
     mode = mode or forest.config.averaging_mode
     if mode not in AVERAGING_MODES:
         raise InvalidConfig(f"averaging mode must be one of {AVERAGING_MODES}, got {mode!r}")

@@ -33,7 +33,8 @@ A corpus spec is a JSON document with these keys, all optional:
     profiles         {"<type>": {<TypeProfile field>: value, ...}, ...};
                      each field replaces the preset's
 
-Each preset in PRESETS is itself such a document (without "preset"), and
+Each preset in PRESETS (defined in the config module, which the CLI's
+flag parser reads) is itself such a document (without "preset"), and
 preset_spec(name, seed, n) reads {"preset": name, "seed": seed,
 "traces_per_type": n}, so presets and spec files go through one reader.
 Every value must have its field's type (an integer, a number, a string,
@@ -56,8 +57,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # numpy loads it on first use: here, so a forked worker never does
 
 from . import seeding
+from .config import PRESET_NAMES, PRESETS  # noqa: F401  (PRESET_NAMES: synth's name too)
 from .errors import DataError, InvalidSpec
 from .trace import SensorTrace, SensorType, _from_arrays, read_utf8
 
@@ -310,39 +313,6 @@ def generate_corpus(spec: CorpusSpec) -> list[SensorTrace]:
 
 
 # --- spec documents ------------------------------------------------------------
-
-# Every preset is a spec document, read exactly like a --spec file.
-PRESETS: dict[str, dict] = {
-    "default": {},
-    # Second building: every type keeps its identity but moves a little, the
-    # way two real buildings' calibrations and climates differ.
-    "building-b": {"climate_shift": {
-        "co2": {"offset": 60.0, "scale": 1.15},
-        "humidity": {"offset": 6.0, "scale": 1.2},
-        "room_temp": {"offset": 1.5, "scale": 1.25},
-        "setpoint": {"offset": 2.0, "scale": 1.0},
-        "air_volume": {"offset": 80.0, "scale": 1.1},
-        "other_temp": {"offset": 4.0, "scale": 1.1},
-    }},
-    # Humidity re-leveled into the room-temperature band. The two classes end
-    # up with matching whole-trace medians and, on average, variance (the
-    # amplitude is sqrt(2 (2.0**2 / 2 + 0.45**2 - 0.05**2)) from room's swing
-    # and noise); what still separates them is pace. Room temperature moves
-    # daily with measurement noise, this humidity drifts over days almost
-    # noiselessly, so windowed variances differ by orders of magnitude.
-    "overlap": {"profiles": {"humidity": {
-        "base_level": 72.0, "daily_amplitude": 2.0976176963403033, "noise_std": 0.05,
-        "level_jitter": 1.2, "period_days": 3.5, "clamp": [55.0, 90.0],
-    }}},
-    # The generic-temperature class dressed as return air: a degree or so warm
-    # of the room with similar daily swing and noise, so the pair is genuinely
-    # confusable rather than separable by level alone.
-    "confusable": {"profiles": {"other_temp": {
-        "base_level": 73.0, "daily_amplitude": 2.2, "noise_std": 0.5, "level_jitter": 1.2,
-        "high_level": None, "band_split": False, "clamp": [55.0, 90.0],
-    }}},
-}
-PRESET_NAMES = tuple(PRESETS)
 
 _POSITIVE = {"traces_per_type", "duration_s", "interval_s", "period_days"}
 _NON_NEGATIVE = {

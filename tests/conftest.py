@@ -3,7 +3,7 @@ import multiprocessing
 import pytest
 from hypothesis import settings
 
-from sensorclass import evaluate
+from sensorclass import parallel
 from sensorclass.evaluate import build_dataset
 from sensorclass.synth import CorpusSpec, generate_corpus, preset_spec
 
@@ -39,7 +39,7 @@ def default_dataset(default_corpus):
 
 @pytest.fixture
 def workers(monkeypatch):
-    """use(cpus): from then on evaluate sees `cpus` usable CPUs; returns the list of worker
+    """use(cpus): from then on the block map sees `cpus` usable CPUs; returns the list of worker
     processes started after the call, in start order. No worker may be left at teardown."""
     started = [[]]
     fork_start = multiprocessing.context.ForkProcess.start
@@ -51,7 +51,7 @@ def workers(monkeypatch):
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
 
     def use(cpus):
-        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
         started.append([])
         return started[-1]
 

@@ -772,6 +772,27 @@ def test_eval_duplicate_list_entry_exits_config(ws, tmp_path, protocol, flag, va
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_relabel_features_of_another_schema_exit_data_before_any_prompt(ws, tmp_path, capsys):
+    # the same ids in baseline2 for a rich8 model: rejected as classify rejects them, not
+    # retrained into a model whose run metadata still says rich8
+    base_features = tmp_path / "fb.csv"
+    assert main(["features", "--manifest", str(ws.manifest), "--scheme", "baseline2",
+                 "--out", str(base_features)]) == EXIT_OK
+    answers = tmp_path / "answers.txt"
+    answers.write_text("keep\n")
+    out_manifest, out_model = tmp_path / "m.csv", tmp_path / "mo.json"
+    capsys.readouterr()
+    rc = main(["relabel", "--predictions", str(ws.preds), "--manifest", str(ws.manifest),
+               "--features", str(base_features), "--model", str(ws.model),
+               "--budget", "3", "--answers", str(answers),
+               "--out-manifest", str(out_manifest), "--out-model", str(out_model)])
+    assert rc == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == ""  # no prompt was shown
+    assert err == "error: model expects schema 'rich8', got 'baseline2'\n"
+    assert not out_manifest.exists() and not out_model.exists()
+
+
 def test_relabel_unknown_manifest_label_writes_nothing(ws, tmp_path):
     manifest = tmp_path / "manifest.csv"
     text = ws.manifest.read_text()
@@ -1320,7 +1341,7 @@ def test_an_ingest_worker_that_dies_unheard_is_an_error(ws, tmp_path, monkeypatc
 # in a terminal does, and every worker sends it again when the parent terminates it.
 INTERRUPTED_RUN = """
 import contextlib, os, signal, sys, time
-from sensorclass import cli, evaluate
+from sensorclass import cli, evaluate, parallel
 
 def interrupt(*args, **kwargs):
     signal.signal(signal.SIGTERM, lambda *_: (os.killpg(0, signal.SIGINT), os._exit(1)))
@@ -1329,7 +1350,7 @@ def interrupt(*args, **kwargs):
         os.killpg(0, signal.SIGINT)
     time.sleep(60)
 
-evaluate._usable_cpus = lambda: 2
+parallel._usable_cpus = lambda: 2
 setattr({module}, {name!r}, interrupt)
 sys.exit(cli.main(sys.argv[1:]))
 """
