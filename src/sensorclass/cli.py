@@ -119,14 +119,50 @@ def _run_meta(args, **extra) -> dict:
     return meta
 
 
+@contextlib.contextmanager
+def _outputs(directory: Path | None = None):
+    """Stages every output of a command. stage(path) gives the temporary name
+    the block writes path's bytes to, making directory and its missing parents
+    at the first call; once the block has written them all, each is renamed
+    onto its path. If anything fails, Ctrl-C included, the temporary files are
+    removed and so is every directory made here, so a failed run leaves none
+    of its outputs behind. An OSError on a temporary name is raised naming its
+    output path."""
+    staged, made = {}, []  # temporary name -> output path; directories made, deepest first
+
+    def stage(path) -> str:
+        if directory is not None and not staged:
+            made.extend(d for d in (directory, *directory.parents) if not d.exists())
+            for d in [*reversed(made), directory]:  # the last raises if a file is there
+                d.mkdir(exist_ok=True)
+        staged[f"{path}.partial"] = str(path)
+        return f"{path}.partial"
+
+    try:
+        yield stage
+        for path in staged.values():  # the one rename failure a write cannot show first
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for temp, path in staged.items():
+            os.replace(temp, path)
+    except BaseException as exc:
+        for temp in staged:  # the error that stopped the block is the one reported
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        for made_dir in made:
+            with contextlib.suppress(OSError):
+                made_dir.rmdir()
+        if isinstance(exc, OSError) and exc.filename in staged:
+            raise OSError(exc.errno, exc.strerror, staged[exc.filename]) from exc
+        raise
+
+
 # --- synth -------------------------------------------------------------------
 
 
 def cmd_synth(args) -> int:
     """Generates and writes each trace in a worker (parallel._map_blocks), one
-    trace at a time, under a temporary name; the traces and the manifest are
-    renamed into place only once every trace is written, so a run that stops
-    part way leaves no file of its own behind, and no directory it made."""
+    trace at a time, to the name _outputs staged for it in this process."""
     from .parallel import _map_blocks
     from .synth import corpus_entries, corpus_spec, load_corpus_spec, trace_id
 
@@ -144,11 +180,11 @@ def cmd_synth(args) -> int:
         interval_s=spec.interval_s,
     )
     meta["seed"] = spec.seed
-    paths = [str(out / rel) for rel in rels] + [str(out / "manifest.csv")]
-    with _directory_made(out / "traces"), _written_together(*paths) as temps:
+    with _outputs(out / "traces") as stage:
+        temps = [stage(out / rel) for rel in rels]
         manifest = _map_blocks(partial(_synth_run, spec), list(zip(entries, rels, temps)),
                                [1] * len(entries))  # a corpus's traces are all one length
-        reporting.write_manifest(temps[-1], manifest, meta)
+        reporting.write_manifest(stage(out / "manifest.csv"), manifest, meta)
     print(f"wrote {len(entries)} traces and manifest.csv under {out}")
     return EXIT_OK
 
@@ -184,9 +220,9 @@ def cmd_features(args) -> int:
     if not records:
         raise DataError("every trace was shorter than one window")
     ids, labels, rows = zip(*records)
-    reporting.write_feature_matrix(
-        args.out, ids, labels, np.asarray(rows), args.scheme, _run_meta(args)
-    )
+    with _outputs() as stage:
+        reporting.write_feature_matrix(
+            stage(args.out), ids, labels, np.asarray(rows), args.scheme, _run_meta(args))
     print(f"wrote {len(ids)} x {len(rows[0])} feature matrix to {args.out}")
     return EXIT_OK
 
@@ -225,7 +261,8 @@ def cmd_train(args) -> int:
     dataset = _training_set(args.features, ids, labels, feats, schema)
     forest = train_forest(dataset, args.config)
     run = _run_meta(args, scheme=dataset.schema)
-    save_model(forest, args.out, run)
+    with _outputs() as stage:
+        save_model(forest, stage(args.out), run)
     print(f"trained {args.config.n_trees} trees on {len(dataset)} instances -> {args.out}")
     return EXIT_OK
 
@@ -242,7 +279,8 @@ def cmd_classify(args) -> int:
         for tid, row in zip(ids, probs)
     ]
     meta = _run_meta(args, averaging=mode or forest.config.averaging_mode, scheme=schema)
-    reporting.write_predictions(args.out, preds, meta)
+    with _outputs() as stage:
+        reporting.write_predictions(stage(args.out), preds, meta)
     print(f"classified {len(preds)} instances -> {args.out}")
     return EXIT_OK
 
@@ -266,7 +304,8 @@ def cmd_flag(args) -> int:
         if report.tpr is None and report.fpr is None and report.ppv is None:
             print("all metrics undefined for this report", file=sys.stderr)
             code = EXIT_UNDEFINED
-    reporting.write_flag_report(args.out, preds, report, meta)
+    with _outputs() as stage:
+        reporting.write_flag_report(stage(args.out), preds, report, meta)
     print(f"flagged {len(report.flagged)}/{report.total} -> {args.out}")
     return code
 
@@ -329,8 +368,8 @@ def _check_mtry(config: ForestConfig, scheme: str) -> None:
 
 
 def cmd_eval(args) -> int:
-    """Checks every flag, computes every result, and only then makes --out-dir
-    and writes its files, so a run that stops before then leaves no output."""
+    """Checks every flag before it reads any input, and makes --out-dir only
+    when its first file is written; a run that fails leaves no output."""
     from . import evaluate
 
     for flag, value, readers in (("--fractions", args.fractions, ("percentage", "inter")),
@@ -358,60 +397,58 @@ def cmd_eval(args) -> int:
     traces_b = reporting.load_manifest_traces(args.manifest_b) if args.manifest_b else None
     base = args.entropy_base
 
-    writes = {}  # output file name -> (its writer, the writer's arguments after the path)
-    if args.protocol == "window-sweep":
-        points = evaluate.window_sweep(traces, minutes, args.config, traces_b)
-        if not points:
-            raise DataError("no window length in --windows fits a trace of each corpus")
-        mode = "inter_10fold" if traces_b is not None else "intra_loo"
-        meta = _run_meta(args, protocol=f"window-sweep/{mode}", scheme=RICH8)
-        writes["window_sweep.csv"] = (reporting.write_csv, ["window_mins", "accuracy"],
-                                      points, meta)
-        text = "".join(f"{m:4d} min  {acc * 100:6.1f}%\n" for m, acc in points)
-    elif args.protocol == "subset-search":
-        dataset = evaluate.build_dataset(traces, window_len, RICH8)
-        rows = [
-            [f"{mask:02x}", "+".join(feature_names(RICH8)[i] for i in mask_indices(mask)),
-             len(mask_indices(mask)), acc]
-            for mask, acc in evaluate.feature_subset_search(dataset)
-        ]
-        meta = _run_meta(args, protocol="subset-search", scheme=RICH8)
-        writes["subset_search.csv"] = (reporting.write_csv,
-                                       ["mask", "features", "n_features", "accuracy"], rows, meta)
-        best_mask, best_names, _, best_acc = rows[0]
-        text = f"best mask 0x{best_mask} ({best_names}) accuracy {best_acc * 100:.1f}%\n"
-    else:  # percentage, loo and inter: one accuracy table and one set of curves per scheme
-        if args.protocol == "inter" and 1.0 not in fractions:
-            fractions = fractions + [1.0]
-        datasets = evaluate.build_dataset(traces, window_len, schemes)
-        results = (  # every scheme's folds in one round
-            evaluate.inter_corpus(datasets, evaluate.build_dataset(traces_b, window_len, schemes),
-                                  fractions, args.config, base)
-            if args.protocol == "inter"
-            else evaluate.percentage_protocol(datasets, fractions, args.config, base))
-        grid = [round(float(x), 12) for x in np.linspace(0.0, max_entropy(base), 37)]
-        tables = []
-        for scheme, (table, result) in zip(schemes, results):
-            meta = _run_meta(args, scheme=scheme, protocol=args.protocol)
-            preds, correctness = result.predictions, result.correctness
-            writes[f"predictions_{scheme}.csv"] = (reporting.write_predictions, preds, meta)
-            writes[f"roc_{scheme}.csv"] = (reporting.write_roc,
-                                           roc_sweep(preds, correctness, grid), meta)
-            writes[f"cdf_{scheme}.csv"] = (reporting.write_cdf,
-                                           entropy_cdf(preds, correctness), meta)
-            writes[f"accuracy_{scheme}.csv"] = (
-                reporting.write_csv, *evaluate.table_csv_rows(table),
-                {**meta, **evaluate.table_repeat_meta(table)})  # the curves' meta gets no repeats
-            tables.append(table)
-        title = ("accuracy % as rich8 (baseline2)" if len(tables) == 2
-                 else f"accuracy % with {args.scheme}")
-        text = evaluate.render_table_text(*tables, title=title)
-        writes["accuracy.txt"] = (Path.write_text, text)
-
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (write, *rest) in writes.items():
-        write(out_dir / name, *rest)
+    with _outputs(out_dir) as stage:  # made at the first output, once its result is computed
+        if args.protocol == "window-sweep":
+            points = evaluate.window_sweep(traces, minutes, args.config, traces_b)
+            if not points:
+                raise DataError("no window length in --windows fits a trace of each corpus")
+            mode = "inter_10fold" if traces_b is not None else "intra_loo"
+            meta = _run_meta(args, protocol=f"window-sweep/{mode}", scheme=RICH8)
+            reporting.write_csv(stage(out_dir / "window_sweep.csv"), ["window_mins", "accuracy"],
+                                points, meta)
+            text = "".join(f"{m:4d} min  {acc * 100:6.1f}%\n" for m, acc in points)
+        elif args.protocol == "subset-search":
+            dataset = evaluate.build_dataset(traces, window_len, RICH8)
+            rows = [
+                [f"{mask:02x}", "+".join(feature_names(RICH8)[i] for i in mask_indices(mask)),
+                 len(mask_indices(mask)), acc]
+                for mask, acc in evaluate.feature_subset_search(dataset)
+            ]
+            meta = _run_meta(args, protocol="subset-search", scheme=RICH8)
+            reporting.write_csv(stage(out_dir / "subset_search.csv"),
+                                ["mask", "features", "n_features", "accuracy"], rows, meta)
+            best_mask, best_names, _, best_acc = rows[0]
+            text = f"best mask 0x{best_mask} ({best_names}) accuracy {best_acc * 100:.1f}%\n"
+        else:  # percentage, loo and inter: one accuracy table and one set of curves per scheme
+            if args.protocol == "inter" and 1.0 not in fractions:
+                fractions = fractions + [1.0]
+            datasets = evaluate.build_dataset(traces, window_len, schemes)
+            results = (  # every scheme's folds in one round
+                evaluate.inter_corpus(datasets,
+                                      evaluate.build_dataset(traces_b, window_len, schemes),
+                                      fractions, args.config, base)
+                if args.protocol == "inter"
+                else evaluate.percentage_protocol(datasets, fractions, args.config, base))
+            grid = [round(float(x), 12) for x in np.linspace(0.0, max_entropy(base), 37)]
+            tables = []
+            for scheme, (table, result) in zip(schemes, results):
+                meta = _run_meta(args, scheme=scheme, protocol=args.protocol)
+                preds, correctness = result.predictions, result.correctness
+                reporting.write_predictions(stage(out_dir / f"predictions_{scheme}.csv"), preds,
+                                            meta)
+                reporting.write_roc(stage(out_dir / f"roc_{scheme}.csv"),
+                                    roc_sweep(preds, correctness, grid), meta)
+                reporting.write_cdf(stage(out_dir / f"cdf_{scheme}.csv"),
+                                    entropy_cdf(preds, correctness), meta)
+                reporting.write_csv(
+                    stage(out_dir / f"accuracy_{scheme}.csv"), *evaluate.table_csv_rows(table),
+                    {**meta, **evaluate.table_repeat_meta(table)})  # not in the curves' meta
+                tables.append(table)
+            title = ("accuracy % as rich8 (baseline2)" if len(tables) == 2
+                     else f"accuracy % with {args.scheme}")
+            text = evaluate.render_table_text(*tables, title=title)
+            Path(stage(out_dir / "accuracy.txt")).write_text(text)
     print(text, end="")
     return EXIT_OK
 
@@ -428,48 +465,6 @@ def _answer_stream(args):
             "stdin is not a terminal; pass --answers FILE for scripted review"
         )
     return None  # interactive
-
-
-@contextlib.contextmanager
-def _written_together(*paths: str):
-    """Temporary names beside the output paths, for the block to write; each is
-    renamed onto its path only once the block has written them all, and any
-    left are removed, so a failed write leaves none of the outputs behind. An
-    OSError on a temporary name is raised naming its output path."""
-    temps = [f"{path}.partial" for path in paths]
-    try:
-        yield temps
-        for path in paths:  # the one rename failure a write cannot show first
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        for temp, path in zip(temps, paths):
-            os.replace(temp, path)
-    except OSError as exc:
-        if exc.filename not in temps:
-            raise
-        raise OSError(exc.errno, exc.strerror, paths[temps.index(exc.filename)]) from exc
-    finally:
-        for temp in temps:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(temp)
-
-
-@contextlib.contextmanager
-def _directory_made(path: Path):
-    """Makes path and its missing parents for the block; if the block fails,
-    removes each directory made here, which by then holds nothing."""
-    made = []
-    try:
-        for directory in reversed((path, *path.parents)):
-            if not directory.exists():
-                directory.mkdir()
-                made.append(directory)
-        yield
-    except BaseException:
-        for directory in reversed(made):
-            with contextlib.suppress(OSError):  # the error that stopped the block is reported
-                directory.rmdir()
-        raise
 
 
 def cmd_relabel(args) -> int:
@@ -517,9 +512,9 @@ def cmd_relabel(args) -> int:
     dataset = _training_set(args.features, ids, labels, feats, schema)
     entries = [(tid, rel, label_by_id[tid]) for tid, rel, _ in entries]
     retrained = train_forest(dataset, forest.config)
-    with _written_together(args.out_manifest, args.out_model) as (manifest_out, model_out):
-        reporting.write_manifest(manifest_out, entries, manifest_meta)
-        save_model(retrained, model_out, run)
+    with _outputs() as stage:
+        reporting.write_manifest(stage(args.out_manifest), entries, manifest_meta)
+        save_model(retrained, stage(args.out_model), run)
     print(
         f"reviewed {reviewed}, corrected {corrected}; "
         f"retrained on {len(dataset)} instances -> {args.out_model}"

@@ -477,9 +477,10 @@ def window_sweep(
 class _PathNode:
     """A tree node of feature_subset_search, shared by every mask that grows it."""
 
-    rows: np.ndarray  # the training rows at the node, ascending
+    key: bytes  # the training rows at the node, ascending np.intp, as the memo's key: stored once
     majority: int  # most frequent class, lowest code on ties
-    table: list  # per mask, (split feature, threshold); feature -1 makes the node a leaf
+    table: bytes  # per mask, split feature + 1; 0 makes the node a leaf
+    thresholds: list  # per feature, its split's threshold: node_splits scores a column once
     children: dict  # (split feature, held-out row goes left) -> _PathNode
 
 
@@ -516,24 +517,27 @@ def feature_subset_search(dataset: LabeledDataset) -> list[tuple[int, float]]:
         key = rows.tobytes()
         if key not in nodes:
             counts = np.bincount(y[rows], minlength=CLASS_COUNT)
-            table = [(-1, 0.0)] * len(masks)
+            table, thresholds = bytes(len(masks)), []
             if counts.max() < len(rows):
                 f, t = node_splits(x[rows], y[rows], cand, n_cand)
-                table = list(zip(f.tolist(), t.tolist()))
-            nodes[key] = _PathNode(rows, int(np.argmax(counts)), table, {})
+                by_feature = np.zeros(x.shape[1] + 1)  # a leaf's -1 lands in the spare last slot
+                by_feature[f] = t  # a feature has one threshold, whichever mask splits on it
+                table, thresholds = bytes((f + 1).tolist()), by_feature.tolist()
+            nodes[key] = _PathNode(key, int(np.argmax(counts)), table, thresholds, {})
         return nodes[key]
 
-    roots = [node(np.delete(np.arange(n), i)) for i in range(n)]
+    roots = [node(np.delete(np.arange(n, dtype=np.intp), i)) for i in range(n)]
     results = []
     for k, mask in enumerate(masks):
         correct = 0
         for i, at in enumerate(roots):
-            while (f := at.table[k][0]) >= 0:
-                t = at.table[k][1]
+            while (f := at.table[k] - 1) >= 0:
+                t = at.thresholds[f]
                 step = (f, xs[i][f] <= t)
                 if step not in at.children:
-                    side = x[at.rows, f] <= t
-                    at.children[step] = node(at.rows[side if step[1] else ~side])
+                    rows = np.frombuffer(at.key, dtype=np.intp)
+                    side = x[rows, f] <= t
+                    at.children[step] = node(rows[side if step[1] else ~side])
                 at = at.children[step]
             correct += at.majority == ys[i]
         results.append((mask, correct / n))

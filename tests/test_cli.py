@@ -1,6 +1,9 @@
 """End-to-end command-line flows, run in-process through cli.main."""
 
+import builtins
 import contextlib
+import errno
+import io
 import json
 import logging
 import multiprocessing
@@ -1075,10 +1078,16 @@ def test_eval_failing_on_its_input_creates_no_out_dir(tmp_path, capsys):
     ("eval", "--out-dir", "file"),
     ("relabel", "--out-manifest", "missing-dir"),
     ("relabel", "--out-model", "missing-dir"),
+    *((command, flag, "under-file") for command, flag in [
+        ("synth", "--out"), ("features", "--out"), ("train", "--out"), ("classify", "--out"),
+        ("flag", "--out"), ("eval", "--out-dir"), ("relabel", "--out-manifest"),
+        ("relabel", "--out-model")]),
 ])
 def test_unwritable_output_exits_config(ws, tmp_path, capsys, command, out_flag, target):
     (tmp_path / "a_file").write_text("")
-    bad = str(tmp_path / ("a_file" if target == "file" else "no_dir/x"))
+    bad = str(tmp_path / {"file": "a_file", "missing-dir": "no_dir/x", "under-file": "a_file/x"}[
+        target])
+    named = bad + ("/traces" if (command, target) == ("synth", "file") else "")
     outputs = {"--out-manifest": str(tmp_path / "m.csv"), "--out-model": str(tmp_path / "mo.json")}
     outputs[out_flag] = bad
     argv = {
@@ -1097,7 +1106,8 @@ def test_unwritable_output_exits_config(ws, tmp_path, capsys, command, out_flag,
     capsys.readouterr()
     assert main([command, *argv]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {bad}") and err.count("\n") == 1, err
+    assert err.startswith(f"error: cannot write {named}: ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]
 
 
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])
@@ -1123,6 +1133,78 @@ def test_relabel_leaves_only_its_two_outputs(ws, tmp_path):
                "--out-manifest", str(out_manifest), "--out-model", str(out_model)])
     assert rc == EXIT_OK
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "mo.json"]
+
+
+def _paths_and_bytes(root):
+    """Every path under root, with a file's bytes, None for a directory."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "over-older-outputs"])
+@pytest.mark.parametrize("command", ["synth", "features", "train", "classify", "flag", "relabel",
+                                     "eval-loo-both", "eval-window-sweep"])
+def test_every_write_of_every_command_can_fail(ws, tmp_path, monkeypatch, capsys, workers,
+                                               command, existing):
+    """Fails the k-th file a command opens for writing, for every k, once with an OSError and
+    once with Ctrl-C, after a byte of it is written: the run exits 2 naming the output path,
+    or 130, and leaves every path under its outputs' directory as it was, older outputs with
+    their bytes, with no .partial file and no directory of its own."""
+    new = tmp_path / "new" / "out"  # synth and eval make it, with its parent
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**MINI_SPEC, "traces_per_type": 1}))
+    argv = {
+        "synth": ["synth", "--spec", str(spec), "--out", str(new)],
+        "features": ["features", "--manifest", str(ws.manifest), "--out", str(tmp_path / "f.csv")],
+        "train": ["train", "--features", str(ws.features), "--trees", "2",
+                  "--out", str(tmp_path / "m.json")],
+        "classify": ["classify", "--model", str(ws.model), "--features", str(ws.features),
+                     "--out", str(tmp_path / "p.csv")],
+        "flag": ["flag", "--predictions", str(ws.preds), "--out", str(tmp_path / "fl.csv")],
+        "relabel": ["relabel", "--predictions", str(ws.preds), "--manifest", str(ws.manifest),
+                    "--features", str(ws.features), "--model", str(ws.model), "--budget", "0",
+                    "--out-manifest", str(tmp_path / "rm.csv"),
+                    "--out-model", str(tmp_path / "rm.json")],
+        "eval-loo-both": ["eval", "--protocol", "loo", "--scheme", "both", "--trees", "2",
+                          "--manifest", str(ws.manifest), "--out-dir", str(new)],
+        "eval-window-sweep": ["eval", "--protocol", "window-sweep", "--windows", "60",
+                              "--trees", "2", "--manifest", str(ws.manifest),
+                              "--out-dir", str(new)],
+    }[command]
+    workers(1)  # every write in this process, in order; test_synth fails writes in workers
+    real_open, writes, failing = io.open, [], {}
+
+    def open_(file, mode="r", *args, **kwargs):
+        if any(c in mode for c in "wax+"):
+            writes.append(str(file))
+            if len(writes) - 1 == failing.get("k"):
+                with real_open(file, mode, *args, **kwargs) as fh:
+                    fh.write(b"x" if "b" in mode else "x")
+                raise failing["exc"](str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", open_)
+    monkeypatch.setattr(io, "open", open_)  # pathlib's writes
+    before = _paths_and_bytes(tmp_path)
+    assert main(argv + ["--seed", "1"]) == EXIT_OK
+    assert writes and all(w.endswith(".partial") for w in writes), writes  # all staged
+    if not existing:
+        for path in sorted(set(_paths_and_bytes(tmp_path)) - set(before), reverse=True):
+            path.rmdir() if path.is_dir() else path.unlink()
+    before = _paths_and_bytes(tmp_path)
+    no_space = os.strerror(errno.ENOSPC)
+    cases = [(lambda name: OSError(errno.ENOSPC, no_space, name), EXIT_CONFIG),
+             (lambda name: KeyboardInterrupt(), 130)]
+    for k in range(len(writes)):
+        for exc, code in cases:
+            writes.clear()
+            failing.update(k=k, exc=exc)
+            capsys.readouterr()
+            assert main(argv + ["--seed", "2"]) == code, (k, code)  # other bytes than seed 1's
+            out = writes[k].removesuffix(".partial")
+            expected = f"error: cannot write {out}: {no_space}" if code == EXIT_CONFIG else (
+                "interrupted")
+            assert capsys.readouterr().err.splitlines()[-1:] == [expected]
+            assert _paths_and_bytes(tmp_path) == before, (k, code)
 
 
 @pytest.fixture
