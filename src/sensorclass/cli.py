@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, reporting
-from .config import PRESET_NAMES, ForestConfig
+from .config import AVERAGING_MODES, PRESET_NAMES, ForestConfig
 from .errors import (
     ConfigError,
     DataError,
@@ -41,6 +41,7 @@ from .features import BASELINE2, RICH8, extract, feature_names, mask_indices
 from .trace import SensorType, read_utf8, write_trace_csv
 from .uncertainty import (
     DEFAULT_THRESHOLD,
+    ENTROPY_BASES,
     attach_metrics,
     entropy_cdf,
     flag_above_threshold,
@@ -71,9 +72,9 @@ def _shared_flags(parser: argparse.ArgumentParser) -> None:
                         help=f"trees per forest (default {ForestConfig.n_trees})")
     parser.add_argument("--mtry", type=int, default=None,
                         help="features tried per node (default floor(sqrt(D)))")
-    parser.add_argument("--averaging", choices=["paper", "standard"], default=None,
+    parser.add_argument("--averaging", choices=AVERAGING_MODES, default=None,
                         help=f"posterior averaging mode (default {ForestConfig.averaging_mode})")
-    parser.add_argument("--entropy-base", choices=["nats", "bits", "normalized"],
+    parser.add_argument("--entropy-base", choices=ENTROPY_BASES,
                         default="nats", help="entropy unit (default nats)")
     parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                         help="entropy flag threshold, strict > (default 0.425)")

@@ -526,11 +526,11 @@ def feature_subset_search(dataset: LabeledDataset) -> list[tuple[int, float]]:
             nodes[key] = _PathNode(key, int(np.argmax(counts)), table, thresholds, {})
         return nodes[key]
 
-    roots = [node(np.delete(np.arange(n, dtype=np.intp), i)) for i in range(n)]
-    results = []
-    for k, mask in enumerate(masks):
-        correct = 0
-        for i, at in enumerate(roots):
+    correct = [0] * len(masks)
+    for i in range(n):
+        root = node(np.delete(np.arange(n, dtype=np.intp), i))
+        for k in range(len(masks)):
+            at = root
             while (f := at.table[k] - 1) >= 0:
                 t = at.thresholds[f]
                 step = (f, xs[i][f] <= t)
@@ -539,8 +539,10 @@ def feature_subset_search(dataset: LabeledDataset) -> list[tuple[int, float]]:
                     side = x[rows, f] <= t
                     at.children[step] = node(rows[side if step[1] else ~side])
                 at = at.children[step]
-            correct += at.majority == ys[i]
-        results.append((mask, correct / n))
+            correct[k] += at.majority == ys[i]
+        # a split leaves both sides non-empty, so no other node has a root's rows
+        del nodes[root.key]
+    results = [(mask, c / n) for mask, c in zip(masks, correct)]
     results.sort(key=lambda item: (-item[1], len(mask_indices(item[0])), item[0]))
     return results
 

@@ -31,8 +31,8 @@ one node under many candidate sets. The growing trees are arrays in the
 node and sample layout of Louppe, Understanding Random Forests
 (arXiv:1407.7502), ch. 5: a node is a slice of its tree's bootstrap row
 indices that a split partitions in place. Each node's candidate features
-are decoded, for all the step's nodes at once, from uint32 words its
-tree's generator drew in advance, so no Python runs per node. The trees
+are decoded, for all the step's nodes at once, from words its tree's bit
+generator output in advance, so no Python runs per node. The trees
 growing at once and the entries per kernel call are capped, so the
 grower's memory stays bounded however many folds a protocol has.
 
@@ -40,10 +40,10 @@ Determinism: every tree's RNG derives from (config.seed, tree index), and
 its draws happen in its own preorder: the bootstrap, then one feature
 subset per impure node. Each is what Generator.integers(0, n, size=n),
 then Generator.choice(D, m_try, replace=False), would draw on that
-stream, decoded from the stream's words: the bootstrap and the first
-words from one raw draw, the rest from uint32 words. So a tree does not
-depend on the trees it grew beside, and the forest is a pure function of
-(dataset, config).
+stream, decoded from its words: every word is a uint32 half of one of
+PCG64's raw outputs, low half first, as numpy's generators read them.
+So a tree does not depend on the trees it grew beside, and the forest
+is a pure function of (dataset, config).
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ _TREE_TAG = 101
 # trees growing at once, and (row, candidate feature) entries per kernel call.
 _TREES_IN_FLIGHT = 256
 _KERNEL_ENTRIES = 4096
-# uint32 words a growing tree reads from its generator at a time, for its candidate features
+# words a growing tree reads from its bit generator at a time, for its candidate
+# features; even, since each raw output is two words
 _WORDS = 32
 _MASK32 = 0xFFFFFFFF
 
@@ -297,20 +298,19 @@ def _widen(a: np.ndarray, cols: int) -> np.ndarray:
 
 def _raw_draws(bitgen: np.random.BitGenerator, r: int, size: int,
                width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(integers(0, r, size=size), then the uint32 words integers(0, 2**32,
-    dtype=np.uint32) would draw next, at most width >= 1 of them) of a
-    generator with no half word buffered, decoded from one random_raw call,
-    or more where rejections leave it short. numpy hands out each 64-bit
-    output as two uint32 halves, low half first. A draw in [0, r), r < 2**32,
-    is Lemire's on the next half, rejected as in _draw_candidates; r == 1
-    reads none. The words are the halves left after the draws, and the
-    generator's next output continues their stream.
+    """(integers(0, r, size=size) of a generator on bitgen, then the at
+    most width >= 1 words left after them), decoded from one random_raw
+    call, or more where rejections leave it short. A word is a uint32 half
+    of a 64-bit raw output, low half first, as numpy's generators read
+    them. A draw in [0, r), r < 2**32, is Lemire's on the next word,
+    rejected as in _draw_candidates; r == 1 reads none. The bit
+    generator's next output continues the words' stream.
     """
     reads = size if r > 1 else 0
     halves = bitgen.random_raw((reads + width) // 2).astype("<u8", copy=False).view("<u4")
     if not reads:
         return np.zeros(size, dtype=np.int64), halves
-    # widened before the product: numpy 1.x would keep uint32 * np.uint64(r) in uint32
+    # widened before the product: numpy keeps uint32 * r, r a Python int, in uint32
     wide, floor = halves.astype(np.uint64), (2**32 - r) % r
     prod = wide[:size] * r
     if (prod & _MASK32).min() >= floor:  # no half rejected, nearly always
@@ -322,23 +322,22 @@ def _raw_draws(bitgen: np.random.BitGenerator, r: int, size: int,
     return wide[kept[:size]] * r >> 32, halves[kept[size - 1] + 1:]
 
 
-def _refill(words: np.ndarray, cursor: np.ndarray, rngs: list, slots: np.ndarray) -> None:
-    """Move the unread words of each slot's buffer, words[s, cursor[s]:], to its
-    front and fill the rest with the next words of its generator."""
+def _refill(words: np.ndarray, cursor: np.ndarray, bitgens: list, slots: np.ndarray) -> None:
+    """Fill the buffer of each slot, every word of it read, with the next
+    words of its bit generator's raw outputs, as _raw_draws reads them."""
     for s in slots.tolist():
-        words[s] = np.concatenate([words[s, cursor[s]:],
-                                   rngs[s].integers(0, 2**32, size=cursor[s], dtype=np.uint32)])
+        words[s] = bitgens[s].random_raw(words.shape[1] // 2).astype("<u8", copy=False).view("<u4")
         cursor[s] = 0
 
 
 def _draw_candidates(
-    words: np.ndarray, cursor: np.ndarray, rngs: list, slots: np.ndarray, m: np.ndarray, d: int
+    words: np.ndarray, cursor: np.ndarray, bitgens: list, slots: np.ndarray, m: np.ndarray, d: int
 ) -> np.ndarray:
     """(len(slots), d) mask of the m[k] features node k draws from slot
-    slots[k]'s generator: all d, with no draw, where m[k] == d, and otherwise
-    the set rngs[s].choice(d, size=m[k], replace=False) would draw, decoded
-    from the generator's uint32 words. Slot s reads its words from
-    words[s, cursor[s]:], refilled by _refill when short, and advances cursor[s].
+    slots[k]'s bit generator: all d, with no draw, where m[k] == d, and
+    otherwise the set Generator(bitgens[s]).choice(d, size=m[k], replace=False)
+    would draw, decoded from its words. Slot s reads words[s, cursor[s]] and
+    advances cursor[s]; a buffer whose words are all read is refilled first.
 
     This is numpy's algorithm for d <= 10,000 (a changed one is named by
     tests/test_numpy_canary.py). Floyd's: for j = d - m, ..., d - 1, draw v
@@ -351,20 +350,18 @@ def _draw_candidates(
     mask = np.zeros((len(slots), d), dtype=bool)
     mask[m == d] = True
     draws = np.where(m < d, 2 * m - 1, 0)
-    _refill(words, cursor, rngs, slots[words.shape[1] - cursor[slots] < draws])
     for t in range(int(draws.max(initial=0))):  # node k's draw t, for every k drawing one
         node = np.flatnonzero(t < draws)
         s, mm = slots[node], m[node]
         r = np.where(t < mm, d - mm + t + 1, 2 * mm - t)  # Floyd's j + 1, then the shuffle's k + 1
         floor = (2**32 - r) % r
-        prod = words[s, cursor[s]] * r
-        cursor[s] += 1
-        while (bad := np.flatnonzero((prod & _MASK32) < floor)).size:  # rejected: the next word
-            # a rejected word is one more read: refill where the node's draws left no longer fit
-            short = words.shape[1] - cursor[s[bad]] < draws[node[bad]] - t
-            _refill(words, cursor, rngs, s[bad][short])
-            prod[bad] = words[s[bad], cursor[s[bad]]] * r[bad]
-            cursor[s[bad]] += 1
+        prod = np.zeros(len(node), dtype=np.int64)
+        read = np.arange(len(node))  # a word for every node, then one more for each rejected
+        while (at := s[read]).size:
+            _refill(words, cursor, bitgens, at[cursor[at] == words.shape[1]])
+            prod[read] = words[at, cursor[at]] * r[read]
+            cursor[at] += 1
+            read = read[(prod[read] & _MASK32) < floor[read]]
         floyd = t < mm
         node, j, v = node[floyd], (d - mm + t)[floyd], (prod >> 32)[floyd]
         mask[node, np.where(mask[node, v], j, v)] = True
@@ -387,20 +384,20 @@ def _grow(
     At each step every tree emits the pure nodes on top of its stack as
     leaves, then pops its next impure node; one _draw_candidates call, one
     _segment_scores call and one partition split all those nodes. Slot s
-    keeps one generator, set to each new tree's state (seeding.pcg64_states,
-    one call for every tree a fill admits), whose one random_raw call gives
-    the bootstrap and the slot's first words (_raw_draws). After the
-    bootstrap a tree's generator draws only candidates, a buffer of words at
-    a time, in the tree's preorder, so a tree does not depend on the trees
-    it grows beside.
+    keeps one PCG64 bit generator, set to each new tree's state
+    (seeding.pcg64_states, one call for every tree a fill admits), whose
+    first random_raw call gives the bootstrap and first words (_raw_draws). After the
+    bootstrap a tree's bit generator outputs only candidates' words, a
+    buffer at a time, in the tree's preorder, so a tree does not depend on
+    the trees it grows beside.
     """
     d = x.shape[1]
     ranks = _column_ranks(x)
     queue = enumerate(jobs)
     cap = _TREES_IN_FLIGHT
     job = np.full(cap, -1)  # the position of each slot's job; -1 for a free slot
-    rngs: list[np.random.Generator | None] = [None] * cap
-    words = np.zeros((cap, max(_WORDS, 2 * d)), dtype=np.uint32)  # room for any node's draws
+    bitgens: list[np.random.PCG64 | None] = [None] * cap
+    words = np.zeros((cap, _WORDS), dtype=np.uint32)
     cursor = np.zeros(cap, dtype=np.intp)  # words[s, cursor[s]:] are slot s's unread words
     m_try = np.zeros(cap, dtype=np.intp)
     sp = np.zeros(cap, dtype=np.intp)  # stack sizes
@@ -433,16 +430,16 @@ def _grow(
         states = seeding.pcg64_states([(config.seed, _TREE_TAG, index)
                                        for _, (_, config, index, _) in admitted])
         for s, (pos, (fold_rows, config, index, identity)), state in zip(free, admitted, states):
-            rng = rngs[s] = rngs[s] or np.random.Generator(np.random.PCG64(0))
-            rng.bit_generator.state = state
+            bitgen = bitgens[s] = bitgens[s] or np.random.PCG64(0)
+            bitgen.state = state
             n = len(fold_rows)
-            draws, tail = _raw_draws(rng.bit_generator, n, 0 if identity else n, words.shape[1])
+            draws, tail = _raw_draws(bitgen, n, 0 if identity else n, _WORDS)
             if not identity:
                 fold_rows = fold_rows[draws]
             if n > rows.shape[1]:
                 rows = _widen(rows, n)
             rows[s, :n] = fold_rows
-            cursor[s] = words.shape[1] - len(tail)
+            cursor[s] = _WORDS - len(tail)
             words[s, cursor[s]:] = tail
             stack[s, 0] = (0, n, -1, *np.bincount(y[fold_rows], minlength=CLASS_COUNT))
             job[s], m_try[s], sp[s], size[s] = pos, config.resolve_m_try(d), 1, 0
@@ -481,7 +478,7 @@ def _grow(
         n = hi - lo
         counts = stack[s, sp[s], 3:].astype(float)
         n_cand = m_try[s]
-        cand = np.nonzero(_draw_candidates(words, cursor, rngs, s, n_cand, d))[1]  # each ascending
+        cand = np.nonzero(_draw_candidates(words, cursor, bitgens, s, n_cand, d))[1]  # each ascending
         at_rows = _ranges(s * rows.shape[1] + lo, n)
         node_rows = rows.reshape(-1)[at_rows]
         entry = np.repeat(np.arange(len(s)), n)

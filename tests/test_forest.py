@@ -335,31 +335,40 @@ def test_tree_does_not_depend_on_its_batch(monkeypatch, in_flight, entries):
         assert got == tree_bytes(expected)
 
 
-def decode(words, cursor, rngs, m, d):
+def decode(words, cursor, bitgens, m, d):
     """Each slot's candidates, ascending, from one _draw_candidates call (slot k draws m[k])."""
-    mask = forest_module._draw_candidates(words, cursor, rngs, np.arange(len(m)), np.array(m), d)
+    mask = forest_module._draw_candidates(words, cursor, bitgens, np.arange(len(m)), np.array(m), d)
     return [np.flatnonzero(row).tolist() for row in mask]
+
+
+def bootstrapped(bitgen, twin, n, words, k):
+    """Bootstrap n rows from bitgen, checked against twin.integers(0, n, size=n), and put
+    the words left after it at the end of slot k's buffer, as the grower admits a tree."""
+    draws, tail = forest_module._raw_draws(bitgen, n, n, words.shape[1])
+    assert draws.tolist() == twin.integers(0, n, size=n).tolist()
+    words[k, words.shape[1] - len(tail):] = tail
+    return words.shape[1] - len(tail)
 
 
 @pytest.mark.parametrize("offset", ["odd", "even"])
 @pytest.mark.parametrize("d", range(2, 9))
 def test_decoded_candidates_equal_choice(d, offset):
     # every 1 <= m < d (and m = d, which takes every feature with no draw), each slot on
-    # its own stream, left at an odd or even uint32 offset by a bootstrap, as in the grower;
-    # a 16-word buffer makes many draws straddle a refill
+    # its own stream after a bootstrap of odd or even length, as in the grower; a 16-word
+    # buffer makes many draws straddle a refill
     for seed in range(40):
         ms = list(range(1, d + 1))
-        decoded = [seeding.generator(seed, d, m) for m in ms]
+        bitgens = [seeding.generator(seed, d, m).bit_generator for m in ms]
         twins = [seeding.generator(seed, d, m) for m in ms]
-        for k, (a, b) in enumerate(zip(decoded, twins)):
-            n = 2 * (seed + k) + 1 if offset == "odd" else 2 * (seed + k) + 2
-            assert a.integers(0, n, size=n).tolist() == b.integers(0, n, size=n).tolist()
         words = np.zeros((len(ms), 16), dtype=np.uint32)
-        cursor = np.full(len(ms), 16)  # empty buffers: the first draw fills them
+        cursor = np.zeros(len(ms), dtype=np.intp)
+        for k, (a, b) in enumerate(zip(bitgens, twins)):
+            n = 2 * (seed + k) + 1 if offset == "odd" else 2 * (seed + k) + 2
+            cursor[k] = bootstrapped(a, b, n, words, k)
         for _ in range(4):
             expected = [sorted(b.choice(d, size=m, replace=False).tolist()) if m < d
                         else list(range(d)) for b, m in zip(twins, ms)]
-            assert decode(words, cursor, decoded, ms, d) == expected
+            assert decode(words, cursor, bitgens, ms, d) == expected
 
 
 def test_a_rejected_word_gives_way_to_the_next():
@@ -369,33 +378,48 @@ def test_a_rejected_word_gives_way_to_the_next():
     cursor = np.array([0])
     assert decode(words, cursor, [None], [1], 3) == [[1]]
     assert cursor.tolist() == [2]
-    # the same rejection on the buffer's last word: the next word comes from the generator
-    rng, twin = seeding.generator(5, 1), seeding.generator(5, 1)
+    # the same rejection on the buffer's last word: the next word comes from the bit generator
+    bitgen, twin = seeding.generator(5, 1).bit_generator, seeding.generator(5, 1)
     words = np.array([[9, 0]], dtype=np.uint32)
     cursor = np.array([1])
-    assert decode(words, cursor, [rng], [1], 3) == [twin.choice(3, size=1, replace=False).tolist()]
+    assert decode(words, cursor, [bitgen], [1], 3) == [twin.choice(3, size=1, replace=False).tolist()]
     assert cursor.tolist() == [1]
     # three unread words, three needed (d = 8, m = 2), but the first is rejected in
-    # [0, 7) (low half 0 < (2**32 - 7) % 7 = 4): the two words left move to the
-    # front and the generator's next words supply the third draw
-    rng, twin = seeding.generator(9, 7), seeding.generator(9, 7)
-    words = np.array([[9, 0, *rng.integers(0, 2**32, size=2, dtype=np.uint32)]], dtype=np.uint32)
+    # [0, 7) (low half 0 < (2**32 - 7) % 7 = 4): the two words left, an identity
+    # bootstrap's, supply two draws, and a refill supplies the third
+    bitgen, twin = seeding.generator(9, 7).bit_generator, seeding.generator(9, 7)
+    words = np.array([[9, 0, 0, 0]], dtype=np.uint32)
+    _, words[0, 2:] = forest_module._raw_draws(bitgen, 8, 0, 2)
     cursor = np.array([1])
-    assert decode(words, cursor, [rng], [2], 8) == [sorted(twin.choice(8, 2, replace=False).tolist())]
-    assert cursor.tolist() == [3]
-    assert (twin.integers(0, 2**32, size=1, dtype=np.uint32) == words[0, 3]).all()
+    assert decode(words, cursor, [bitgen], [2], 8) == [sorted(twin.choice(8, 2, replace=False).tolist())]
+    assert cursor.tolist() == [1]
+    assert (twin.integers(0, 2**32, size=1, dtype=np.uint32) == words[0, 1]).all()
 
 
 def test_a_draw_straddles_a_refill():
-    # two unread words, three needed (d = 8, m = 2): they move to the buffer's front and
-    # the generator's next words fill the rest
-    rng, twin = seeding.generator(9, 4), seeding.generator(9, 4)
-    words = rng.integers(0, 2**32, size=(1, 4), dtype=np.uint32)
-    cursor = np.array([2])
-    twin.integers(0, 2**32, size=2, dtype=np.uint32)
-    assert decode(words, cursor, [rng], [2], 8) == [sorted(twin.choice(8, 2, replace=False).tolist())]
-    assert cursor.tolist() == [3]
-    assert (twin.integers(0, 2**32, size=1, dtype=np.uint32) == words[0, 3]).all()
+    # three words left after a bootstrap of 5 rows, five needed (d = 8, m = 3): the
+    # buffer is refilled after the third, and the last two come from its front
+    bitgen, twin = seeding.generator(9, 4).bit_generator, seeding.generator(9, 4)
+    words = np.zeros((1, 4), dtype=np.uint32)
+    cursor = np.array([bootstrapped(bitgen, twin, 5, words, 0)])
+    assert cursor.tolist() == [1]
+    assert decode(words, cursor, [bitgen], [3], 8) == [sorted(twin.choice(8, 3, replace=False).tolist())]
+    assert cursor.tolist() == [2]
+    assert (twin.integers(0, 2**32, size=1, dtype=np.uint32) == words[0, 2]).all()
+
+
+@pytest.mark.parametrize("width", [2, 4, 32])
+def test_trees_do_not_depend_on_the_buffer_width(monkeypatch, width):
+    # the words a tree reads are its stream's, however many a refill takes at once
+    ds, jobs = batch_jobs()
+    digest = grower_digest(datasets=40)
+    monkeypatch.setattr(forest_module, "_WORDS", width)
+    assert grower_digest(datasets=40) == digest
+    for (rows, config, index, identity), tree in zip(jobs, forest_module._grow(
+            ds.features, ds.labels, jobs)):
+        expected = reference_train_tree(ds.subset(rows), config, index,
+                                        identity_bootstrap=identity)
+        assert tree_bytes(tree) == tree_bytes(expected)
 
 
 def assert_raw_draws_equal_integers(k, r, size, width):

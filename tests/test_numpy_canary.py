@@ -2,18 +2,18 @@
 
 The golden models, predictions and corpora are byte-pinned, and their bytes
 depend on numpy: on SeedSequence and PCG64 for every stream, on Generator
-methods for each draw (NEP 19 lets their algorithms change between numpy
-releases), and on np.median and np.var for every feature. Each test here
-pins one of those primitives at a fixed seed path. When a golden test
-fails under another numpy, the canary that fails beside it names the
-primitive that moved. Tree growth decodes every draw from its generator's
-words: from raw outputs, what `integers` would draw for the bootstrap and
-the uint32 words after it, and from those words, what `choice` without
+methods for the draws of synth and the evaluation splits (NEP 19 lets their
+algorithms change between numpy releases), and on np.median and np.var for
+every feature. Each test here pins one of those primitives at a fixed seed
+path. When a golden test fails under another numpy, the canary that fails
+beside it names the primitive that moved. Tree growth calls no Generator
+method: every word it reads is a uint32 half of one of its PCG64 bit
+generator's raw outputs, low half first, and from those words it decodes
+what `integers` would draw for the bootstrap and what `choice` without
 replacement would draw (one feature subset per impure node); and it sets
-each tree's generator to a state derived in a batch, not by SeedSequence.
-So three cases here check the grower's own copies of those algorithms
-against numpy's, `integers`, `choice` and `seeding.generator`. synth and
-the evaluation splits draw with the rest.
+each tree's bit generator to a state derived in a batch, not by
+SeedSequence. So three cases here check the grower's own copies of those
+algorithms against numpy's, `integers`, `choice` and `seeding.generator`.
 
 The values were recorded with numpy 2.4.6.
 """
@@ -83,14 +83,21 @@ def test_grower_bootstrap_decode_equals_integers():
 def test_grower_decode_equals_choice():
     # what forest._draw_candidates decodes from a tree's words after a bootstrap
     # of odd length, against choice on the same stream, for m = 1, 2, 3 of d = 8
-    decoded, twins = [rng(k) for k in (11, 12, 13)], [rng(k) for k in (11, 12, 13)]
-    for a, b in zip(decoded, twins):
-        a.integers(0, 41, size=41), b.integers(0, 41, size=41)
-    words, cursor = np.zeros((3, 16), dtype=np.uint32), np.full(3, 16)
+    decoded = [rng(k).bit_generator for k in (11, 12, 13)]
+    twins = [rng(k) for k in (11, 12, 13)]
+    words, cursor = np.zeros((3, 16), dtype=np.uint32), np.zeros(3, dtype=np.intp)
+    for k, (a, b) in enumerate(zip(decoded, twins)):
+        draws, tail = forest._raw_draws(a, 41, 41, 16)
+        assert draws.tolist() == b.integers(0, 41, size=41).tolist()
+        cursor[k] = 16 - len(tail)
+        words[k, cursor[k]:] = tail
     for _ in range(20):
         mask = forest._draw_candidates(words, cursor, decoded, np.arange(3), np.array([1, 2, 3]), 8)
         assert [np.flatnonzero(row).tolist() for row in mask] == [
             sorted(b.choice(8, size=m, replace=False).tolist()) for b, m in zip(twins, (1, 2, 3))]
+    for k, b in enumerate(twins):  # the words left unread are the ones integers draws next
+        assert words[k, cursor[k]:].tolist() == b.integers(0, 2**32, size=16 - cursor[k],
+                                                             dtype=np.uint32).tolist()
 
 
 def test_batch_states_equal_seed_sequence_states():
