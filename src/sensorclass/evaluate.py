@@ -475,12 +475,12 @@ def window_sweep(
 
 @dataclass(frozen=True)
 class _PathNode:
-    """A tree node of feature_subset_search, shared by every mask that grows it."""
+    """A tree node of feature_subset_search, shared by every mask of a fold that grows it."""
 
-    key: bytes  # the training rows at the node, ascending np.intp, as the memo's key: stored once
+    rows: np.ndarray  # the training rows at the node, ascending
     majority: int  # most frequent class, lowest code on ties
-    table: bytes  # per mask, split feature + 1; 0 makes the node a leaf
-    thresholds: list  # per feature, its split's threshold: node_splits scores a column once
+    table: list  # per mask, its split feature; -1 makes the node a leaf
+    thresholds: list  # per mask, its split's threshold
     children: dict  # (split feature, held-out row goes left) -> _PathNode
 
 
@@ -494,11 +494,13 @@ def feature_subset_search(dataset: LabeledDataset) -> list[tuple[int, float]]:
 
     With no resampling and no feature sampling, a node's split is a pure
     function of its rows and the mask: the lowest mask feature with the
-    strictly highest positive gain. So each distinct impure row set makes
-    one forest.node_splits call, whose eight columns are scored once and
-    whose splits cover all 255 masks, and every (mask, fold) follows only
-    the held-out row's path through those tables. The prediction is the
-    leaf's most frequent class, lowest code on ties: the argmax of the leaf
+    strictly highest positive gain. So each distinct impure row set of a
+    fold makes one forest.node_splits call, whose eight columns are scored
+    once and whose splits cover all 255 masks, and every mask follows only
+    the held-out row's path through those tables. The memo holds one fold's
+    nodes: a node holds every other row on its fold's path, so another fold
+    reaches its row set only by coincidence. The prediction is the leaf's
+    most frequent class, lowest code on ties: the argmax of the leaf
     posterior that train_tree(..., identity_bootstrap=True) would hold.
     """
     if dataset.schema != RICH8:
@@ -511,37 +513,33 @@ def feature_subset_search(dataset: LabeledDataset) -> list[tuple[int, float]]:
     masks = range(1, 256)
     candidates = [mask_indices(mask) for mask in masks]
     cand, n_cand = np.concatenate(candidates), np.array([len(c) for c in candidates])
-    nodes: dict[bytes, _PathNode] = {}  # by row set: ascending row indices as bytes
+    nodes: dict[bytes, _PathNode] = {}  # one fold's nodes, by row set
 
     def node(rows: np.ndarray) -> _PathNode:
         key = rows.tobytes()
         if key not in nodes:
             counts = np.bincount(y[rows], minlength=CLASS_COUNT)
-            table, thresholds = bytes(len(masks)), []
+            table, thresholds = [-1] * len(masks), []
             if counts.max() < len(rows):
                 f, t = node_splits(x[rows], y[rows], cand, n_cand)
-                by_feature = np.zeros(x.shape[1] + 1)  # a leaf's -1 lands in the spare last slot
-                by_feature[f] = t  # a feature has one threshold, whichever mask splits on it
-                table, thresholds = bytes((f + 1).tolist()), by_feature.tolist()
-            nodes[key] = _PathNode(key, int(np.argmax(counts)), table, thresholds, {})
+                table, thresholds = f.tolist(), t.tolist()
+            nodes[key] = _PathNode(rows, int(np.argmax(counts)), table, thresholds, {})
         return nodes[key]
 
     correct = [0] * len(masks)
     for i in range(n):
-        root = node(np.delete(np.arange(n, dtype=np.intp), i))
+        nodes.clear()
+        root = node(np.delete(np.arange(n), i))
         for k in range(len(masks)):
             at = root
-            while (f := at.table[k] - 1) >= 0:
-                t = at.thresholds[f]
+            while (f := at.table[k]) >= 0:
+                t = at.thresholds[k]
                 step = (f, xs[i][f] <= t)
                 if step not in at.children:
-                    rows = np.frombuffer(at.key, dtype=np.intp)
-                    side = x[rows, f] <= t
-                    at.children[step] = node(rows[side if step[1] else ~side])
+                    side = x[at.rows, f] <= t
+                    at.children[step] = node(at.rows[side if step[1] else ~side])
                 at = at.children[step]
             correct[k] += at.majority == ys[i]
-        # a split leaves both sides non-empty, so no other node has a root's rows
-        del nodes[root.key]
     results = [(mask, c / n) for mask, c in zip(masks, correct)]
     results.sort(key=lambda item: (-item[1], len(mask_indices(item[0])), item[0]))
     return results

@@ -513,8 +513,8 @@ def train_tree(
     The tree's RNG comes from (config.seed, tree_index) alone; draws happen
     in a fixed order (bootstrap first, then per-node feature subsets in
     preorder), so retraining reproduces the tree exactly. identity_bootstrap
-    skips resampling and trains on the dataset as-is; evaluation code uses
-    it where a deterministic single tree is wanted.
+    skips resampling and trains on the dataset as-is, for a deterministic
+    single tree.
     """
     job = (np.arange(len(dataset)), config, tree_index, identity_bootstrap)
     return next(_grow(dataset.features, dataset.labels, [job]))
@@ -627,13 +627,17 @@ def _nodes_to_tree(entries: list, feature_count: int) -> DecisionTree:
             open_splits.pop()[2] = len(nodes)
         if tag == "s":
             f, t = fields
-            if not (isinstance(f, int) and 0 <= f < feature_count and np.isfinite(t)):
+            # a JSON number loads as int or float; true and false load as bool, an int
+            if not (type(f) is int and 0 <= f < feature_count
+                    and type(t) in (int, float) and np.isfinite(t)):
                 raise DataError(f"split on feature {f!r} at {t!r}: need a feature in "
                                 f"0..{feature_count - 1} and a finite threshold")
             nodes.append([f, float(t), -1, _NO_POSTERIOR])
             open_splits.append(nodes[-1])
         elif tag == "l":
             (post,) = fields
+            if not (isinstance(post, list) and all(type(p) in (int, float) for p in post)):
+                raise DataError(f"leaf {post!r} is not a list of numbers")
             post = np.asarray(post, dtype=float)
             if post.shape != (CLASS_COUNT,) or not (
                 np.isfinite(post).all() and (post >= 0).all()

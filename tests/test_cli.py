@@ -491,7 +491,10 @@ def _run_as_pairs(doc):
     _truncated_tree,
     _split_feature(99),
     _split_feature(-1),
+    _split_feature(True),
     _split_threshold(float("nan")),
+    _split_threshold(True),
+    _leaf([True, False, False, False, False, False]),
     _leaf([5.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
     _leaf([1.5, -0.5, 0.0, 0.0, 0.0, 0.0]),
     _leaf([float("nan"), 1.0, 0.0, 0.0, 0.0, 0.0]),
@@ -505,7 +508,8 @@ def _run_as_pairs(doc):
 ], ids=["missing-config-key", "n-trees-inf", "m-try-inf", "seed-inf",
         "n-trees-float", "m-try-bool", "seed-float", "seed-negative", "m-try-above-features",
         "empty-tree", "truncated-tree", "split-feature-99",
-        "split-feature-minus-1", "split-threshold-nan", "leaf-sums-to-5", "leaf-negative",
+        "split-feature-minus-1", "split-feature-bool", "split-threshold-nan",
+        "split-threshold-bool", "leaf-bool", "leaf-sums-to-5", "leaf-negative",
         "leaf-nan", "class-labels-reversed", "class-labels-one", "run-nan", "run-list",
         "node-after-last-leaf", "unknown-node-tag", "tree-count"])
 def test_classify_malformed_model_exits_data(ws, tmp_path, capsys, mutate):

@@ -4,6 +4,7 @@ cross-corpus transfer, window sweeps, and the feature-subset search."""
 import multiprocessing
 import os
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -707,6 +708,31 @@ def test_subset_search_whole_list_equals_one_tree_per_fold(seed):
     dataset = LabeledDataset(tuple(f"r{i}" for i in range(7)), feats,
                              rng.integers(0, 3, size=7), "rich8")
     assert feature_subset_search(dataset) == reference_subset_search(dataset)
+
+
+def test_subset_search_holds_one_folds_nodes_at_a_time(monkeypatch):
+    # 60 rows of heavily overlapping classes, where folds share the most row sets
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, CLASS_COUNT, size=60)
+    feats = rng.normal(size=(60, 8)) + labels[:, None]
+    dataset = LabeledDataset(tuple(f"r{i}" for i in range(60)), feats, labels, "rich8")
+    made = alive = most = 0
+
+    def gone():
+        nonlocal alive
+        alive -= 1
+
+    class Counted(evaluate._PathNode):
+        def __init__(self, *args):
+            nonlocal made, alive, most
+            super().__init__(*args)
+            made, alive = made + 1, alive + 1
+            most = max(most, alive)
+            weakref.finalize(self, gone)
+
+    monkeypatch.setattr(evaluate, "_PathNode", Counted)
+    feature_subset_search(dataset)
+    assert most * 10 < made, (most, made)
 
 
 def tied_pair_dataset(good):
