@@ -60,7 +60,7 @@ from . import seeding
 from .config import AVERAGING_MODES, ForestConfig
 from .errors import DataError, InvalidConfig, SchemaMismatch
 from .features import FeatureVector, schema_length
-from .trace import CLASS_COUNT, CLASS_LABELS, SensorType, read_utf8, run_starts
+from .trace import CLASS_COUNT, CLASS_LABELS, SensorType, read_utf8, run_starts, unique_keys
 
 MODEL_FORMAT = "sensorclass-forest-v1"
 
@@ -383,13 +383,13 @@ def _grow(
 
     At each step every tree emits the pure nodes on top of its stack as
     leaves, then pops its next impure node; one _draw_candidates call, one
-    _segment_scores call and one partition split all those nodes. Slot s
-    keeps one PCG64 bit generator, set to each new tree's state
-    (seeding.pcg64_states, one call for every tree a fill admits), whose
-    first random_raw call gives the bootstrap and first words (_raw_draws). After the
-    bootstrap a tree's bit generator outputs only candidates' words, a
-    buffer at a time, in the tree's preorder, so a tree does not depend on
-    the trees it grows beside.
+    _segment_scores call and one partition split all those nodes. Each
+    admitted tree gets a new PCG64 bit generator, seeded by
+    seeding.seed_sequence(config.seed, _TREE_TAG, index), whose first
+    random_raw call gives the bootstrap and first words (_raw_draws).
+    After the bootstrap a tree's bit generator outputs only candidates'
+    words, a buffer at a time, in the tree's preorder, so a tree does not
+    depend on the trees it grows beside.
     """
     d = x.shape[1]
     ranks = _column_ranks(x)
@@ -427,11 +427,9 @@ def _grow(
     while True:
         free = np.flatnonzero(job < 0).tolist()
         admitted = list(itertools.islice(queue, len(free)))
-        states = seeding.pcg64_states([(config.seed, _TREE_TAG, index)
-                                       for _, (_, config, index, _) in admitted])
-        for s, (pos, (fold_rows, config, index, identity)), state in zip(free, admitted, states):
-            bitgen = bitgens[s] = bitgens[s] or np.random.PCG64(0)
-            bitgen.state = state
+        for s, (pos, (fold_rows, config, index, identity)) in zip(free, admitted):
+            bitgen = bitgens[s] = np.random.PCG64(
+                seeding.seed_sequence(config.seed, _TREE_TAG, index))
             n = len(fold_rows)
             draws, tail = _raw_draws(bitgen, n, 0 if identity else n, _WORDS)
             if not identity:
@@ -680,13 +678,13 @@ def _reject_constant(name: str):
 def load_model(path: str | Path) -> tuple[RandomForest, dict]:
     """Read a model file back; returns (forest, run metadata dict).
 
-    A malformed document of any kind, NaN or Infinity anywhere in it
-    included, raises DataError.
+    A malformed document of any kind, NaN or Infinity or a repeated key
+    anywhere in it included, raises DataError.
     """
     text = read_utf8(Path(path)).decode("utf-8")
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except ValueError as exc:  # a JSONDecodeError, or a constant
+        doc = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=unique_keys)
+    except ValueError as exc:  # a JSONDecodeError, a constant or a repeated key
         raise DataError(f"model file {path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise DataError(f"model file {path}: not a {MODEL_FORMAT} document")

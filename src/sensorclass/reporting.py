@@ -60,7 +60,8 @@ def write_csv(
 
 
 def _read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[tuple[int, list[str]]]]:
-    """(metadata, header, (line number, cells) of each row) of an artifact CSV."""
+    """(metadata, header, (line number, cells) of each row) of an artifact CSV.
+    Raises DataError on a metadata key given twice."""
     meta: dict[str, str] = {}
     lines = io.StringIO(read_utf8(Path(path)).decode("utf-8"), newline="").readlines()
     start = 0
@@ -68,7 +69,9 @@ def _read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[tuple
         body = lines[start][1:].strip()
         if "=" in body:
             k, v = body.split("=", 1)
-            meta[k.strip()] = v
+            if (k := k.strip()) in meta:
+                raise DataError(f"{path}, line {start + 1}: metadata key {k!r} repeats")
+            meta[k] = v
         start += 1
     reader = csv.reader(lines[start:])
     try:

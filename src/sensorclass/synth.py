@@ -41,9 +41,10 @@ Every value must have its field's type (an integer, a number, a string,
 true/false, a number or null, or a list of numbers); numbers must be
 finite (only a clamp bound may be infinite); rates, noise, jitter and
 burst_minutes must be >= 0 and period_days > 0; a clamp (low, high) must
-be ordered. Anything else raises InvalidSpec naming the key, and so does
-a profile whose values overflow or that numpy cannot draw from (a
-level_jitter of 1e308), when the corpus is generated.
+be ordered. Anything else, a key given twice included, raises InvalidSpec
+naming the key, and so does a profile whose values overflow or that
+numpy cannot draw from (a level_jitter of 1e308), when the corpus is
+generated.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import numpy.random  # numpy loads it on first use: here, so a forked worker nev
 from . import seeding
 from .config import PRESET_NAMES, PRESETS  # noqa: F401  (PRESET_NAMES: synth's name too)
 from .errors import DataError, InvalidSpec
-from .trace import SensorTrace, SensorType, _from_arrays, read_utf8
+from .trace import SensorTrace, SensorType, _from_arrays, read_utf8, unique_keys
 
 DAY_S = 86400.0
 # duration_s // interval_s + 1, the samples of one trace; a year at 1 s
@@ -451,7 +452,7 @@ def load_corpus_spec(path: str | Path) -> CorpusSpec:
     except DataError as exc:  # the spec is configuration: exit 2, not 3
         raise InvalidSpec("<file>", str(exc)) from None
     try:
-        doc = json.loads(text)
-    except ValueError as exc:
+        doc = json.loads(text, object_pairs_hook=unique_keys)
+    except ValueError as exc:  # a JSONDecodeError or a repeated key
         raise InvalidSpec("<file>", f"not valid JSON: {exc}") from None
     return corpus_spec(doc)

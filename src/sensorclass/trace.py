@@ -225,6 +225,17 @@ def read_utf8(path: Path) -> bytes:
     return data
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json.loads's object_pairs_hook for a JSON object whose keys are all
+    different. Raises ValueError naming a repeated key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def write_trace_csv(trace: SensorTrace, path: str | Path) -> None:
     """One `repr(timestamp),repr(value)` row per sample, CRLF line ends: the
     bytes csv.writer writes, built as one string."""

@@ -268,9 +268,14 @@ def small_int_datasets(draw, d=None):
                           subset_schema((1 << d) - 1))
 
 
+# the seed of LOO fold 3 at seed 42, as evaluate derives it: past 63 bits
+FOLD_SEED = seeding.derive_seed(42, 202, 3)
+assert 2**63 <= FOLD_SEED < 2**64
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_int_datasets(), st.sampled_from(["1", "2", "D"]), st.booleans(),
-       st.integers(0, 50), st.integers(0, 9), st.data())
+       st.integers(0, 50) | st.sampled_from([FOLD_SEED, 2**100]), st.integers(0, 9), st.data())
 def test_grower_equals_recursive_reference(dataset, m_try, identity, seed, index, data):
     d = dataset.feature_count
     config = ForestConfig(n_trees=1, m_try={"1": 1, "2": min(2, d), "D": d}[m_try], seed=seed)
@@ -759,6 +764,16 @@ def test_load_model_rejects_wrong_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"format": "other-v9"}))
     with pytest.raises(DataError):
+        load_model(path)
+
+
+def test_load_model_rejects_a_repeated_key(tmp_path):
+    # the golden model with a second "trees" list, of one-leaf trees, after the first
+    text = (Path(__file__).parent / "golden" / "model.json").read_text().rstrip()
+    leaf = ["l", [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]
+    path = tmp_path / "twice.json"
+    path.write_text(text[:-1] + ', "trees": ' + json.dumps([[leaf]] * 10) + "}\n")
+    with pytest.raises(DataError, match="repeated key 'trees'"):
         load_model(path)
 
 

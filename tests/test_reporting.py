@@ -163,6 +163,15 @@ def test_feature_matrix_requires_schema_meta(tmp_path):
         read_feature_matrix(path)
 
 
+def test_feature_matrix_rejects_a_repeated_metadata_key(tmp_path):
+    path = tmp_path / "f.csv"
+    write_csv(path, ["trace_id", "label", "f0", "f1"], [["a", "co2", "1.0", "2.0"]],
+              meta={"schema": "baseline2"})
+    path.write_text("# schema=rich8\n" + path.read_text())
+    with pytest.raises(DataError, match=r"f\.csv, line 2: metadata key 'schema' repeats"):
+        read_feature_matrix(path)
+
+
 def test_feature_matrix_rejects_non_numeric(tmp_path):
     path = tmp_path / "f.csv"
     write_csv(path, ["trace_id", "label", "f0"], [["a", "co2", "soup"]],

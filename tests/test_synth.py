@@ -279,6 +279,16 @@ def test_load_spec_type_errors(tmp_path):
             load_corpus_spec(write_spec(tmp_path, doc))
 
 
+def test_synth_spec_with_a_repeated_key_exits_config(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"preset": "default", "traces_per_type": 1, "seed": 5, "seed": 6}')
+    capsys.readouterr()
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "repeated key 'seed'" in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_load_spec_rejects_non_object(tmp_path):
     with pytest.raises(InvalidSpec):
         load_corpus_spec(write_spec(tmp_path, [1, 2]))
