@@ -42,7 +42,9 @@ from .features import RICH8, extract, mask_indices
 from .forest import (
     ForestConfig,
     LabeledDataset,
-    node_splits,
+    _best_splits,
+    _column_ranks,
+    _segment_scores,
     predict_matrix,
     train_forests,
 )
@@ -178,7 +180,7 @@ def stratified_split(
         k = min(max(_round_half_up(fraction * n_c), 1), n_c - 1)
         chosen = rng.choice(idx, size=k, replace=False)
         train.append(np.sort(chosen))
-        test.append(np.setdiff1d(idx, chosen))
+        test.append(np.delete(idx, np.searchsorted(idx, chosen)))  # idx ascending
     train_idx = np.sort(np.concatenate(train)) if train else np.array([], dtype=np.int64)
     test_idx = np.sort(np.concatenate(test)) if test else np.array([], dtype=np.int64)
     if len(train_idx) == 0 or len(test_idx) == 0:
@@ -477,7 +479,7 @@ def window_sweep(
 class _PathNode:
     """A tree node of feature_subset_search, shared by every mask of a fold that grows it."""
 
-    rows: np.ndarray  # the training rows at the node, ascending
+    rows: np.ndarray  # the training rows at the node, ascending: dataset row indices
     majority: int  # most frequent class, lowest code on ties
     table: list  # per mask, its split feature; -1 makes the node a leaf
     thresholds: list  # per mask, its split's threshold
@@ -495,13 +497,13 @@ def feature_subset_search(dataset: LabeledDataset) -> list[tuple[int, float]]:
     With no resampling and no feature sampling, a node's split is a pure
     function of its rows and the mask: the lowest mask feature with the
     strictly highest positive gain. So each distinct impure row set of a
-    fold makes one forest.node_splits call, whose eight columns are scored
-    once and whose splits cover all 255 masks, and every mask follows only
-    the held-out row's path through those tables. The memo holds one fold's
-    nodes: a node holds every other row on its fold's path, so another fold
-    reaches its row set only by coincidence. The prediction is the leaf's
-    most frequent class, lowest code on ties: the argmax of the leaf
-    posterior that train_tree(..., identity_bootstrap=True) would hold.
+    fold is scored once, on the dataset's ranks as the grower scores a node,
+    for all 255 masks, and every mask follows only the held-out row's path
+    through those tables. The memo holds one fold's nodes: a node holds
+    every other row on its fold's path, so another fold reaches its row set
+    only by coincidence. The prediction is the leaf's most frequent class,
+    lowest code on ties: the argmax of the leaf posterior that
+    train_tree(..., identity_bootstrap=True) would hold.
     """
     if dataset.schema != RICH8:
         raise SchemaMismatch(f"subset search expects a rich8 dataset, got {dataset.schema!r}")
@@ -513,15 +515,18 @@ def feature_subset_search(dataset: LabeledDataset) -> list[tuple[int, float]]:
     masks = range(1, 256)
     candidates = [mask_indices(mask) for mask in masks]
     cand, n_cand = np.concatenate(candidates), np.array([len(c) for c in candidates])
+    ranks, columns = _column_ranks(x), np.arange(x.shape[1])  # ranked once per search
     nodes: dict[bytes, _PathNode] = {}  # one fold's nodes, by row set
 
     def node(rows: np.ndarray) -> _PathNode:
         key = rows.tobytes()
         if key not in nodes:
-            counts = np.bincount(y[rows], minlength=CLASS_COUNT)
+            counts = np.bincount(y[rows], minlength=CLASS_COUNT).astype(float)
             table, thresholds = [-1] * len(masks), []
             if counts.max() < len(rows):
-                f, t = node_splits(x[rows], y[rows], cand, n_cand)
+                gain, threshold = _segment_scores(x, y, ranks, rows, np.array([len(rows)]),
+                                                  counts[None], columns, np.array([len(columns)]))
+                f, t = _best_splits(gain[cand], threshold[cand], cand, n_cand)
                 table, thresholds = f.tolist(), t.tolist()
             nodes[key] = _PathNode(rows, int(np.argmax(counts)), table, thresholds, {})
         return nodes[key]

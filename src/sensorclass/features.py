@@ -119,7 +119,7 @@ def extract_med_var(trace: SensorTrace, window_len: float) -> tuple[np.ndarray, 
     _, firsts, counts = window_spans(trace, window_len)
     med = np.empty(len(counts))
     var = np.empty(len(counts))
-    for n in np.unique(counts).tolist():
+    for n in sorted(set(counts.tolist())):  # np.unique would import numpy.ma
         rows = np.flatnonzero(counts == n)
         med[rows], var[rows] = window_stats(trace.values[firsts[rows][:, None] + np.arange(n)])
     return med, var

@@ -26,15 +26,15 @@ evaluation protocol, grow together, and at each step every one of them
 splits its next impure node. One segmented kernel scores all those
 (node, candidate feature) pairs at once (a stable sort by (segment,
 value), a running count of classes, one entropy call over every cut),
-and _best_splits applies the one split rule; node_splits applies it to
-one node under many candidate sets. The growing trees are arrays in the
-node and sample layout of Louppe, Understanding Random Forests
-(arXiv:1407.7502), ch. 5: a node is a slice of its tree's bootstrap row
-indices that a split partitions in place. Each node's candidate features
-are decoded, for all the step's nodes at once, from words its tree's bit
-generator output in advance, so no Python runs per node. The trees
-growing at once and the entries per kernel call are capped, so the
-grower's memory stays bounded however many folds a protocol has.
+and _best_splits applies the one split rule. The growing trees are
+arrays in the node and sample layout of Louppe, Understanding Random
+Forests (arXiv:1407.7502), ch. 5: a node is a slice of its tree's
+bootstrap row indices that a split partitions in place. Each node's
+candidate features are decoded, for all the step's nodes at once, from
+words its tree's bit generator output in advance, so no Python runs per
+node. The trees growing at once and the entries per kernel call are
+capped, so the grower's memory stays bounded however many folds a
+protocol has.
 
 Determinism: every tree's RNG derives from (config.seed, tree index), and
 its draws happen in its own preorder: the bootstrap, then one feature
@@ -63,6 +63,7 @@ from .features import FeatureVector, schema_length
 from .trace import CLASS_COUNT, CLASS_LABELS, SensorType, read_utf8, run_starts, unique_keys
 
 MODEL_FORMAT = "sensorclass-forest-v1"
+_MODEL_KEYS = ("format", "config", "class_labels", "feature_schema", "run", "trees")
 
 # derivation tag separating tree RNG streams from other consumers of a seed
 _TREE_TAG = 101
@@ -268,19 +269,6 @@ def _best_splits(
     pick = hit[run_starts(seg_node[hit])]
     feature = np.where(top > 0, candidates[pick], -1)
     return feature, threshold[pick]
-
-
-def node_splits(
-    features: np.ndarray, labels: np.ndarray, candidates: np.ndarray, n_cand: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(feature, threshold) of a node's split under each candidate set, by
-    _best_splits: set k is the next n_cand[k] >= 1 candidates, ascending and
-    distinct. The node's columns are scored once, however many sets share them."""
-    n, d = features.shape
-    counts = np.bincount(labels, minlength=CLASS_COUNT).astype(float)
-    gain, threshold = _segment_scores(features, labels, _column_ranks(features), np.arange(n),
-                                      np.array([n]), counts[None], np.arange(d), np.array([d]))
-    return _best_splits(gain[candidates], threshold[candidates], candidates, n_cand)
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -678,8 +666,8 @@ def _reject_constant(name: str):
 def load_model(path: str | Path) -> tuple[RandomForest, dict]:
     """Read a model file back; returns (forest, run metadata dict).
 
-    A malformed document of any kind, NaN or Infinity or a repeated key
-    anywhere in it included, raises DataError.
+    A malformed document of any kind, NaN or Infinity, a repeated key, or
+    an unknown key outside the free-form run included, raises DataError.
     """
     text = read_utf8(Path(path)).decode("utf-8")
     try:
@@ -693,7 +681,12 @@ def load_model(path: str | Path) -> tuple[RandomForest, dict]:
         for key in ("n_trees", "m_try", "seed"):
             if type(cfg[key]) is not int:
                 raise DataError(f"config {key} must be an integer, got {cfg[key]!r}")
-        config = ForestConfig(**{f.name: cfg[f.name] for f in fields(ForestConfig)})
+        names = [f.name for f in fields(ForestConfig)]
+        config = ForestConfig(**{name: cfg[name] for name in names})
+        unknown = [k for k in doc if k not in _MODEL_KEYS]
+        unknown += [f"config.{k}" for k in cfg if k not in names]
+        if unknown:
+            raise DataError(f"unknown key {unknown[0]!r}")
         if doc["class_labels"] != list(CLASS_LABELS):
             raise DataError(f"class_labels must be {list(CLASS_LABELS)}")
         schema = str(doc["feature_schema"])

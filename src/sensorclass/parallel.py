@@ -129,7 +129,6 @@ def map_traces(fn: Callable, traces: Iterable[SensorTrace]) -> list:
     is read in this process."""
     if not isinstance(traces, ManifestTraces):
         return [fn(trace) for trace in traces]
-    import numpy.ma  # noqa: F401  np.median loads it on first use: here, not in each worker
     # a file that cannot be read weighs nothing: reading it raises the error, in manifest order
     sizes = [path.stat().st_size if path.is_file() else 0 for _, path, _ in traces.entries]
     return _map_blocks(lambda run: [fn(trace) for trace in ManifestTraces(run)],

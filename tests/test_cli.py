@@ -525,6 +525,21 @@ def test_classify_malformed_model_exits_data(ws, tmp_path, capsys, mutate):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("where", ["top", "config"])
+def test_classify_model_with_an_unknown_key_exits_data(ws, tmp_path, capsys, where):
+    # a key the reader does not define would be dropped by the next save
+    doc = json.loads(ws.model.read_text())
+    (doc if where == "top" else doc["config"])["max_depth"] = 3
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["classify", "--model", str(bad), "--features", str(ws.features),
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == EXIT_DATA
+    named = "max_depth" if where == "top" else "config.max_depth"
+    assert capsys.readouterr().err == f"error: model file {bad}: unknown key {named!r}\n"
+
+
 def test_classify_model_with_a_huge_integer_exits_data(ws, tmp_path, capsys):
     # past sys.get_int_max_str_digits() the JSON parser itself raises ValueError
     if not hasattr(sys, "get_int_max_str_digits"):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import make_trace, reference_subset_search
 from sensorclass import evaluate, seeding
+from sensorclass import forest as forest_module
 from sensorclass.errors import DataError, DegenerateFraction, NoWindows, SchemaMismatch
 from sensorclass.evaluate import (
     FULL_COLUMN,
@@ -733,6 +734,21 @@ def test_subset_search_holds_one_folds_nodes_at_a_time(monkeypatch):
     monkeypatch.setattr(evaluate, "_PathNode", Counted)
     feature_subset_search(dataset)
     assert most * 10 < made, (most, made)
+
+
+def test_subset_search_ranks_the_data_once(monkeypatch, small_dataset):
+    # every call, through forest's name or evaluate's
+    calls = []
+    ranks = forest_module._column_ranks
+
+    def counted(x):
+        calls.append(x.shape)
+        return ranks(x)
+
+    monkeypatch.setattr(forest_module, "_column_ranks", counted)
+    monkeypatch.setattr(evaluate, "_column_ranks", counted, raising=False)
+    feature_subset_search(small_dataset)
+    assert calls == [small_dataset.features.shape]
 
 
 def tied_pair_dataset(good):

@@ -39,7 +39,6 @@ from sensorclass.forest import (
     classify,
     load_model,
     model_document,
-    node_splits,
     predict_matrix,
     save_model,
     train_forest,
@@ -95,7 +94,19 @@ def test_dataset_rejects_a_malformed_part(ids, features, labels, message):
         LabeledDataset(ids, features, np.asarray(labels), "baseline2")
 
 
-# --- best split of a node: node_splits under one candidate set -----------------
+# --- best split of a node: the split kernel under one candidate set ------------
+
+
+def node_splits(x, y, candidates, n_cand):
+    """(feature, threshold) of the node of all of x's rows under each candidate
+    set, set k the next n_cand[k] candidates: every column scored once by
+    _segment_scores, then _best_splits, as evaluate's subset search scores a node."""
+    n, d = x.shape
+    counts = np.bincount(y, minlength=CLASS_COUNT).astype(float)
+    gain, threshold = forest_module._segment_scores(
+        x, y, forest_module._column_ranks(x), np.arange(n), np.array([n]), counts[None],
+        np.arange(d), np.array([d]))
+    return forest_module._best_splits(gain[candidates], threshold[candidates], candidates, n_cand)
 
 
 def best_split(x, y, candidates):
@@ -306,6 +317,23 @@ def test_node_splits_of_every_mask_equal_the_reference(dataset):
     f, t = node_splits(x, y, np.concatenate(sets), np.array([len(c) for c in sets]))
     got = [None if fk < 0 else (fk, tk) for fk, tk in zip(f.tolist(), t.tolist())]
     assert got == [reference_best_split(x, y, c) for c in sets]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_int_datasets(d=8), st.data())
+def test_a_node_scores_the_same_on_the_datasets_ranks_as_on_its_own(dataset, data):
+    # the subset search scores a node's row indices on the whole dataset's ranks
+    x, y = dataset.features, dataset.labels
+    n, d = x.shape
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    counts = np.bincount(y[rows], minlength=CLASS_COUNT).astype(float)[None]
+    k, every = np.array([len(rows)]), np.arange(d)
+    shared = forest_module._segment_scores(x, y, forest_module._column_ranks(x), rows, k, counts,
+                                           every, np.array([d]))
+    xr, yr = x[rows], y[rows]
+    alone = forest_module._segment_scores(xr, yr, forest_module._column_ranks(xr),
+                                          np.arange(len(rows)), k, counts, every, np.array([d]))
+    assert [a.tobytes() for a in shared] == [a.tobytes() for a in alone]
 
 
 def batch_jobs():

@@ -6,10 +6,12 @@ of a relabel answers file are mutated (a flipped byte, a truncation, a
 dropped or repeated line, one cell or JSON scalar set to nan, NaN, 1e309,
 -1, 0, null, true, "" or subset:zz, or one number set to 1e12 or 1e15,
 such as a timestamp decades or millennia away or an event rate of a
-trillion a day) and handed to the commands that read them, in process
-through cli.main. A spec is configuration, so synth must exit 0 or 2;
-features on a corrupted trace must exit 0 or 3, relabel 0, 2 or 3, and
-the other commands 0, 2, 3 or 4. Any exception fails.
+trillion a day, a JSON key or "# key=value" metadata key given again with
+another value, or an unknown JSON key) and handed to the commands that
+read them, in process through cli.main. A spec is configuration, so
+synth must exit 0 or 2; features on a corrupted trace must exit 0 or 3,
+relabel 0, 2 or 3, and the other commands 0, 2, 3 or 4. Any exception
+fails.
 
 The number of examples per file comes from the hypothesis profile (see
 conftest.py): 40 by default, 1,000 with --hypothesis-profile=deep.
@@ -45,6 +47,9 @@ CELL_VALUES = (b"nan", b"NaN", b"1e309", b"-1", b"0", b"null", b"true", b"", b"s
 CELL = re.compile(rb'[^,\s"=\[\]{}]+')  # a CSV cell, a metadata value or a JSON scalar
 NUMBER = re.compile(rb"(?<![\w.])-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 HUGE_VALUES = (b"1e12", b"1e15")
+JSON_VALUES = (b"0", b"-1", b"null", b"true", b'"zz"', b"[]", b"{}")
+# a line that starts with a JSON object key (its indent, key) or a metadata key (its name)
+KEY_LINE = re.compile(rb'^([ \t]*)"([^"\\\n]*)"[ \t]*:|^# ([^=\n]*)=', re.M)
 HEAD_LINES = 24  # metadata, header and the model's config live at the top of a file
 ANY_EXIT = (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_UNDEFINED)
 EXITS = {
@@ -120,7 +125,19 @@ def source(artifact: str, work: Path) -> Path:
 @st.composite
 def mutated(draw, data: bytes) -> bytes:
     lines = data.splitlines(keepends=True)
-    kind = draw(st.sampled_from(["flip", "truncate", "drop", "repeat", "cell", "huge"]))
+    kind = draw(st.sampled_from(["flip", "truncate", "drop", "repeat", "cell", "huge",
+                                 "repeat-key", "unknown-key"]))
+    if kind in ("repeat-key", "unknown-key"):  # a new line before the line of a key
+        keys = [m for m in KEY_LINE.finditer(data) if kind == "repeat-key" or m[2] is not None]
+        if not keys:
+            return data
+        m = draw(st.sampled_from(keys))
+        if m[2] is None:  # a metadata line
+            line = b"# " + m[3] + b"=" + draw(st.sampled_from(CELL_VALUES)) + b"\n"
+        else:
+            key = m[2] if kind == "repeat-key" else b"zz_unknown"
+            line = m[1] + b'"' + key + b'": ' + draw(st.sampled_from(JSON_VALUES)) + b",\n"
+        return data[:m.start()] + line + data[m.start():]
     if kind == "huge":
         numbers = list(NUMBER.finditer(data))
         if not numbers:

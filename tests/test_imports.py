@@ -45,6 +45,7 @@ try:
         sys.exit(main())
 finally:
     note("loaded", *sorted(m for m in sys.modules if m.startswith("sensorclass")))
+    note("numpy.ma", "numpy.ma" in sys.modules)
 """
 
 # What every command loads: the parser's flag checks and the artifact readers and writers.
@@ -61,6 +62,26 @@ LOADED = {
     "eval": SHARED | {"evaluate", "forest", "parallel", "seeding"},
 }
 FORKS = {"synth", "features", "eval"}  # the commands that map their traces or folds
+
+# Every command once, each reading what the ones before it wrote.
+COMMANDS = [
+    ["synth", "--spec", "spec.json", "--out", "corpus"],
+    ["features", "--manifest", "corpus/manifest.csv", "--out", "features.csv"],
+    ["train", "--features", "features.csv", "--trees", "3", "--out", "model.json"],
+    ["classify", "--model", "model.json", "--features", "features.csv", "--out", "p.csv"],
+    ["flag", "--predictions", "p.csv", "--out", "flags.csv"],
+    ["relabel", "--predictions", "p.csv", "--manifest", "corpus/manifest.csv",
+     "--features", "features.csv", "--model", "model.json", "--answers", "answers.txt",
+     "--out-manifest", "relabeled.csv", "--out-model", "relabeled.json"],
+    ["eval", "--protocol", "percentage", "--scheme", "both", "--fractions", "0.5",
+     "--trees", "2", "--manifest", "corpus/manifest.csv", "--out-dir", "eval"],
+]
+
+
+def write_inputs(cwd):
+    """The spec and the relabel answers COMMANDS read."""
+    (cwd / "spec.json").write_text('{"traces_per_type": 2, "duration_s": 86400}')
+    (cwd / "answers.txt").write_text("keep\nq\n")
 
 
 def run_command(entry, argv, cwd):
@@ -81,27 +102,23 @@ def run_command(entry, argv, cwd):
 
 @pytest.mark.parametrize("entry", ["-m", "script"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, entry):
-    (tmp_path / "spec.json").write_text('{"traces_per_type": 2, "duration_s": 86400}')
-    (tmp_path / "answers.txt").write_text("keep\nq\n")
-    commands = [
-        ["synth", "--spec", "spec.json", "--out", "corpus"],
-        ["features", "--manifest", "corpus/manifest.csv", "--out", "features.csv"],
-        ["train", "--features", "features.csv", "--trees", "3", "--out", "model.json"],
-        ["classify", "--model", "model.json", "--features", "features.csv", "--out", "p.csv"],
-        ["flag", "--predictions", "p.csv", "--out", "flags.csv"],
-        ["relabel", "--predictions", "p.csv", "--manifest", "corpus/manifest.csv",
-         "--features", "features.csv", "--model", "model.json", "--answers", "answers.txt",
-         "--out-manifest", "relabeled.csv", "--out-model", "relabeled.json"],
-        ["eval", "--protocol", "percentage", "--scheme", "both", "--fractions", "0.5",
-         "--trees", "2", "--manifest", "corpus/manifest.csv", "--out-dir", "eval"],
-    ]
-    for argv in commands:
+    write_inputs(tmp_path)
+    for argv in COMMANDS:
         loaded, workers, worker_imports = run_command(entry, argv, tmp_path)
         # under -m, cli runs as __main__ and nothing imports it again
         home = {"sensorclass"} | ({"sensorclass.cli"} if entry == "script" else set())
         assert loaded == home | {f"sensorclass.{m}" for m in LOADED[argv[0]]}, argv[0]
         assert (workers >= 2) == (argv[0] in FORKS), argv[0]
         assert worker_imports == [], argv[0]  # the parent loaded all a worker runs
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on first use; the window median is taken without it
+    write_inputs(tmp_path)
+    for argv in COMMANDS:
+        run_command("script", argv, tmp_path)
+        lines = [json.loads(line) for line in (tmp_path / "imports.log").read_text().splitlines()]
+        assert ["numpy.ma", False] in lines, argv[0]
 
 
 def test_every_public_name_is_its_home_modules_object():

@@ -3,10 +3,11 @@
 The golden models, predictions and corpora are byte-pinned, and their bytes
 depend on numpy: on SeedSequence and PCG64 for every stream, on Generator
 methods for the draws of synth and the evaluation splits (NEP 19 lets their
-algorithms change between numpy releases), and on np.median and np.var for
-every feature. Each test here pins one of those primitives at a fixed seed
-path. When a golden test fails under another numpy, the canary that fails
-beside it names the primitive that moved. Tree growth calls no Generator
+algorithms change between numpy releases), and on np.var and the
+np.partition and mean that np.median takes, and trace.window_stats with it,
+for every feature. Each test here pins one of those primitives at a fixed
+seed path. When a golden test fails under another numpy, the canary that
+fails beside it names the primitive that moved. Tree growth calls no Generator
 method: every word it reads is a uint32 half of one of its PCG64 bit
 generator's raw outputs, low half first, and from those words it decodes
 what `integers` would draw for the bootstrap and what `choice` without
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 from sensorclass import forest, seeding
+from sensorclass.trace import window_stats
 
 
 def rng(k):
@@ -68,7 +70,7 @@ def test_generator_draw(name):
 def test_median_and_variance_rows():
     block = np.array([[3.25, -1.5, 8.0, 0.1, 2.2, 2.2],
                       [1e3, 1e3 + 0.1, 1e3 - 0.3, 999.9, 1e3, 1e3 + 0.2]])
-    assert np.median(block, axis=1).tolist() == [2.2, 1000.0]
+    assert window_stats(block)[0].tolist() == [2.2, 1000.0]
     assert np.var(block, axis=1).tolist() == [8.776458333333332, 0.02472222222222273]
 
 

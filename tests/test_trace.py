@@ -299,6 +299,24 @@ def test_window_stats_permutation_invariant(vals):
     assert var_a[0] == pytest.approx(var_b[0], rel=1e-12, abs=1e-300)
 
 
+# values where np.median's arithmetic shows: signed zeros, sums that overflow, subnormals
+EDGE_VALUES = np.array([0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, 1.5, -2.25])
+
+
+@pytest.mark.parametrize("cols", [59, 60])
+@pytest.mark.parametrize("kind", ["normal", "edge", "mixed"])
+def test_window_stats_median_is_np_median_bit_for_bit(kind, cols):
+    rng = np.random.default_rng(cols)
+    for _ in range(20):
+        normal = rng.normal(size=(64, cols)) * 10.0 ** rng.integers(-3, 4)
+        edge = rng.choice(EDGE_VALUES, size=(64, cols))
+        block = {"normal": normal, "edge": edge,
+                 "mixed": np.where(rng.random((64, cols)) < 0.5, edge, normal)}[kind]
+        with np.errstate(over="ignore", invalid="ignore"):
+            med, _ = window_stats(block)
+            assert med.tobytes() == np.median(block, axis=1).tobytes()
+
+
 # --- CSV round trip and histogram ----------------------------------------------
 
 
